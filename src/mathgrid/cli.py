@@ -9,37 +9,21 @@ from pathlib import Path
 
 from .core import Difficulty, MathGridError, Operator, target_order
 from .evaluation import format_metrics_table
-from .generator import GenParams, generate_batch
+from .generator import GenParams, generate_batch, write_example_images
 from .harness.client import EndpointConfig, Modality, run_benchmark, score_run
 from .harness.sft import export_sft_trajectories
 from .manifest import load_manifest, write_manifest
-from .render.markdown import parse_markdown
-from .render.svg import (
-    RenderView,
-    STYLE_IDS,
-    StyleSpec,
-    render_image,
-    texture_seed_for,
-)
+from .render.markdown import _OP_ALIASES, parse_markdown
+from .render.svg import RenderView, STYLE_IDS, StyleSpec, render_image
 from .solver import deduce
-
-_OP_CHARS = {
-    "+": Operator.ADD,
-    "-": Operator.SUB,
-    "x": Operator.MUL,
-    "*": Operator.MUL,
-    "×": Operator.MUL,
-    "/": Operator.DIV,
-    "÷": Operator.DIV,
-}
 
 
 def _parse_ops(text: str) -> tuple[Operator, ...]:
     ops = []
     for ch in text:
-        if ch not in _OP_CHARS:
+        if ch not in _OP_ALIASES:
             raise argparse.ArgumentTypeError(f"unknown operator {ch!r}")
-        op = _OP_CHARS[ch]
+        op = _OP_ALIASES[ch]
         if op not in ops:
             ops.append(op)
     if not ops:
@@ -78,7 +62,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    styles = args.styles.split(",") if args.styles else list(STYLE_IDS)
+    styles = tuple(args.styles.split(",")) if args.styles else STYLE_IDS
     for style_id in styles:
         if style_id not in STYLE_IDS:
             raise MathGridError(f"unknown style {style_id!r}; choose from {STYLE_IDS}")
@@ -87,32 +71,19 @@ def _cmd_render(args: argparse.Namespace) -> int:
         style = StyleSpec.of(styles[0])
         view = RenderView(args.view)
         answers = None
-        if view is RenderView.SOLUTION and target_order(grid):
+        targets = target_order(grid)
+        if view is RenderView.SOLUTION and targets:
             trace, _ = deduce(grid)
-            answers = [trace.answer_grid.at(c).value for c in target_order(grid)]
+            answers = [trace.answer_grid.at(c).value for c in targets]
         out = Path(args.out)
         out.write_bytes(render_image(grid, style, view, args.seed, answers=answers))
         print(f"wrote {out}")
         return 0
     out_dir = Path(args.out)
-    (out_dir / "images").mkdir(parents=True, exist_ok=True)
     count = 0
     for example in load_manifest(args.manifest):
-        texture_seed = texture_seed_for(example.id)
-        for style_id in styles:
-            style = StyleSpec.of(style_id)
-            query = render_image(example.grid, style, RenderView.QUERY, texture_seed)
-            solution = render_image(
-                example.grid,
-                style,
-                RenderView.SOLUTION,
-                texture_seed,
-                answers=example.gold_answers,
-            )
-            base = out_dir / "images" / example.id
-            Path(f"{base}.query.{style_id}.svg").write_bytes(query)
-            Path(f"{base}.solution.{style_id}.svg").write_bytes(solution)
-            count += 2
+        write_example_images(out_dir, example.id, example.grid, example.gold_answers, styles)
+        count += 2 * len(styles)
     print(f"wrote {count} images under {out_dir / 'images'}")
     return 0
 
@@ -270,7 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MathGridError as exc:
+    except (MathGridError, ValueError, OSError) as exc:
+        # ValueError covers bad parameter combinations and json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -141,10 +141,15 @@ class Grid:
             raise ValueError(
                 f"{len(targets)} targets but {len(answers)} answers supplied"
             )
-        replacements = dict(zip(targets, answers))
+        return self.with_cells(
+            {coord: Cell.number(value) for coord, value in zip(targets, answers)}
+        )
+
+    def with_cells(self, updates: dict[Coord, Cell]) -> Grid:
+        """A copy of the grid with the cells at the given coordinates replaced."""
         new_cells = list(self.cells)
-        for coord, value in replacements.items():
-            new_cells[coord.row * self.cols + coord.col] = Cell.number(value)
+        for coord, cell in updates.items():
+            new_cells[coord.row * self.cols + coord.col] = cell
         return Grid(self.rows, self.cols, tuple(new_cells))
 
 
@@ -261,4 +266,9 @@ def target_order(grid: Grid) -> list[Coord]:
     means for a grid: rows outer, columns inner. Answers are always listed
     in this order.
     """
-    return [coord for coord in grid.coords() if grid.at(coord).kind is CellKind.TARGET]
+    cols = grid.cols
+    return [
+        Coord(i // cols, i % cols)
+        for i, cell in enumerate(grid.cells)
+        if cell.kind is CellKind.TARGET
+    ]

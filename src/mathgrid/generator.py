@@ -28,12 +28,13 @@ from .core import (
     MathGridError,
     Operator,
     Orientation,
+    SolutionTrace,
     TARGET,
     target_order,
 )
 from .render.markdown import to_markdown
 from .render.svg import STYLE_IDS, RenderView, StyleSpec, render_image, texture_seed_for
-from .solver import Contradiction, Slot, Unsolvable, deduce, detect_equations
+from .solver import Contradiction, HopMap, Slot, Unsolvable, deduce, detect_equations
 
 _M64 = (1 << 64) - 1
 
@@ -553,13 +554,6 @@ def _cover_remaining(
     return True
 
 
-def _apply_blanks(answer_grid: Grid, blanks: set[Coord]) -> Grid:
-    cells = list(answer_grid.cells)
-    for coord in blanks:
-        cells[coord.row * answer_grid.cols + coord.col] = TARGET
-    return Grid(answer_grid.rows, answer_grid.cols, tuple(cells))
-
-
 def punch_blanks(
     answer_grid: Grid,
     equations: list[Equation],
@@ -568,12 +562,13 @@ def punch_blanks(
     *,
     max_hop: int,
     retries: int = 200,
-) -> Grid:
+) -> tuple[Grid, SolutionTrace, HopMap]:
     """Blank number cells so deduction recovers all of them within max_hop.
 
     Chains are carved first to hit the profile's deep-hop proportions
     (best effort), then every remaining equation receives one blank that
-    resolves immediately. A full deduction check gates every candidate set.
+    resolves immediately. A full deduction check gates every candidate set;
+    the accepted query is returned with that check's trace and hop map.
     """
     cell_eqs, neighbors = _build_eq_graph(equations)
     wants_depth = any(profile.target_hop_histogram.get(k, 0) > 0 for k in (2, 3, 4))
@@ -596,9 +591,9 @@ def punch_blanks(
         if not _cover_remaining(equations, cell_eqs, eq_blanks, rng):
             continue
         blanks = set().union(*eq_blanks.values()) if eq_blanks else set()
-        query = _apply_blanks(answer_grid, blanks)
+        query = answer_grid.with_cells(dict.fromkeys(blanks, TARGET))
         try:
-            _, hops = deduce(query)
+            trace, hops = deduce(query)
         except (Unsolvable, Contradiction):
             continue
         realized_max = max(hops.values(), default=1)
@@ -606,7 +601,7 @@ def punch_blanks(
             continue
         if wants_depth and can_deepen and realized_max < 2:
             continue
-        return query
+        return query, trace, hops
     raise ProfileInfeasible(
         f"no blank set matching the profile after {retries} attempts"
     )
@@ -616,14 +611,30 @@ def punch_blanks(
 # Full pipeline
 
 
-def _image_file_names(example_id: str) -> dict[str, dict[str, str]]:
-    return {
-        style: {
-            "query": f"images/{example_id}.query.{style}.svg",
-            "solution": f"images/{example_id}.solution.{style}.svg",
-        }
-        for style in STYLE_IDS
-    }
+def write_example_images(
+    out_dir: Path | str,
+    example_id: str,
+    query: Grid,
+    gold_answers: tuple[int, ...],
+    styles: tuple[str, ...] = STYLE_IDS,
+) -> dict[str, str]:
+    """Write the query and solution SVGs of one example in each style.
+
+    Files go to ``out_dir/images/<id>.<view>.<style>.svg``; the result maps
+    each style to its query image's path relative to ``out_dir``.
+    """
+    out_dir = Path(out_dir)
+    (out_dir / "images").mkdir(parents=True, exist_ok=True)
+    texture_seed = texture_seed_for(example_id)
+    images: dict[str, str] = {}
+    for style_id in styles:
+        style = StyleSpec.of(style_id)
+        for view in (RenderView.QUERY, RenderView.SOLUTION):
+            name = f"images/{example_id}.{view.value}.{style_id}.svg"
+            svg = render_image(query, style, view, texture_seed, answers=gold_answers)
+            (out_dir / name).write_bytes(svg)
+        images[style_id] = f"images/{example_id}.query.{style_id}.svg"
+    return images
 
 
 def generate(
@@ -644,7 +655,7 @@ def generate(
         rng = random.Random(params.seed if round_ == 0 else mix_seed(params.seed, round_))
         try:
             answer_grid, equations = build_solved_layout(params, rng)
-            query = punch_blanks(
+            query, trace, hops = punch_blanks(
                 answer_grid,
                 equations,
                 PROFILES[params.difficulty],
@@ -657,7 +668,6 @@ def generate(
     else:
         raise last_error
 
-    trace, hops = deduce(query)
     targets = target_order(query)
     gold_answers = tuple(trace.answer_grid.at(c).value for c in targets)
     hop_depths = tuple(hops[c] for c in targets)
@@ -666,20 +676,8 @@ def generate(
         example_id = f"{params.difficulty.value}_{params.seed:016x}"
 
     images: dict[str, str] = {}
-    names = _image_file_names(example_id)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        (out_dir / "images").mkdir(parents=True, exist_ok=True)
-        texture_seed = texture_seed_for(example_id)
-        for style_id in STYLE_IDS:
-            style = StyleSpec.of(style_id)
-            query_bytes = render_image(query, style, RenderView.QUERY, texture_seed)
-            solution_bytes = render_image(
-                query, style, RenderView.SOLUTION, texture_seed, answers=gold_answers
-            )
-            (out_dir / names[style_id]["query"]).write_bytes(query_bytes)
-            (out_dir / names[style_id]["solution"]).write_bytes(solution_bytes)
-            images[style_id] = names[style_id]["query"]
+        images = write_example_images(out_dir, example_id, query, gold_answers)
 
     return DatasetExample(
         id=example_id,

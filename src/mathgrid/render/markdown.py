@@ -49,10 +49,9 @@ def cell_text(cell: Cell) -> str:
 
 def to_markdown(grid: Grid) -> str:
     """One pipe-delimited line per row with single-space padding."""
-    lines = []
-    for r in range(grid.rows):
-        cells = [cell_text(grid.at((r, c))) for c in range(grid.cols)]
-        lines.append("| " + " | ".join(cells) + " |")
+    cols = grid.cols
+    rows = (grid.cells[r * cols : (r + 1) * cols] for r in range(grid.rows))
+    lines = ["| " + " | ".join(map(cell_text, row)) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -77,14 +77,13 @@ def _num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else f"{x:.2f}"
 
 
-def _role(kind: CellKind) -> str:
-    return {
-        CellKind.NUMBER: "constant",
-        CellKind.TARGET: "target",
-        CellKind.OPERATOR: "operator",
-        CellKind.EQUALS: "equals",
-        CellKind.EMPTY: "empty",
-    }[kind]
+_ROLES = {
+    CellKind.NUMBER: "constant",
+    CellKind.TARGET: "target",
+    CellKind.OPERATOR: "operator",
+    CellKind.EQUALS: "equals",
+    CellKind.EMPTY: "empty",
+}
 
 
 def _texture_elements(width: int, height: int, seed: int) -> list[str]:
@@ -116,17 +115,18 @@ def render_image(
     color; ``answers`` is required whenever the grid contains targets.
     """
     targets = target_order(grid)
-    answer_by_coord: dict[Coord, int] = {}
+    answers_left = None
     if view is RenderView.SOLUTION and targets:
         if answers is None or len(answers) != len(targets):
             raise MathGridError(
                 f"solution view needs {len(targets)} answers, got "
                 f"{'none' if answers is None else len(answers)}"
             )
-        answer_by_coord = dict(zip(targets, answers))
+        answers_left = iter(answers)  # consumed in target order by the scan
 
     px = style.cell_px
-    width, height = grid.cols * px, grid.rows * px
+    cols = grid.cols
+    width, height = cols * px, grid.rows * px
     font_size = round(px * 0.42)
 
     parts = [
@@ -139,28 +139,29 @@ def render_image(
         parts.extend(_texture_elements(width, height, rng_seed))
         parts.append("</g>")
 
+    stroke = f' stroke="{palettes.BORDER_COLOR}" stroke-width="2"' if style.border else ""
+    text_style = (
+        'text-anchor="middle" dominant-baseline="central" '
+        f'font-family="{style.font_family_token}" font-size="{font_size}"'
+    )
     rects = []
     texts = []
-    for coord in grid.coords():
-        cell = grid.at(coord)
-        if cell.kind is CellKind.EMPTY:
+    for i, cell in enumerate(grid.cells):
+        kind = cell.kind
+        if kind is CellKind.EMPTY:
             continue
-        role = _role(cell.kind)
-        fill, text_color = style.palette[role]
-        x, y = coord.col * px, coord.row * px
-        stroke = f' stroke="{palettes.BORDER_COLOR}" stroke-width="2"' if style.border else ""
+        fill, text_color = style.palette[_ROLES[kind]]
+        x, y = (i % cols) * px, (i // cols) * px
         rects.append(
             f'<rect x="{x}" y="{y}" width="{px}" height="{px}" fill="{fill}"{stroke}/>'
         )
-        if cell.kind is CellKind.TARGET and coord in answer_by_coord:
-            glyph = str(answer_by_coord[coord])
+        if kind is CellKind.TARGET and answers_left is not None:
+            glyph = str(next(answers_left))
         else:
             glyph = cell_text(cell)
         texts.append(
             f'<text x="{_num(x + px / 2)}" y="{_num(y + px / 2)}" '
-            f'text-anchor="middle" dominant-baseline="central" '
-            f'font-family="{style.font_family_token}" font-size="{font_size}" '
-            f'fill="{text_color}">{glyph}</text>'
+            f'{text_style} fill="{text_color}">{glyph}</text>'
         )
     parts.append('<g class="cells">')
     parts.extend(rects)

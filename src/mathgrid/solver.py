@@ -60,68 +60,72 @@ class Slot(enum.Enum):
     C = "c"
 
 
-_PATTERN_OFFSETS = (0, 1, 2, 3, 4)  # operand, op, operand, equals, operand
+_OPERAND_KINDS = (CellKind.NUMBER, CellKind.TARGET)
+_AXES = ((Orientation.HORIZONTAL, (0, 1)), (Orientation.VERTICAL, (1, 0)))
 
 
-def _window_matches(cells: list[Cell]) -> bool:
+def _run_matches(kinds: list[CellKind], op: int, step: int, first: bool, last: bool) -> bool:
+    """``operand op operand = operand`` around the operator at flat index
+    ``op``, cells ``step`` apart. ``first``/``last`` say the run touches the
+    grid's edge; otherwise the cell beyond that end must be empty, as
+    anything else would extend the run."""
     return (
-        cells[0].is_operand
-        and cells[1].kind is CellKind.OPERATOR
-        and cells[2].is_operand
-        and cells[3].kind is CellKind.EQUALS
-        and cells[4].is_operand
+        kinds[op - step] in _OPERAND_KINDS
+        and kinds[op + step] in _OPERAND_KINDS
+        and kinds[op + 2 * step] is CellKind.EQUALS
+        and kinds[op + 3 * step] in _OPERAND_KINDS
+        and (first or kinds[op - 2 * step] is CellKind.EMPTY)
+        and (last or kinds[op + 4 * step] is CellKind.EMPTY)
     )
-
-
-def _is_clear(grid: Grid, r: int, c: int) -> bool:
-    """Out-of-bounds or empty; anything else would extend the run."""
-    if not (0 <= r < grid.rows and 0 <= c < grid.cols):
-        return True
-    return grid.at((r, c)).kind is CellKind.EMPTY
 
 
 def detect_equations(grid: Grid) -> list[Equation]:
     """Find all equations; horizontal ones first, each set in scan order.
 
+    Each equation's operator cell follows its first cell, so a row-major
+    pass over the operator cells meets both sets in scan order.
+
     Raises MalformedGrid when an operator or equals cell is left over, which
     happens for runs longer or shorter than the exact 5-cell pattern.
     """
-    found: list[tuple[Orientation, Coord, Operator]] = []
-    for r in range(grid.rows):
-        for c in range(grid.cols - 4):
-            window = [grid.at((r, c + i)) for i in _PATTERN_OFFSETS]
-            if _window_matches(window) and _is_clear(grid, r, c - 1) and _is_clear(grid, r, c + 5):
-                found.append((Orientation.HORIZONTAL, Coord(r, c), window[1].op))
-    for r in range(grid.rows - 4):
-        for c in range(grid.cols):
-            window = [grid.at((r + i, c)) for i in _PATTERN_OFFSETS]
-            if _window_matches(window) and _is_clear(grid, r - 1, c) and _is_clear(grid, r + 5, c):
-                found.append((Orientation.VERTICAL, Coord(r, c), window[1].op))
+    rows, cols = grid.rows, grid.cols
+    kinds = [cell.kind for cell in grid.cells]
+    marks = [
+        i for i, kind in enumerate(kinds) if kind is CellKind.OPERATOR or kind is CellKind.EQUALS
+    ]
+    ops: dict[Orientation, list[Coord]] = {Orientation.HORIZONTAL: [], Orientation.VERTICAL: []}
+    for i in marks:
+        if kinds[i] is not CellKind.OPERATOR:
+            continue
+        r, c = divmod(i, cols)
+        if 1 <= c <= cols - 4 and _run_matches(kinds, i, 1, c == 1, c == cols - 4):
+            ops[Orientation.HORIZONTAL].append(Coord(r, c))
+        if 1 <= r <= rows - 4 and _run_matches(kinds, i, cols, r == 1, r == rows - 4):
+            ops[Orientation.VERTICAL].append(Coord(r, c))
 
     equations = []
-    for eq_id, (orientation, start, op) in enumerate(found):
-        dr, dc = (0, 1) if orientation is Orientation.HORIZONTAL else (1, 0)
-        cells = [Coord(start.row + i * dr, start.col + i * dc) for i in _PATTERN_OFFSETS]
-        equations.append(
-            Equation(
-                id=eq_id,
-                orientation=orientation,
-                a=cells[0],
-                b=cells[2],
-                c=cells[4],
-                op=op,
-                op_cell=cells[1],
-                eq_cell=cells[3],
+    for orientation, (dr, dc) in _AXES:
+        for r, c in ops[orientation]:
+            equations.append(
+                Equation(
+                    id=len(equations),
+                    orientation=orientation,
+                    a=Coord(r - dr, c - dc),
+                    b=Coord(r + dr, c + dc),
+                    c=Coord(r + 3 * dr, c + 3 * dc),
+                    op=grid.cells[r * cols + c].op,
+                    op_cell=Coord(r, c),
+                    eq_cell=Coord(r + 2 * dr, c + 2 * dc),
+                )
             )
-        )
 
     op_cells = {eq.op_cell for eq in equations}
     eq_cells = {eq.eq_cell for eq in equations}
-    for coord in grid.coords():
-        kind = grid.at(coord).kind
-        if kind is CellKind.OPERATOR and coord not in op_cells:
+    for i in marks:
+        coord = Coord(i // cols, i % cols)
+        if kinds[i] is CellKind.OPERATOR and coord not in op_cells:
             raise MalformedGrid(f"operator at {tuple(coord)} belongs to no equation")
-        if kind is CellKind.EQUALS and coord not in eq_cells:
+        if kinds[i] is CellKind.EQUALS and coord not in eq_cells:
             raise MalformedGrid(f"equals sign at {tuple(coord)} belongs to no equation")
     return equations
 
@@ -175,10 +179,11 @@ def solve_missing(op: Operator, unknown: Slot, known1: int, known2: int) -> int:
 
 
 def _initial_knowns(grid: Grid) -> dict[Coord, int]:
+    cols = grid.cols
     return {
-        coord: grid.at(coord).value
-        for coord in grid.coords()
-        if grid.at(coord).kind is CellKind.NUMBER
+        Coord(i // cols, i % cols): cell.value
+        for i, cell in enumerate(grid.cells)
+        if cell.kind is CellKind.NUMBER
     }
 
 
@@ -192,7 +197,7 @@ def deduce(grid: Grid) -> tuple[SolutionTrace, HopMap]:
     """
     equations = detect_equations(grid)
     known = _initial_knowns(grid)
-    targets = set(target_order(grid))
+    targets = target_order(grid)
     open_eqs = {eq.id: eq for eq in equations}
     steps: list[tuple[Resolution, ...]] = []
 
@@ -240,13 +245,14 @@ def deduce(grid: Grid) -> tuple[SolutionTrace, HopMap]:
         for res in step:
             known[res.coord] = res.value
 
-    unresolved = targets - set(known)
+    unresolved = [coord for coord in targets if coord not in known]
     if unresolved:
-        where = sorted(tuple(c) for c in unresolved)
+        where = [tuple(c) for c in unresolved]
         raise Unsolvable(f"targets {where} cannot be deduced")
 
-    answers = [known[coord] for coord in target_order(grid)]
-    answer_grid = grid.with_answers(answers)
+    answer_grid = grid.with_cells(
+        {coord: Cell.number(known[coord]) for coord in targets}
+    )
     hops: HopMap = {}
     for i, step in enumerate(steps):
         for res in step:

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from mathgrid.cli import main
+from mathgrid import Operator
+from mathgrid.cli import build_parser, main
+from mathgrid.render.markdown import _OP_ALIASES
 from mathgrid.manifest import load_manifest
 
 from conftest import REFERENCE_MARKDOWN
@@ -253,6 +255,37 @@ def test_bad_operator_string_rejected():
                 "x",
             ]
         )
+
+
+def test_ops_use_the_markdown_alias_table():
+    def ops_of(text):
+        argv = ["generate", "--difficulty", "easy", "--count", "1", "--ops", text, "--out", "x"]
+        return build_parser().parse_args(argv).ops
+
+    for alias, op in _OP_ALIASES.items():
+        assert ops_of(alias) == (op,)
+    assert ops_of("+−–X÷") == (Operator.ADD, Operator.SUB, Operator.MUL, Operator.DIV)
+
+
+@pytest.mark.parametrize("case", ["bad-range", "missing-manifest", "report-not-json"])
+def test_bad_input_gives_one_error_line(case, tmp_path, capsys):
+    run = tmp_path / "run.jsonl"
+    run.write_text("", encoding="utf-8")
+    report = tmp_path / "report.json"
+    report.write_text("{not json", encoding="utf-8")
+    argv = {
+        "bad-range": [
+            "generate", "--difficulty", "easy", "--count", "1",
+            "--range", "5:1", "--out", str(tmp_path / "ds"),
+        ],
+        "missing-manifest": [
+            "bench", "score", "--run", str(run), "--manifest", str(tmp_path / "absent.jsonl"),
+        ],
+        "report-not-json": ["bench", "table", "--report", str(report)],
+    }[case]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):

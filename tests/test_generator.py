@@ -200,14 +200,14 @@ class TestPunchBlanks:
         params = GenParams(difficulty=Difficulty.HARD, seed=1234)
         rng = random.Random(1234)
         answer_grid, equations = build_solved_layout(params, rng)
-        query = punch_blanks(
+        query, trace, hops = punch_blanks(
             answer_grid,
             equations,
             PROFILES[Difficulty.HARD],
             rng,
             max_hop=params.max_hop,
         )
-        trace, hops = deduce(query)
+        assert (trace, hops) == deduce(query)  # the accepted attempt's deduction
         assert target_order(query)  # at least one blank punched
         assert max(hops.values()) <= params.max_hop
         assert trace.answer_grid == answer_grid  # deduction recovers the layout
