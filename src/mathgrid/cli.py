@@ -62,11 +62,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    styles = tuple(args.styles.split(",")) if args.styles else STYLE_IDS
+    default = STYLE_IDS[:1] if args.markdown else STYLE_IDS
+    styles = tuple(args.styles.split(",")) if args.styles else default
     for style_id in styles:
         if style_id not in STYLE_IDS:
             raise MathGridError(f"unknown style {style_id!r}; choose from {STYLE_IDS}")
     if args.markdown:
+        if len(styles) > 1:
+            raise MathGridError(f"--markdown renders one style, got {args.styles!r}")
         grid = parse_markdown(Path(args.markdown).read_text(encoding="utf-8"))
         style = StyleSpec.of(styles[0])
         view = RenderView(args.view)
@@ -187,9 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_generate)
 
     ren = sub.add_parser("render", help="render images from a manifest or markdown")
-    ren.add_argument("--manifest")
-    ren.add_argument("--markdown", help="render a single markdown grid file")
-    ren.add_argument("--styles", help="comma-separated subset of styles")
+    source = ren.add_mutually_exclusive_group(required=True)
+    source.add_argument("--manifest", help="render every example's images under --out")
+    source.add_argument("--markdown", help="render one markdown grid file to --out")
+    ren.add_argument("--styles", help="comma-separated subset of styles (one with --markdown)")
     ren.add_argument("--view", choices=["query", "solution"], default="query")
     ren.add_argument("--seed", type=int, default=0, help="texture seed")
     ren.add_argument("--out", required=True)

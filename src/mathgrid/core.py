@@ -33,21 +33,31 @@ class Operator(enum.Enum):
     MUL = "×"
     DIV = "÷"
 
-    def apply(self, a: int, b: int) -> int:
-        """Apply the operator; DIV truncates (callers check exactness)."""
-        if self is Operator.ADD:
-            return a + b
-        if self is Operator.SUB:
-            return a - b
-        if self is Operator.MUL:
-            return a * b
-        return a // b
+    @property
+    def inverse(self) -> Operator | None:
+        """The operator that − and ÷ are rotations of; None for + and ×.
+
+        ``a − b = c ⇔ b + c = a`` and ``a ÷ b = c ⇔ b × c = a``: the triple
+        ``(a, b, c)`` of ``op`` is the triple ``(b, c, a)`` of its inverse.
+        """
+        return _INVERSES.get(self)
 
     def holds(self, a: int, b: int, c: int) -> bool:
-        """True when ``a op b = c`` is exact over the integers."""
-        if self is Operator.DIV:
-            return b != 0 and a == b * c
-        return self.apply(a, b) == c
+        """True when ``a op b = c`` is exact over the integers.
+
+        Written out per operator: the rotation ``b × c = a`` would also
+        accept ``0 ÷ 0 = c``.
+        """
+        if self is Operator.ADD:
+            return a + b == c
+        if self is Operator.SUB:
+            return a - b == c
+        if self is Operator.MUL:
+            return a * b == c
+        return b != 0 and a == b * c
+
+
+_INVERSES = {Operator.SUB: Operator.ADD, Operator.DIV: Operator.MUL}
 
 
 class CellKind(enum.Enum):
@@ -125,9 +135,6 @@ class Grid:
             raise IndexError(f"({r}, {c}) outside {self.rows}x{self.cols} grid")
         return self.cells[r * self.cols + c]
 
-    def __getitem__(self, coord: tuple[int, int]) -> Cell:
-        return self.at(coord)
-
     def coords(self) -> Iterator[Coord]:
         """All coordinates in row-major order."""
         for r in range(self.rows):
@@ -178,10 +185,6 @@ class Equation:
     @property
     def operands(self) -> tuple[Coord, Coord, Coord]:
         return (self.a, self.b, self.c)
-
-    @property
-    def start(self) -> Coord:
-        return self.a
 
 
 class Resolution(NamedTuple):

@@ -200,9 +200,6 @@ class EvalReport:
             "examples": len(self.per_example),
         }
 
-    def table(self) -> str:
-        return format_metrics_table(self.to_json())
-
 
 def format_metrics_table(report_json: dict) -> str:
     """Fixed-width text table of the headline metrics, in percent."""

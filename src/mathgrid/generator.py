@@ -34,7 +34,7 @@ from .core import (
 )
 from .render.markdown import to_markdown
 from .render.svg import STYLE_IDS, RenderView, StyleSpec, render_image, texture_seed_for
-from .solver import Contradiction, HopMap, Slot, Unsolvable, deduce, detect_equations
+from .solver import INVERSE_SLOT, Contradiction, HopMap, Slot, Unsolvable, deduce, detect_equations
 
 _M64 = (1 << 64) - 1
 
@@ -152,7 +152,7 @@ PROFILES: dict[Difficulty, DifficultyProfile] = {
 
 
 def _op_feasible(op: Operator, lo: int, hi: int) -> bool:
-    if op in (Operator.ADD, Operator.SUB):
+    if (op.inverse or op) is Operator.ADD:
         return 2 * lo <= hi
     return lo * lo <= hi
 
@@ -160,17 +160,23 @@ def _op_feasible(op: Operator, lo: int, hi: int) -> bool:
 def sample_equation(
     op: Operator, value_range: tuple[int, int], rng: random.Random
 ) -> tuple[int, int, int]:
-    """Random exact triple ``a op b = c`` with all three values in range."""
+    """Random exact triple ``a op b = c`` with all three values in range.
+
+    − and ÷ rotate a triple ``(x, y, z)`` of their inverse to ``(z, x, y)``.
+    """
     lo, hi = value_range
     if not _op_feasible(op, lo, hi):
         raise RangeInfeasible(f"{op.value} admits no triple within [{lo}, {hi}]")
-    if op in (Operator.ADD, Operator.SUB):
+    if op.inverse is not None:
+        x, y, z = sample_equation(op.inverse, value_range, rng)
+        return (z, x, y)
+    if op is Operator.ADD:
         x = rng.randint(lo, hi - lo)
         y = rng.randint(lo, hi - x)
-        return (x, y, x + y) if op is Operator.ADD else (x + y, x, y)
+        return (x, y, x + y)
     x = rng.randint(lo, hi // lo)
     y = rng.randint(lo, hi // x)
-    return (x, y, x * y) if op is Operator.MUL else (x * y, x, y)
+    return (x, y, x * y)
 
 
 def _ordered_divisor_pairs(v: int, lo: int, hi: int) -> list[tuple[int, int]]:
@@ -192,56 +198,34 @@ def sample_equation_at(
     value_range: tuple[int, int],
     rng: random.Random,
 ) -> tuple[int, int, int] | None:
-    """Random triple with the given slot pinned to ``value``; None if impossible."""
+    """Random triple with the given slot pinned to ``value``; None if impossible.
+
+    − and ÷ pin the rotated slot of their inverse and rotate its triple
+    ``(x, y, z)`` to ``(z, x, y)``.
+    """
     lo, hi = value_range
     if not (lo <= value <= hi):
         return None
-
-    def pick(low: int, high: int) -> int | None:
-        return rng.randint(low, high) if low <= high else None
-
-    if op is Operator.ADD:
-        if slot is Slot.A:
-            b = pick(lo, hi - value)
-            return None if b is None else (value, b, value + b)
-        if slot is Slot.B:
-            a = pick(lo, hi - value)
-            return None if a is None else (a, value, a + value)
-        a = pick(lo, value - lo)
-        return None if a is None else (a, value - a, value)
-    if op is Operator.SUB:
-        if slot is Slot.A:
-            b = pick(lo, value - lo)
-            return None if b is None else (value, b, value - b)
-        if slot is Slot.B:
-            c = pick(lo, hi - value)
-            return None if c is None else (value + c, value, c)
-        b = pick(lo, hi - value)
-        return None if b is None else (b + value, b, value)
-    if op is Operator.MUL:
-        if slot is Slot.A:
-            b = pick(lo, hi // value)
-            return None if b is None else (value, b, value * b)
-        if slot is Slot.B:
-            a = pick(lo, hi // value)
-            return None if a is None else (a, value, a * value)
+    if op.inverse is not None:
+        triple = sample_equation_at(op.inverse, INVERSE_SLOT[slot], value, value_range, rng)
+        return None if triple is None else (triple[2], triple[0], triple[1])
+    if slot is Slot.C:
+        if op is Operator.ADD:
+            if 2 * lo > value:
+                return None
+            a = rng.randint(lo, value - lo)
+            return (a, value - a, value)
         pairs = _ordered_divisor_pairs(value, lo, hi)
         if not pairs:
             return None
         a, b = rng.choice(pairs)
         return (a, b, value)
-    # DIV: a = b * c
-    if slot is Slot.A:
-        pairs = _ordered_divisor_pairs(value, lo, hi)
-        if not pairs:
-            return None
-        b, c = rng.choice(pairs)
-        return (value, b, c)
-    if slot is Slot.B:
-        c = pick(lo, hi // value)
-        return None if c is None else (value * c, value, c)
-    b = pick(lo, hi // value)
-    return None if b is None else (b * value, b, value)
+    high = hi - value if op is Operator.ADD else hi // value
+    if lo > high:
+        return None
+    other = rng.randint(lo, high)
+    c = value + other if op is Operator.ADD else value * other
+    return (value, other, c) if slot is Slot.A else (other, value, c)
 
 
 # ---------------------------------------------------------------------------

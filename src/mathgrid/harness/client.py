@@ -212,20 +212,6 @@ def _send_with_retries(config: EndpointConfig, payload: dict) -> str:
             attempt += 1
 
 
-def _existing_ok_fingerprints(out_path: Path) -> set[str]:
-    done = set()
-    if out_path.exists():
-        with out_path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = RunRecord.from_json(json.loads(line))
-                if record.status == "ok":
-                    done.add(record.fingerprint)
-    return done
-
-
 def run_benchmark(
     manifest_path: Path | str,
     endpoint: EndpointConfig,
@@ -238,8 +224,9 @@ def run_benchmark(
     """Query the endpoint for every example and append records to out_path.
 
     A single writer appends records as workers finish; per-example failures
-    become error records and never abort the run. Examples whose fingerprint
-    already has an OK record are skipped entirely.
+    become error records and never abort the run. Examples whose latest
+    record for this fingerprint is OK are skipped entirely; that record is
+    the one ``score_run`` scores.
     """
     manifest_path = Path(manifest_path)
     out_path = Path(out_path)
@@ -247,7 +234,9 @@ def run_benchmark(
     if images_root is None:
         images_root = manifest_path.parent
     examples = load_manifest(manifest_path)
-    done = _existing_ok_fingerprints(out_path)
+    done = set()
+    if out_path.exists():
+        done = {r.fingerprint for r in load_run_records(out_path) if r.status == "ok"}
 
     todo = []
     for example in examples:

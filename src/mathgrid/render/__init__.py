@@ -3,7 +3,6 @@
 from .markdown import ParseError, cell_text, parse_markdown, to_markdown
 from .svg import (
     STYLE_IDS,
-    SVG_MEDIA_TYPE,
     RenderView,
     StyleSpec,
     export_png,
@@ -18,7 +17,6 @@ __all__ = [
     "parse_markdown",
     "to_markdown",
     "STYLE_IDS",
-    "SVG_MEDIA_TYPE",
     "RenderView",
     "StyleSpec",
     "export_png",

@@ -18,8 +18,6 @@ from ..core import CellKind, Coord, Grid, MathGridError, target_order
 from . import palettes
 from .markdown import cell_text
 
-SVG_MEDIA_TYPE = "image/svg+xml"
-
 STYLE_IDS = ("original", "borderless", "background", "altfontcolor")
 
 

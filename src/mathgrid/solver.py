@@ -60,6 +60,9 @@ class Slot(enum.Enum):
     C = "c"
 
 
+# Where each slot of ``a op b = c`` sits in the inverse equation ``b inv c = a``.
+INVERSE_SLOT = {Slot.A: Slot.C, Slot.B: Slot.A, Slot.C: Slot.B}
+
 _OPERAND_KINDS = (CellKind.NUMBER, CellKind.TARGET)
 _AXES = ((Orientation.HORIZONTAL, (0, 1)), (Orientation.VERTICAL, (1, 0)))
 
@@ -135,41 +138,23 @@ def solve_missing(op: Operator, unknown: Slot, known1: int, known2: int) -> int:
 
     ``known1``/``known2`` are the two known values in slot order. The result
     must be a positive integer; range limits are the generator's concern.
+    − and ÷ are solved as their inverse (``b + c = a``, ``b × c = a``) with
+    the slot rotated; the knowns keep slot order there unless ``a`` is the
+    unknown.
     """
-    if unknown is Slot.A:
-        b, c = known1, known2
-        if op is Operator.ADD:
-            result = c - b
-        elif op is Operator.SUB:
-            result = b + c
-        elif op is Operator.MUL:
-            if b == 0 or c % b != 0:
-                raise NoIntegerSolution(f"? × {b} = {c} has no integer solution")
-            result = c // b
-        else:
-            result = b * c
-    elif unknown is Slot.B:
-        a, c = known1, known2
-        if op is Operator.ADD:
-            result = c - a
-        elif op is Operator.SUB:
-            result = a - c
-        elif op is Operator.MUL:
-            if a == 0 or c % a != 0:
-                raise NoIntegerSolution(f"{a} × ? = {c} has no integer solution")
-            result = c // a
-        else:
-            if c == 0 or a % c != 0:
-                raise NoIntegerSolution(f"{a} ÷ ? = {c} has no integer solution")
-            result = a // c
+    inverse = op.inverse
+    if inverse is not None:
+        if unknown is not Slot.A:
+            known1, known2 = known2, known1
+        return solve_missing(inverse, INVERSE_SLOT[unknown], known1, known2)
+    if unknown is Slot.C:
+        result = known1 + known2 if op is Operator.ADD else known1 * known2
+    elif op is Operator.ADD:
+        result = known2 - known1
     else:
-        a, b = known1, known2
-        if op is Operator.DIV:
-            if b == 0 or a % b != 0:
-                raise NoIntegerSolution(f"{a} ÷ {b} is not an integer")
-            result = a // b
-        else:
-            result = op.apply(a, b)
+        if known1 == 0 or known2 % known1 != 0:
+            raise NoIntegerSolution(f"{known2} ÷ {known1} is not an integer")
+        result = known2 // known1
     if result < 1:
         raise NoIntegerSolution(
             f"slot {unknown.value} of {op.value} with knowns {known1}, {known2} "

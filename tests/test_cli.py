@@ -135,6 +135,39 @@ def test_render_manifest_regenerates_identical_images(dataset_dir, tmp_path):
             assert (tmp_path / rel).read_bytes() == (dataset_dir / rel).read_bytes()
 
 
+def test_render_needs_a_source(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "error: one of the arguments --manifest --markdown is required" in capsys.readouterr().err
+
+
+def test_render_takes_one_source(dataset_dir, tmp_path, capsys):
+    grid_file = tmp_path / "puzzle.md"
+    grid_file.write_text(REFERENCE_MARKDOWN, encoding="utf-8")
+    argv = [
+        "render",
+        "--manifest", str(dataset_dir / "manifest.jsonl"),
+        "--markdown", str(grid_file),
+        "--out", str(tmp_path / "out"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_render_markdown_rejects_several_styles(tmp_path, capsys):
+    grid_file = tmp_path / "puzzle.md"
+    grid_file.write_text(REFERENCE_MARKDOWN, encoding="utf-8")
+    out = tmp_path / "puzzle.svg"
+    argv = ["render", "--markdown", str(grid_file), "--styles", "borderless,original"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_export_sft_cli(dataset_dir, tmp_path, capsys):
     out = tmp_path / "sft.jsonl"
     assert (

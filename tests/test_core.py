@@ -108,6 +108,7 @@ class TestCellAndGrid:
         assert Operator.DIV.holds(42, 6, 7)
         assert not Operator.DIV.holds(43, 6, 7)
         assert not Operator.ADD.holds(2, 3, 6)
+        assert not Operator.DIV.holds(0, 0, 5)  # the rotation 0 x 5 = 0 would accept it
 
 
 class TestDatasetInvariants:

@@ -264,7 +264,7 @@ class TestReport:
 
     def test_table_layout(self):
         results = [_result("a", [True, False], hops=[1, 2])]
-        table = build_report(results).table()
+        table = format_metrics_table(build_report(results).to_json())
         assert "Micro Acc" in table and "4+ Hops" in table
         assert " 50.00" in table  # micro 50%
         assert "   -  " in table  # absent hop buckets are dashes

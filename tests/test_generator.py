@@ -60,6 +60,46 @@ class TestSampleEquation:
             assert a == b * c and a % b == 0
 
 
+# Triple and next 32-bit draw at seed 2026, range [1, 100] (value 12 where a
+# slot is pinned), recorded from samplers that spelled out every operator.
+# Layouts stay byte-identical only while each sampler draws the same values
+# in the same order.
+PINNED_AT = [
+    (Operator.ADD, Slot.A, (12, 16, 28), 1372175472),
+    (Operator.ADD, Slot.B, (16, 12, 28), 1372175472),
+    (Operator.ADD, Slot.C, (2, 10, 12), 1372175472),
+    (Operator.SUB, Slot.A, (12, 2, 10), 1372175472),
+    (Operator.SUB, Slot.B, (28, 12, 16), 1372175472),
+    (Operator.SUB, Slot.C, (28, 16, 12), 1372175472),
+    (Operator.MUL, Slot.A, (12, 2, 24), 1372175472),
+    (Operator.MUL, Slot.B, (2, 12, 24), 1372175472),
+    (Operator.MUL, Slot.C, (1, 12, 12), 1372175472),
+    (Operator.DIV, Slot.A, (12, 1, 12), 1372175472),
+    (Operator.DIV, Slot.B, (24, 12, 2), 1372175472),
+    (Operator.DIV, Slot.C, (24, 2, 12), 1372175472),
+]
+PINNED_FREE = [
+    (Operator.ADD, (16, 41, 57), 2158288730),
+    (Operator.SUB, (57, 16, 41), 2158288730),
+    (Operator.MUL, (16, 3, 48), 2158288730),
+    (Operator.DIV, (48, 16, 3), 2158288730),
+]
+
+
+class TestExactRngUse:
+    @pytest.mark.parametrize("op, slot, triple, next_draw", PINNED_AT)
+    def test_sample_equation_at(self, op, slot, triple, next_draw):
+        rng = random.Random(2026)
+        assert sample_equation_at(op, slot, 12, (1, 100), rng) == triple
+        assert rng.getrandbits(32) == next_draw
+
+    @pytest.mark.parametrize("op, triple, next_draw", PINNED_FREE)
+    def test_sample_equation(self, op, triple, next_draw):
+        rng = random.Random(2026)
+        assert sample_equation(op, (1, 100), rng) == triple
+        assert rng.getrandbits(32) == next_draw
+
+
 class TestSampleEquationAt:
     @pytest.mark.parametrize("op", ALL_OPS)
     @pytest.mark.parametrize("slot", list(Slot))

@@ -312,6 +312,24 @@ class TestRunBenchmark:
         assert records[victim].status == "ok"
         assert score_run(run_path, manifest).macro == 1.0
 
+    def test_resume_follows_the_latest_record(self, dataset_dir, tmp_path):
+        # an OK record followed by an error record scores as the error, so
+        # resume must ask again rather than skip the example
+        manifest = dataset_dir / "manifest.jsonl"
+        run_path = tmp_path / "run.jsonl"
+        with MockEndpoint(manifest) as server:
+            config = _config(server.base_url, max_retries=0)
+            run_benchmark(manifest, config, Modality.TEXT_ONLY, None, run_path)
+            victim = load_run_records(run_path)[0]
+            failed = dict(victim.to_json(), status="error", response_text="", error="boom")
+            with run_path.open("a", encoding="utf-8") as fh:
+                fh.write(json.dumps(failed) + "\n")
+            assert score_run(run_path, manifest).macro < 1.0
+            before = server.requests_total
+            run_benchmark(manifest, config, Modality.TEXT_ONLY, None, run_path)
+            assert server.requests_total - before == 1  # only the victim
+        assert score_run(run_path, manifest).macro == 1.0
+
     def test_bounded_concurrency(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"
         with MockEndpoint(manifest, latency_s=0.05) as server:

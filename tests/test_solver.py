@@ -29,7 +29,7 @@ class TestDetectEquations:
     def test_reference_grid_topology(self, appendix_grid):
         eqs = detect_equations(appendix_grid)
         assert len(eqs) == 6
-        signature = {(eq.orientation, tuple(eq.start), eq.op) for eq in eqs}
+        signature = {(eq.orientation, tuple(eq.a), eq.op) for eq in eqs}
         assert signature == {
             (Orientation.HORIZONTAL, (2, 2), Operator.DIV),
             (Orientation.HORIZONTAL, (4, 0), Operator.DIV),
@@ -44,8 +44,8 @@ class TestDetectEquations:
         kinds = [eq.orientation for eq in eqs]
         assert kinds == [Orientation.HORIZONTAL] * 3 + [Orientation.VERTICAL] * 3
         assert [eq.id for eq in eqs] == list(range(6))
-        starts_h = [tuple(eq.start) for eq in eqs[:3]]
-        starts_v = [tuple(eq.start) for eq in eqs[3:]]
+        starts_h = [tuple(eq.a) for eq in eqs[:3]]
+        starts_v = [tuple(eq.a) for eq in eqs[3:]]
         assert starts_h == sorted(starts_h)
         assert starts_v == sorted(starts_v)
 
@@ -104,6 +104,8 @@ class TestSolveMissing:
             (Operator.MUL, Slot.A, 4, 10),  # ? x 4 = 10 is fractional
             (Operator.DIV, Slot.B, 10, 4),  # 10 / ? = 4 is fractional
             (Operator.SUB, Slot.B, 4, 9),  # 4 - ? = 9 forces negative
+            (Operator.MUL, Slot.A, 0, 5),  # ? x 0 = 5 has no solution
+            (Operator.DIV, Slot.B, 5, 0),  # 5 / ? = 0 has no solution
         ],
     )
     def test_no_integer_solution(self, op, slot, k1, k2):
