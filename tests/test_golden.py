@@ -21,13 +21,16 @@ from mathgrid.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = "20261018"
 
-# Three examples per difficulty at the default settings, plus one hard set
-# whose range admits × and ÷.
+# Three examples per difficulty at the default settings, one hard set whose
+# range admits × and ÷, and two layout shapes at the ends of the equation
+# count: a small medium board and a large hard one.
 CASES = {
     "easy": ["--difficulty", "easy"],
     "medium": ["--difficulty", "medium"],
     "hard": ["--difficulty", "hard"],
     "hard-muldiv": ["--difficulty", "hard", "--range", "1:100"],
+    "medium-small": ["--difficulty", "medium", "--range", "1:12", "--eq-count", "2:4"],
+    "hard-large": ["--difficulty", "hard", "--range", "1:100", "--eq-count", "12:20"],
 }
 SCORED_CASE = "hard"
 
