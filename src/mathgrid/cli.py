@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import Difficulty, MathGridError, Operator, target_order
+from .core import Difficulty, MathGridError, Operator
 from .evaluation import format_metrics_table
 from .generator import GenParams, generate_batch, write_example_images
 from .harness.client import EndpointConfig, Modality, run_benchmark, score_run
@@ -72,16 +72,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
             raise MathGridError(f"--markdown renders one style, got {args.styles!r}")
         grid = parse_markdown(Path(args.markdown).read_text(encoding="utf-8"))
         style = StyleSpec.of(styles[0])
-        view = RenderView(args.view)
-        answers = None
-        targets = target_order(grid)
-        if view is RenderView.SOLUTION and targets:
-            trace, _ = deduce(grid)
-            answers = [trace.answer_grid.at(c).value for c in targets]
+        view = RenderView(args.view or "query")
+        answers = deduce(grid)[0].answers if view is RenderView.SOLUTION else None
         out = Path(args.out)
-        out.write_bytes(render_image(grid, style, view, args.seed, answers=answers))
+        out.write_bytes(render_image(grid, style, view, args.seed or 0, answers=answers))
         print(f"wrote {out}")
         return 0
+    if args.view is not None or args.seed is not None:
+        raise MathGridError("--view and --seed apply to --markdown only")
     out_dir = Path(args.out)
     count = 0
     for example in load_manifest(args.manifest):
@@ -99,13 +97,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     )
     grid = parse_markdown(text)
     trace, hops = deduce(grid)
-    targets = target_order(grid)
-    answers = [trace.answer_grid.at(c).value for c in targets]
     print(
         json.dumps(
             {
-                "answers": answers,
-                "hop_depths": [hops[c] for c in targets],
+                "answers": list(trace.answers),
+                "hop_depths": [hops[c] for c in sorted(hops)],
                 "trace": trace.to_json(),
             },
             ensure_ascii=False,
@@ -194,8 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--manifest", help="render every example's images under --out")
     source.add_argument("--markdown", help="render one markdown grid file to --out")
     ren.add_argument("--styles", help="comma-separated subset of styles (one with --markdown)")
-    ren.add_argument("--view", choices=["query", "solution"], default="query")
-    ren.add_argument("--seed", type=int, default=0, help="texture seed")
+    ren.add_argument(
+        "--view", choices=["query", "solution"], help="with --markdown (default query)"
+    )
+    ren.add_argument("--seed", type=int, help="texture seed with --markdown (default 0)")
     ren.add_argument("--out", required=True)
     ren.set_defaults(func=_cmd_render)
 

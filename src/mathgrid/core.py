@@ -206,6 +206,12 @@ class SolutionTrace:
     steps: tuple[tuple[Resolution, ...], ...]
     answer_grid: Grid
 
+    @property
+    def answers(self) -> tuple[int, ...]:
+        """Every resolved value, in target (reading) order."""
+        resolved = sorted((r for step in self.steps for r in step), key=lambda r: r.coord)
+        return tuple(r.value for r in resolved)
+
     def to_json(self) -> dict:
         return {
             "steps": [

@@ -224,10 +224,7 @@ def format_metrics_table(report_json: dict) -> str:
     return "\n".join([head, rule, row])
 
 
-def build_report(
-    results: Iterable[ExampleResult],
-    weight_fn: Callable[[int], float] = lambda hop: float(hop),
-) -> EvalReport:
+def build_report(results: Iterable[ExampleResult]) -> EvalReport:
     """Assemble the full report; K-hop buckets absent from gold are omitted."""
     results = tuple(results)
     if not results:
@@ -238,7 +235,7 @@ def build_report(
             khop[k] = khop_accuracy(results, k)
         except NoSuchHop:
             continue
-    rewards = [weighted_reward(res.scores, weight_fn) for res in results]
+    rewards = [weighted_reward(res.scores) for res in results]
     return EvalReport(
         per_example=results,
         micro=micro_accuracy(results),

@@ -236,16 +236,11 @@ def sample_equation_at(
 class _Board:
     """Sparse plane of placed cells during layout building."""
 
-    cells: dict[tuple[int, int], tuple[str, object]] = field(default_factory=dict)
-    owners: dict[tuple[int, int], int] = field(default_factory=lambda: defaultdict(int))
-    # operand cell -> (value, owning equation index at creation time)
-    operand_cells: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
+    cells: dict[tuple[int, int], Cell] = field(default_factory=dict)
+    # operand cell -> index of its equation, while no second equation shares it
+    anchors: dict[tuple[int, int], int] = field(default_factory=dict)
     crossings: dict[int, int] = field(default_factory=lambda: defaultdict(int))
-    eq_orientations: list[Orientation] = field(default_factory=list)
-    n_equations: int = 0
-
-    def occupied(self, pos: tuple[int, int]) -> bool:
-        return pos in self.cells
+    orientations: list[Orientation] = field(default_factory=list)
 
 
 _AXIS = {Orientation.HORIZONTAL: (0, 1), Orientation.VERTICAL: (1, 0)}
@@ -272,17 +267,17 @@ def _span_clear(
     dr, dc = _AXIS[orientation]
     before = (start[0] - dr, start[1] - dc)
     after = (start[0] + 5 * dr, start[1] + 5 * dc)
-    if board.occupied(before) or board.occupied(after):
+    if before in board.cells or after in board.cells:
         return False
     for pos in _span(start, orientation):
         if pos == shared:
-            if not board.occupied(pos):
+            if pos not in board.cells:
                 return False
             continue
-        if board.occupied(pos):
+        if pos in board.cells:
             return False
         for perp in ((pos[0] + dc, pos[1] + dr), (pos[0] - dc, pos[1] - dr)):
-            if board.occupied(perp):
+            if perp in board.cells:
                 return False
     return True
 
@@ -294,28 +289,22 @@ def _place(
     op: Operator,
     triple: tuple[int, int, int],
 ) -> None:
-    span = _span(start, orientation)
     values = {0: triple[0], 2: triple[1], 4: triple[2]}
-    eq_index = board.n_equations
-    for i, pos in enumerate(span):
+    eq_index = len(board.orientations)
+    for i, pos in enumerate(_span(start, orientation)):
         if i in values:
-            if board.occupied(pos):
-                kind, existing = board.cells[pos]
-                assert kind == "num" and existing == values[i]
-                board.crossings[board.operand_cells[pos][1]] += 1
+            if pos in board.cells:
+                assert board.cells[pos] == Cell.number(values[i])
+                board.crossings[board.anchors.pop(pos)] += 1
                 board.crossings[eq_index] += 1
             else:
-                board.cells[pos] = ("num", values[i])
-                board.operand_cells[pos] = (values[i], eq_index)
-            board.owners[pos] += 1
+                board.cells[pos] = Cell.number(values[i])
+                board.anchors[pos] = eq_index
         elif i == 1:
-            board.cells[pos] = ("op", op)
-            board.owners[pos] += 1
+            board.cells[pos] = Cell.operator(op)
         else:
-            board.cells[pos] = ("eq", None)
-            board.owners[pos] += 1
-    board.eq_orientations.append(orientation)
-    board.n_equations += 1
+            board.cells[pos] = EQUALS
+    board.orientations.append(orientation)
 
 
 def _board_to_grid(board: _Board) -> Grid:
@@ -325,13 +314,7 @@ def _board_to_grid(board: _Board) -> Grid:
     height = max(rows_idx) - min_r + 1
     width = max(cols_idx) - min_c + 1
     rows: list[list[Cell]] = [[EMPTY] * width for _ in range(height)]
-    for (r, c), (kind, payload) in board.cells.items():
-        if kind == "num":
-            cell = Cell.number(payload)
-        elif kind == "op":
-            cell = Cell.operator(payload)
-        else:
-            cell = EQUALS
+    for (r, c), cell in board.cells.items():
         rows[r - min_r][c - min_c] = cell
     return Grid.from_rows(rows)
 
@@ -349,22 +332,18 @@ def _try_layout(
     for _ in range(n_eq - 1):
         placed = False
         for _attempt in range(40):
-            anchors = [
-                (pos, value, owner)
-                for pos, (value, owner) in board.operand_cells.items()
-                if board.owners[pos] == 1
-            ]
+            anchors = list(board.anchors.items())
             if not anchors:
                 return None
             # spread crossings around: hub equations starve the blank punch
-            quiet = [a for a in anchors if board.crossings[a[2]] <= 1]
+            quiet = [a for a in anchors if board.crossings[a[1]] <= 1]
             if quiet and rng.random() < 0.8:
                 anchors = quiet
-            pos, value, owner = rng.choice(anchors)
-            owner_orientation = board.eq_orientations[owner]
+            pos, owner = rng.choice(anchors)
+            value = board.cells[pos].value
             orientation = (
                 Orientation.VERTICAL
-                if owner_orientation is Orientation.HORIZONTAL
+                if board.orientations[owner] is Orientation.HORIZONTAL
                 else Orientation.HORIZONTAL
             )
             offset = rng.choice((0, 2, 4))
@@ -538,6 +517,9 @@ def _cover_remaining(
     return True
 
 
+_PUNCH_RETRIES = 200
+
+
 def punch_blanks(
     answer_grid: Grid,
     equations: list[Equation],
@@ -545,7 +527,6 @@ def punch_blanks(
     rng: random.Random,
     *,
     max_hop: int,
-    retries: int = 200,
 ) -> tuple[Grid, SolutionTrace, HopMap]:
     """Blank number cells so deduction recovers all of them within max_hop.
 
@@ -558,11 +539,11 @@ def punch_blanks(
     wants_depth = any(profile.target_hop_histogram.get(k, 0) > 0 for k in (2, 3, 4))
     can_deepen = len(equations) >= 2 and max_hop >= 2
 
-    for attempt in range(retries):
+    for attempt in range(_PUNCH_RETRIES):
         plan = _plan_chains(profile, len(equations), max_hop, rng)
-        if attempt > retries // 2:
+        if attempt > _PUNCH_RETRIES // 2:
             plan = plan[: len(plan) // 2] or plan[:1]
-        if attempt > (3 * retries) // 4 and can_deepen and wants_depth:
+        if attempt > (3 * _PUNCH_RETRIES) // 4 and can_deepen and wants_depth:
             plan = [2]
         eq_blanks: dict[int, set[Coord]] = defaultdict(set)
         carved_all = True
@@ -587,7 +568,7 @@ def punch_blanks(
             continue
         return query, trace, hops
     raise ProfileInfeasible(
-        f"no blank set matching the profile after {retries} attempts"
+        f"no blank set matching the profile after {_PUNCH_RETRIES} attempts"
     )
 
 
@@ -652,9 +633,8 @@ def generate(
     else:
         raise last_error
 
-    targets = target_order(query)
-    gold_answers = tuple(trace.answer_grid.at(c).value for c in targets)
-    hop_depths = tuple(hops[c] for c in targets)
+    gold_answers = trace.answers
+    hop_depths = tuple(hops[c] for c in target_order(query))
     markdown = to_markdown(query)
     if example_id is None:
         example_id = f"{params.difficulty.value}_{params.seed:016x}"

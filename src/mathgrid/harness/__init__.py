@@ -16,7 +16,6 @@ from .prompts import (
     ImagePart,
     MissingStyleArtifact,
     Modality,
-    PromptBundle,
     TEMPLATE_VERSION,
     TextPart,
     build_prompt,
@@ -39,7 +38,6 @@ __all__ = [
     "ImagePart",
     "MissingStyleArtifact",
     "Modality",
-    "PromptBundle",
     "TEMPLATE_VERSION",
     "TextPart",
     "build_prompt",

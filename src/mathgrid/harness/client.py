@@ -25,7 +25,6 @@ from ..manifest import load_manifest
 from .prompts import (
     ImagePart,
     Modality,
-    PromptBundle,
     TEMPLATE_VERSION,
     TextPart,
     build_prompt,
@@ -147,10 +146,10 @@ def request_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def bundle_to_messages(bundle: PromptBundle) -> list[dict]:
+def bundle_to_messages(parts: tuple[TextPart | ImagePart, ...]) -> list[dict]:
     """Chat-completions message list with text and base64 image parts."""
     content: list[dict] = []
-    for part in bundle.parts:
+    for part in parts:
         if isinstance(part, TextPart):
             content.append({"type": "text", "text": part.text})
         elif isinstance(part, ImagePart):
@@ -164,10 +163,12 @@ def bundle_to_messages(bundle: PromptBundle) -> list[dict]:
     return [{"role": "user", "content": content}]
 
 
-def build_chat_payload(bundle: PromptBundle, config: EndpointConfig) -> dict:
+def build_chat_payload(
+    parts: tuple[TextPart | ImagePart, ...], config: EndpointConfig
+) -> dict:
     payload = {
         config.model_field: config.model_name,
-        "messages": bundle_to_messages(bundle),
+        "messages": bundle_to_messages(parts),
     }
     payload.update(config.sampling)
     return payload
@@ -194,7 +195,7 @@ def _send_once(config: EndpointConfig, payload: dict) -> str:
     resp = requests.post(
         config.url, json=payload, headers=config.headers(), timeout=config.timeout_s
     )
-    if resp.status_code == 429 or resp.status_code >= 500:
+    if resp.status_code in (408, 429) or resp.status_code >= 500:
         raise requests.RequestException(f"HTTP {resp.status_code}: {resp.text[:200]}")
     resp.raise_for_status()
     return response_text(resp.json())
@@ -205,7 +206,9 @@ def _send_with_retries(config: EndpointConfig, payload: dict) -> str:
     while True:
         try:
             return _send_once(config, payload)
-        except (requests.RequestException, ValueError) as exc:
+        except requests.HTTPError:  # a 4xx other than 408/429 fails the same way again
+            raise
+        except (requests.RequestException, ValueError):
             if attempt >= config.max_retries:
                 raise
             time.sleep(config.backoff_s * (2**attempt))
@@ -218,21 +221,18 @@ def run_benchmark(
     modality: Modality,
     style_id: str | None,
     out_path: Path | str,
-    *,
-    images_root: Path | str | None = None,
 ) -> Path:
     """Query the endpoint for every example and append records to out_path.
 
     A single writer appends records as workers finish; per-example failures
     become error records and never abort the run. Examples whose latest
     record for this fingerprint is OK are skipped entirely; that record is
-    the one ``score_run`` scores.
+    the one ``score_run`` scores. Image paths resolve against the
+    manifest's directory.
     """
     manifest_path = Path(manifest_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    if images_root is None:
-        images_root = manifest_path.parent
     examples = load_manifest(manifest_path)
     done = set()
     if out_path.exists():
@@ -249,8 +249,8 @@ def run_benchmark(
     def one(example, fingerprint) -> RunRecord:
         started = time.monotonic()
         try:
-            bundle = build_prompt(example, modality, style_id, images_root)
-            text = _send_with_retries(endpoint, build_chat_payload(bundle, endpoint))
+            parts = build_prompt(example, modality, style_id, manifest_path.parent)
+            text = _send_with_retries(endpoint, build_chat_payload(parts, endpoint))
             status, error = "ok", None
         except Exception as exc:  # noqa: BLE001 - isolate per-record failures
             text, status, error = "", "error", f"{type(exc).__name__}: {exc}"

@@ -55,17 +55,6 @@ class ImagePart:
     media_type: str
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    """Instruction plus ordered content parts for one request."""
-
-    instruction_text: str
-    parts: tuple[TextPart | ImagePart, ...]
-    example_id: str
-    modality: Modality
-    style_id: str | None
-
-
 @lru_cache(maxsize=None)
 def load_template(name: str) -> str:
     """Template text as shipped; cached since templates are immutable."""
@@ -104,30 +93,20 @@ def build_prompt(
     modality: Modality,
     style_id: str | None = None,
     images_root: Path | str | None = None,
-) -> PromptBundle:
-    """Assemble the request content for one example and modality.
+) -> tuple[TextPart | ImagePart, ...]:
+    """Assemble the ordered content parts of one request.
 
-    Text-only bundles embed the markdown grid after the instruction;
-    image-bearing bundles append the style's image, with the markdown
+    Text-only prompts embed the markdown grid after the instruction;
+    image-bearing prompts append the style's image, with the markdown
     preceding the image in the combined case.
     """
     instruction = template_for(modality)
     grid_text = example.markdown.rstrip("\n")
     if modality is Modality.TEXT_ONLY:
-        parts: tuple[TextPart | ImagePart, ...] = (
-            TextPart(instruction + "\n" + grid_text + "\n"),
-        )
-    elif modality is Modality.IMAGE_ONLY:
-        parts = (TextPart(instruction), _image_part(example, style_id, images_root))
-    else:
-        parts = (
-            TextPart(instruction + "\n" + grid_text + "\n"),
-            _image_part(example, style_id, images_root),
-        )
-    return PromptBundle(
-        instruction_text=instruction,
-        parts=parts,
-        example_id=example.id,
-        modality=modality,
-        style_id=style_id if modality is not Modality.TEXT_ONLY else None,
+        return (TextPart(instruction + "\n" + grid_text + "\n"),)
+    if modality is Modality.IMAGE_ONLY:
+        return (TextPart(instruction), _image_part(example, style_id, images_root))
+    return (
+        TextPart(instruction + "\n" + grid_text + "\n"),
+        _image_part(example, style_id, images_root),
     )

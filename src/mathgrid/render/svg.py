@@ -19,6 +19,7 @@ from . import palettes
 from .markdown import cell_text
 
 STYLE_IDS = ("original", "borderless", "background", "altfontcolor")
+CELL_PX = 64
 
 
 class RenderView(enum.Enum):
@@ -31,7 +32,6 @@ class StyleSpec:
     """Presentation parameters for one image style."""
 
     style_id: str
-    cell_px: int = 64
     palette: dict[str, tuple[str, str]] = field(
         default_factory=lambda: dict(palettes.ORIGINAL_PALETTE)
     )
@@ -122,7 +122,7 @@ def render_image(
             )
         answers_left = iter(answers)  # consumed in target order by the scan
 
-    px = style.cell_px
+    px = CELL_PX
     cols = grid.cols
     width, height = cols * px, grid.rows * px
     font_size = round(px * 0.42)
@@ -171,18 +171,17 @@ def render_image(
     return "\n".join(parts).encode("utf-8")
 
 
-def extract_text_cells(svg_bytes: bytes, cell_px: int | None = None) -> list[tuple[Coord, str]]:
+def extract_text_cells(svg_bytes: bytes) -> list[tuple[Coord, str]]:
     """Read back (coordinate, glyph) pairs from a rendered document.
 
     Coordinates are recovered from element geometry, not from any metadata,
     so this doubles as an information-equivalence audit of the image.
     """
     root = ET.fromstring(svg_bytes)
-    if cell_px is None:
-        declared = root.get("data-cell-px")
-        if declared is None:
-            raise MathGridError("document does not declare a cell size; pass cell_px")
-        cell_px = int(declared)
+    declared = root.get("data-cell-px")
+    if declared is None:
+        raise MathGridError("document does not declare a cell size")
+    cell_px = int(declared)
     ns = "{http://www.w3.org/2000/svg}"
     out: list[tuple[Coord, str]] = []
     for el in root.iter(f"{ns}text"):

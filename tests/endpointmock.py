@@ -16,7 +16,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from mathgrid import Cell, CellKind, Grid, Operator, target_order
+from mathgrid import Cell, CellKind, Grid, Operator
 from mathgrid.manifest import load_manifest
 from mathgrid.render import extract_text_cells, parse_markdown, to_markdown
 from mathgrid.solver import deduce
@@ -59,11 +59,13 @@ class MockEndpoint:
         mode: str = "gold",  # or "hop1"
         fail_ids: set[str] | None = None,
         fail_first_n: int = 0,
+        fail_status: int = 500,
         latency_s: float = 0.0,
     ):
         self.mode = mode
         self.fail_ids = set(fail_ids or ())
         self.fail_first_n = fail_first_n
+        self.fail_status = fail_status
         self.latency_s = latency_s
         self.requests_total = 0
         self.max_inflight = 0
@@ -132,10 +134,8 @@ class MockEndpoint:
 
     def _answer_text(self, grid: Grid) -> str:
         trace, hops = deduce(grid)
-        targets = target_order(grid)
         values = []
-        for coord in targets:
-            value = trace.answer_grid.at(coord).value
+        for coord, value in zip(sorted(hops), trace.answers):
             if self.mode == "hop1" and hops[coord] > 1:
                 value += 1  # deliberately wrong beyond the first hop
             values.append(str(value))
@@ -156,12 +156,14 @@ class MockEndpoint:
             length = int(request.headers.get("Content-Length", 0))
             body = json.loads(request.rfile.read(length))
             if request_index <= self.fail_first_n:
-                self._respond(request, 500, {"error": "scripted transient failure"})
+                self._respond(request, self.fail_status, {"error": "scripted transient failure"})
                 return
             grid = self._extract_grid(body)
             example_id = self._md_to_id.get(to_markdown(grid).strip())
             if example_id is not None and example_id in self.fail_ids:
-                self._respond(request, 500, {"error": f"scripted failure for {example_id}"})
+                self._respond(
+                    request, self.fail_status, {"error": f"scripted failure for {example_id}"}
+                )
                 return
             payload = {
                 "choices": [{"message": {"content": self._answer_text(grid)}}]

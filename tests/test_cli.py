@@ -168,6 +168,15 @@ def test_render_markdown_rejects_several_styles(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--view", "solution"], ["--seed", "99"]])
+def test_render_manifest_rejects_markdown_only_flags(dataset_dir, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    argv = ["render", "--manifest", str(dataset_dir / "manifest.jsonl"), "--out", str(out)]
+    assert main(argv + flag) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_export_sft_cli(dataset_dir, tmp_path, capsys):
     out = tmp_path / "sft.jsonl"
     assert (

@@ -116,6 +116,12 @@ class TestDatasetInvariants:
         for example in mixed_corpus:
             assert example.grid.with_answers(example.gold_answers) == example.answer_grid
 
+    def test_trace_answers_read_answer_grid_in_target_order(self, mixed_corpus):
+        for example in mixed_corpus:
+            targets = target_order(example.grid)
+            read = tuple(example.answer_grid.at(c).value for c in targets)
+            assert example.trace.answers == read
+
     def test_gold_answers_align_with_targets(self, mixed_corpus):
         for example in mixed_corpus:
             n = len(target_order(example.grid))

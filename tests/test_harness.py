@@ -66,18 +66,17 @@ class TestBuildPrompt:
     def test_text_only_bundle(self, tmp_path):
         example = _example_with_images(tmp_path)
         bundle = build_prompt(example, Modality.TEXT_ONLY)
-        assert len(bundle.parts) == 1
-        (part,) = bundle.parts
+        assert len(bundle) == 1
+        (part,) = bundle
         assert isinstance(part, TextPart)
         assert example.markdown.rstrip("\n") in part.text
         assert "textual markdown grid format" in part.text
-        assert bundle.style_id is None
 
     def test_image_only_bundle(self, tmp_path):
         example = _example_with_images(tmp_path)
         bundle = build_prompt(example, Modality.IMAGE_ONLY, "original", tmp_path)
-        text_parts = [p for p in bundle.parts if isinstance(p, TextPart)]
-        image_parts = [p for p in bundle.parts if isinstance(p, ImagePart)]
+        text_parts = [p for p in bundle if isinstance(p, TextPart)]
+        image_parts = [p for p in bundle if isinstance(p, ImagePart)]
         assert len(text_parts) == 1 and len(image_parts) == 1
         assert example.markdown.rstrip("\n") not in text_parts[0].text
         assert image_parts[0].media_type == "image/svg+xml"
@@ -85,10 +84,10 @@ class TestBuildPrompt:
     def test_image_text_bundle_orders_markdown_before_image(self, tmp_path):
         example = _example_with_images(tmp_path)
         bundle = build_prompt(example, Modality.IMAGE_TEXT, "original", tmp_path)
-        assert isinstance(bundle.parts[0], TextPart)
-        assert isinstance(bundle.parts[1], ImagePart)
-        assert example.markdown.rstrip("\n") in bundle.parts[0].text
-        assert "both modalities together" in bundle.parts[0].text
+        assert isinstance(bundle[0], TextPart)
+        assert isinstance(bundle[1], ImagePart)
+        assert example.markdown.rstrip("\n") in bundle[0].text
+        assert "both modalities together" in bundle[0].text
 
     def test_information_equivalence_across_modalities(self, tmp_path):
         example = _example_with_images(tmp_path)
@@ -96,9 +95,9 @@ class TestBuildPrompt:
         image_bundle = build_prompt(example, Modality.IMAGE_ONLY, "original", tmp_path)
         both_bundle = build_prompt(example, Modality.IMAGE_TEXT, "original", tmp_path)
         md = example.markdown.rstrip("\n")
-        text_of = lambda b: next(p.text for p in b.parts if isinstance(p, TextPart))
+        text_of = lambda b: next(p.text for p in b if isinstance(p, TextPart))
         assert md in text_of(text_bundle) and md in text_of(both_bundle)
-        image_of = lambda b: next(p.data for p in b.parts if isinstance(p, ImagePart))
+        image_of = lambda b: next(p.data for p in b if isinstance(p, ImagePart))
         assert image_of(image_bundle) == image_of(both_bundle)
 
     def test_build_prompt_is_deterministic(self, tmp_path):
@@ -355,6 +354,36 @@ class TestRunBenchmark:
                 tmp_path / "run.jsonl",
             )
             assert server.requests_total == n + 2  # two extra attempts
+        assert all(r.status == "ok" for r in load_run_records(run_path))
+
+    def test_client_error_is_not_retried(self, dataset_dir, tmp_path):
+        manifest = dataset_dir / "manifest.jsonl"
+        n = len(load_manifest(manifest))
+        with MockEndpoint(manifest, fail_first_n=1, fail_status=400) as server:
+            run_path = run_benchmark(
+                manifest,
+                _config(server.base_url, max_concurrency=1, max_retries=3),
+                Modality.TEXT_ONLY,
+                None,
+                tmp_path / "run.jsonl",
+            )
+            assert server.requests_total == n  # the 400 was sent once
+        errors = [r for r in load_run_records(run_path) if r.status == "error"]
+        assert len(errors) == 1
+        assert "400" in errors[0].error
+
+    def test_request_timeout_is_retried(self, dataset_dir, tmp_path):
+        manifest = dataset_dir / "manifest.jsonl"
+        n = len(load_manifest(manifest))
+        with MockEndpoint(manifest, fail_first_n=2, fail_status=408) as server:
+            run_path = run_benchmark(
+                manifest,
+                _config(server.base_url, max_concurrency=1, max_retries=3),
+                Modality.TEXT_ONLY,
+                None,
+                tmp_path / "run.jsonl",
+            )
+            assert server.requests_total == n + 2
         assert all(r.status == "ok" for r in load_run_records(run_path))
 
     def test_score_run_rejects_unknown_ids(self, dataset_dir, tmp_path):

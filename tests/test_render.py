@@ -222,6 +222,14 @@ class TestRenderImage:
         assert b"Courier" in alt and b"Courier" not in original
         assert extract_text_cells(alt) == extract_text_cells(original)
 
+    def test_extract_needs_a_declared_cell_size(self, appendix_grid):
+        from mathgrid.core import MathGridError
+
+        svg = render_image(appendix_grid, StyleSpec.of("original"), RenderView.QUERY)
+        assert b' data-cell-px="64"' in svg
+        with pytest.raises(MathGridError):
+            extract_text_cells(svg.replace(b' data-cell-px="64"', b""))
+
     def test_svg_is_well_formed_xml(self, appendix_grid):
         for style_id in STYLE_IDS:
             svg = render_image(appendix_grid, StyleSpec.of(style_id), RenderView.QUERY, rng_seed=8)

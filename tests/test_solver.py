@@ -143,8 +143,7 @@ class TestDeduce:
             (Coord(4, 0), 45),
             (Coord(6, 2), 8),
         }
-        answers = [trace.answer_grid.at(c).value for c in target_order(appendix_grid)]
-        assert answers == [6, 93, 45, 8]
+        assert trace.answers == (6, 93, 45, 8)
         assert all(hops[c] == 1 for c in target_order(appendix_grid))
 
     def test_duplicate_resolution_attributed_to_lower_id(self, appendix_grid):
