@@ -3,8 +3,8 @@
 Criterion 9 checks that one version reproduces its own bytes; this file
 checks that every version reproduces the bytes recorded in
 ``golden/digests.json``: the manifest and every SVG of ``generate``, the
-``export-sft`` JSONL, and the ``bench score`` report of the fixed run file
-``golden/run.jsonl``. A change that alters these bytes on purpose rewrites
+``export-sft`` JSONL, the ``solve`` output for each example's markdown,
+and the ``bench score`` report of the fixed run file ``golden/run.jsonl``. A change that alters these bytes on purpose rewrites
 the digests file with ``PYTHONPATH=src python tests/test_golden.py`` and
 says why.
 """
@@ -12,8 +12,10 @@ says why.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from mathgrid.cli import main
@@ -53,10 +55,25 @@ def _run(argv: list[str]) -> None:
         raise AssertionError(f"mathgrid {' '.join(argv)} exited {code}")
 
 
+def _solve_digests(manifest: Path) -> dict[str, str]:
+    """Digest what ``solve`` prints for each example's markdown."""
+    digests = {}
+    for line in manifest.read_text(encoding="utf-8").splitlines():
+        example = json.loads(line)
+        markdown = manifest.parent / f"{example['id']}.md"
+        markdown.write_text(example["markdown"], encoding="utf-8")
+        printed = io.StringIO()
+        with redirect_stdout(printed):
+            _run(["solve", "--markdown", str(markdown)])
+        digests[example["id"]] = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+    return digests
+
+
 def build_digests(work: Path) -> dict[str, dict[str, str]]:
     """Run the CLI into ``work`` and digest every artifact it wrote."""
     digests: dict[str, dict[str, str]] = {}
     sft_digests: dict[str, str] = {}
+    solve_digests: dict[str, str] = {}
     for name, argv in CASES.items():
         out = work / name
         _run(["generate", *argv, "--count", "3", "--seed", SEED, "--out", str(out)])
@@ -64,7 +81,10 @@ def build_digests(work: Path) -> dict[str, dict[str, str]]:
         sft = work / f"{name}.sft.jsonl"
         _run(["export-sft", "--manifest", str(out / "manifest.jsonl"), "--out", str(sft)])
         sft_digests[name] = _sha256(sft)
+        for example_id, digest in _solve_digests(out / "manifest.jsonl").items():
+            solve_digests[f"{name}/{example_id}"] = digest
     digests["export-sft"] = sft_digests
+    digests["solve"] = solve_digests
     report = work / "report.json"
     _run(
         [
