@@ -96,12 +96,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else sys.stdin.read()
     )
     grid = parse_markdown(text)
-    trace, hops = deduce(grid)
+    trace, _ = deduce(grid)
     print(
         json.dumps(
             {
                 "answers": list(trace.answers),
-                "hop_depths": [hops[c] for c in sorted(hops)],
+                "hop_depths": list(trace.hop_depths),
                 "trace": trace.to_json(),
             },
             ensure_ascii=False,

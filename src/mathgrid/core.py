@@ -9,7 +9,8 @@ A puzzle lives on a rectangular grid of cells. Horizontal and vertical
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -141,17 +142,6 @@ class Grid:
             for c in range(self.cols):
                 yield Coord(r, c)
 
-    def with_answers(self, answers: list[int] | tuple[int, ...]) -> Grid:
-        """Substitute answers into the target cells in target order."""
-        targets = target_order(self)
-        if len(answers) != len(targets):
-            raise ValueError(
-                f"{len(targets)} targets but {len(answers)} answers supplied"
-            )
-        return self.with_cells(
-            {coord: Cell.number(value) for coord, value in zip(targets, answers)}
-        )
-
     def with_cells(self, updates: dict[Coord, Cell]) -> Grid:
         """A copy of the grid with the cells at the given coordinates replaced."""
         new_cells = list(self.cells)
@@ -197,20 +187,29 @@ class Resolution(NamedTuple):
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    """Deduction steps grouped by iteration, plus the completed grid.
+    """Deduction steps grouped by iteration: the one record of a solution.
 
-    ``steps[i]`` holds every resolution made in iteration i+1; a coordinate
-    appears at most once across all steps.
+    ``steps[i]`` holds every resolution made in iteration i+1, so i+1 is the
+    hop depth of each cell it resolves; a coordinate appears at most once
+    across all steps.
     """
 
     steps: tuple[tuple[Resolution, ...], ...]
-    answer_grid: Grid
 
-    @property
+    @cached_property
+    def resolved(self) -> list[tuple[Coord, int, int]]:
+        """``(coord, value, hop depth)`` of every resolved cell, in target (reading) order."""
+        return sorted((r.coord, r.value, hop) for hop, step in enumerate(self.steps, 1) for r in step)
+
+    @cached_property
     def answers(self) -> tuple[int, ...]:
         """Every resolved value, in target (reading) order."""
-        resolved = sorted((r for step in self.steps for r in step), key=lambda r: r.coord)
-        return tuple(r.value for r in resolved)
+        return tuple(value for _, value, _ in self.resolved)
+
+    @cached_property
+    def hop_depths(self) -> tuple[int, ...]:
+        """The hop depth of every resolved cell, aligned with ``answers``."""
+        return tuple(hop for _, _, hop in self.resolved)
 
     def to_json(self) -> dict:
         return {
@@ -224,7 +223,7 @@ class SolutionTrace:
         }
 
     @staticmethod
-    def from_json(data: dict, answer_grid: Grid) -> SolutionTrace:
+    def from_json(data: dict) -> SolutionTrace:
         steps = tuple(
             tuple(
                 Resolution(int(r["eq"]), Coord(int(r["row"]), int(r["col"])), int(r["value"]))
@@ -232,7 +231,7 @@ class SolutionTrace:
             )
             for step in data["steps"]
         )
-        return SolutionTrace(steps, answer_grid)
+        return SolutionTrace(steps)
 
 
 class Difficulty(enum.Enum):
@@ -243,29 +242,47 @@ class Difficulty(enum.Enum):
 
 @dataclass(frozen=True)
 class DatasetExample:
-    """One benchmark instance: query grid, gold answers, and artifacts.
+    """One benchmark instance: query grid, its solution trace, and artifacts.
 
-    ``gold_answers`` and ``hop_depths`` are aligned and ordered by
+    The trace is the example's one record of its solution: ``gold_answers``
+    and ``hop_depths`` are read from it, aligned and ordered by
     :func:`target_order`. ``images`` maps style id to the query-image path
     (relative to the manifest that references it).
     """
 
     id: str
-    difficulty: Difficulty
     grid: Grid
-    answer_grid: Grid
-    gold_answers: tuple[int, ...]
-    hop_depths: tuple[int, ...]
     markdown: str
     images: dict[str, str]
-    seed: int
     gen_params: "GenParams"
-    trace: SolutionTrace | None = field(default=None, compare=False)
+    trace: SolutionTrace
 
     def __post_init__(self) -> None:
-        n_targets = len(target_order(self.grid))
-        if len(self.gold_answers) != n_targets or len(self.hop_depths) != n_targets:
-            raise ValueError("gold_answers/hop_depths must align with target cells")
+        if [coord for coord, _, _ in self.trace.resolved] != target_order(self.grid):
+            raise ValueError(f"example {self.id}: the trace does not resolve exactly its targets")
+
+    @property
+    def difficulty(self) -> Difficulty:
+        return self.gen_params.difficulty
+
+    @property
+    def seed(self) -> int:
+        return self.gen_params.seed
+
+    @property
+    def gold_answers(self) -> tuple[int, ...]:
+        return self.trace.answers
+
+    @property
+    def hop_depths(self) -> tuple[int, ...]:
+        return self.trace.hop_depths
+
+    @cached_property
+    def answer_grid(self) -> Grid:
+        """The query grid with every target filled in with its answer."""
+        return self.grid.with_cells(
+            {coord: Cell.number(value) for coord, value, _ in self.trace.resolved}
+        )
 
 
 def target_order(grid: Grid) -> list[Coord]:

@@ -30,11 +30,11 @@ from .core import (
     Orientation,
     SolutionTrace,
     TARGET,
-    target_order,
+    target_order,  # unused here; perfbench/tracing.py counts calls under this name
 )
 from .render.markdown import to_markdown
 from .render.svg import STYLE_IDS, RenderView, StyleSpec, render_image, texture_seed_for
-from .solver import INVERSE_SLOT, Contradiction, HopMap, Slot, Unsolvable, deduce, detect_equations
+from .solver import INVERSE_SLOT, Contradiction, Slot, Unsolvable, deduce, detect_equations
 
 _M64 = (1 << 64) - 1
 
@@ -106,10 +106,9 @@ class GenParams:
 
     @staticmethod
     def from_json(data: dict) -> GenParams:
-        by_symbol = {op.value: op for op in Operator}
         return GenParams(
             difficulty=Difficulty(data["difficulty"]),
-            operators=tuple(by_symbol[s] for s in data["operators"]),
+            operators=tuple(Operator(symbol) for symbol in data["operators"]),
             value_range=tuple(data["value_range"]),
             equation_count=tuple(data["equation_count"]),
             max_hop=data["max_hop"],
@@ -364,9 +363,10 @@ def _try_layout(
     return _board_to_grid(board)
 
 
-def build_solved_layout(
-    params: GenParams, rng: random.Random, *, retries: int = 200
-) -> tuple[Grid, list[Equation]]:
+_LAYOUT_RETRIES = 200
+
+
+def build_solved_layout(params: GenParams, rng: random.Random) -> tuple[Grid, list[Equation]]:
     """Build a fully solved, connected layout of intersecting equations."""
     lo, hi = params.value_range
     ops = tuple(op for op in params.operators if _op_feasible(op, lo, hi))
@@ -374,14 +374,14 @@ def build_solved_layout(
         symbols = "".join(op.value for op in params.operators)
         raise RangeInfeasible(f"no operator of {symbols!r} fits range [{lo}, {hi}]")
     n_eq = rng.randint(*params.equation_count)
-    for _ in range(retries):
+    for _ in range(_LAYOUT_RETRIES):
         grid = _try_layout(n_eq, ops, params.value_range, rng)
         if grid is None:
             continue
         equations = detect_equations(grid)
         if len(equations) == n_eq:
             return grid, equations
-    raise LayoutFailure(f"no {n_eq}-equation layout found in {retries} attempts")
+    raise LayoutFailure(f"no {n_eq}-equation layout found in {_LAYOUT_RETRIES} attempts")
 
 
 # ---------------------------------------------------------------------------
@@ -527,13 +527,13 @@ def punch_blanks(
     rng: random.Random,
     *,
     max_hop: int,
-) -> tuple[Grid, SolutionTrace, HopMap]:
+) -> tuple[Grid, SolutionTrace]:
     """Blank number cells so deduction recovers all of them within max_hop.
 
     Chains are carved first to hit the profile's deep-hop proportions
     (best effort), then every remaining equation receives one blank that
     resolves immediately. A full deduction check gates every candidate set;
-    the accepted query is returned with that check's trace and hop map.
+    the accepted query is returned with that check's trace.
     """
     cell_eqs, neighbors = _build_eq_graph(equations)
     wants_depth = any(profile.target_hop_histogram.get(k, 0) > 0 for k in (2, 3, 4))
@@ -558,15 +558,15 @@ def punch_blanks(
         blanks = set().union(*eq_blanks.values()) if eq_blanks else set()
         query = answer_grid.with_cells(dict.fromkeys(blanks, TARGET))
         try:
-            trace, hops = deduce(query)
+            trace, _ = deduce(query)
         except (Unsolvable, Contradiction):
             continue
-        realized_max = max(hops.values(), default=1)
+        realized_max = len(trace.steps)
         if realized_max > max_hop:
             continue
         if wants_depth and can_deepen and realized_max < 2:
             continue
-        return query, trace, hops
+        return query, trace
     raise ProfileInfeasible(
         f"no blank set matching the profile after {_PUNCH_RETRIES} attempts"
     )
@@ -620,7 +620,7 @@ def generate(
         rng = random.Random(params.seed if round_ == 0 else mix_seed(params.seed, round_))
         try:
             answer_grid, equations = build_solved_layout(params, rng)
-            query, trace, hops = punch_blanks(
+            query, trace = punch_blanks(
                 answer_grid,
                 equations,
                 PROFILES[params.difficulty],
@@ -633,26 +633,19 @@ def generate(
     else:
         raise last_error
 
-    gold_answers = trace.answers
-    hop_depths = tuple(hops[c] for c in target_order(query))
     markdown = to_markdown(query)
     if example_id is None:
         example_id = f"{params.difficulty.value}_{params.seed:016x}"
 
     images: dict[str, str] = {}
     if out_dir is not None:
-        images = write_example_images(out_dir, example_id, query, gold_answers)
+        images = write_example_images(out_dir, example_id, query, trace.answers)
 
     return DatasetExample(
         id=example_id,
-        difficulty=params.difficulty,
         grid=query,
-        answer_grid=trace.answer_grid,
-        gold_answers=gold_answers,
-        hop_depths=hop_depths,
         markdown=markdown,
         images=images,
-        seed=params.seed,
         gen_params=params,
         trace=trace,
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..core import DatasetExample, Equation, MathGridError, Resolution
+from ..core import DatasetExample, Equation, Resolution
 from ..manifest import read_manifest
 from ..render.markdown import cell_text
 from ..solver import detect_equations
@@ -30,8 +30,6 @@ def _equation_text(eq: Equation, example: DatasetExample, resolved: Resolution) 
 
 def format_solution_steps(example: DatasetExample) -> str:
     """Numbered textual steps mirroring the deduction trace."""
-    if example.trace is None:
-        raise MathGridError(f"example {example.id} carries no solution trace")
     equations = {eq.id: eq for eq in detect_equations(example.grid)}
     lines = []
     for i, step in enumerate(example.trace.steps, start=1):

@@ -11,13 +11,13 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import DatasetExample, Difficulty, SolutionTrace
+from .core import DatasetExample, SolutionTrace
 from .generator import GenParams
 from .render.markdown import parse_markdown
 
 
 def example_to_json(example: DatasetExample) -> dict:
-    data = {
+    return {
         "id": example.id,
         "difficulty": example.difficulty.value,
         "seed": example.seed,
@@ -26,31 +26,28 @@ def example_to_json(example: DatasetExample) -> dict:
         "hop_depths": list(example.hop_depths),
         "images": dict(example.images),
         "gen_params": example.gen_params.to_json(),
+        "trace": example.trace.to_json(),
     }
-    if example.trace is not None:
-        data["trace"] = example.trace.to_json()
-    return data
 
 
 def example_from_json(data: dict) -> DatasetExample:
-    grid = parse_markdown(data["markdown"])
-    answer_grid = grid.with_answers(data["gold_answers"])
-    trace = None
-    if "trace" in data:
-        trace = SolutionTrace.from_json(data["trace"], answer_grid)
-    return DatasetExample(
+    """Rebuild an example from its trace and gen_params, and reject the line
+    when a stored field disagrees with what they give."""
+    example = DatasetExample(
         id=data["id"],
-        difficulty=Difficulty(data["difficulty"]),
-        grid=grid,
-        answer_grid=answer_grid,
-        gold_answers=tuple(data["gold_answers"]),
-        hop_depths=tuple(data["hop_depths"]),
+        grid=parse_markdown(data["markdown"]),
         markdown=data["markdown"],
         images=dict(data["images"]),
-        seed=data["seed"],
         gen_params=GenParams.from_json(data["gen_params"]),
-        trace=trace,
+        trace=SolutionTrace.from_json(data["trace"]),
     )
+    stale = [key for key, value in example_to_json(example).items() if data[key] != value]
+    if stale:
+        raise ValueError(
+            f"example {example.id}: stored fields disagree with its trace and gen_params: "
+            + ", ".join(stale)
+        )
+    return example
 
 
 def dumps_line(example: DatasetExample) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 
 from .core import (
-    Cell,
     CellKind,
     Coord,
     Equation,
@@ -182,7 +181,6 @@ def deduce(grid: Grid) -> tuple[SolutionTrace, HopMap]:
     """
     equations = detect_equations(grid)
     known = _initial_knowns(grid)
-    targets = target_order(grid)
     open_eqs = {eq.id: eq for eq in equations}
     steps: list[tuple[Resolution, ...]] = []
 
@@ -230,19 +228,13 @@ def deduce(grid: Grid) -> tuple[SolutionTrace, HopMap]:
         for res in step:
             known[res.coord] = res.value
 
-    unresolved = [coord for coord in targets if coord not in known]
+    unresolved = [coord for coord in target_order(grid) if coord not in known]
     if unresolved:
         where = [tuple(c) for c in unresolved]
         raise Unsolvable(f"targets {where} cannot be deduced")
 
-    answer_grid = grid.with_cells(
-        {coord: Cell.number(known[coord]) for coord in targets}
-    )
-    hops: HopMap = {}
-    for i, step in enumerate(steps):
-        for res in step:
-            hops[res.coord] = i + 1
-    return SolutionTrace(tuple(steps), answer_grid), hops
+    hops = {res.coord: hop for hop, step in enumerate(steps, 1) for res in step}
+    return SolutionTrace(tuple(steps)), hops
 
 
 def verify_solution(grid: Grid, answers: list[int] | tuple[int, ...]) -> bool:

@@ -12,6 +12,7 @@ from mathgrid import (
     Operator,
     TARGET,
     generate,
+    target_order,
 )
 from mathgrid.generator import mix_seed
 from mathgrid.manifest import write_manifest
@@ -55,6 +56,14 @@ def reference_grid() -> Grid:
         [e, e, _n(40), e, e, e, e],
     ]
     return Grid.from_rows(rows)
+
+
+def answered_reference_grid() -> Grid:
+    """The reference puzzle with its answers filled in: no targets left."""
+    grid = reference_grid()
+    return grid.with_cells(
+        {coord: _n(value) for coord, value in zip(target_order(grid), REFERENCE_ANSWERS)}
+    )
 
 
 @pytest.fixture(scope="session")

@@ -133,10 +133,10 @@ class MockEndpoint:
         raise ValueError("request carries neither a markdown grid nor an image")
 
     def _answer_text(self, grid: Grid) -> str:
-        trace, hops = deduce(grid)
+        trace, _ = deduce(grid)
         values = []
-        for coord, value in zip(sorted(hops), trace.answers):
-            if self.mode == "hop1" and hops[coord] > 1:
+        for value, hop in zip(trace.answers, trace.hop_depths):
+            if self.mode == "hop1" and hop > 1:
                 value += 1  # deliberately wrong beyond the first hop
             values.append(str(value))
         return (

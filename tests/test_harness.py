@@ -436,19 +436,13 @@ class TestSftExport:
     def test_reference_answer_line(self, appendix_grid, tmp_path):
         from mathgrid.core import DatasetExample
 
-        trace, hops = deduce(appendix_grid)
         example = DatasetExample(
             id="reference",
-            difficulty=Difficulty.EASY,
             grid=appendix_grid,
-            answer_grid=trace.answer_grid,
-            gold_answers=(6, 93, 45, 8),
-            hop_depths=(1, 1, 1, 1),
             markdown=to_markdown(appendix_grid),
             images={},
-            seed=0,
             gen_params=GenParams(difficulty=Difficulty.EASY, seed=0),
-            trace=trace,
+            trace=deduce(appendix_grid)[0],
         )
         manifest = write_manifest([example], tmp_path / "m.jsonl")
         out = export_sft_trajectories(manifest, tmp_path / "sft.jsonl")
