@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--modality", choices=[m.value for m in Modality], default="text"
     )
-    run.add_argument("--style", default="original")
+    run.add_argument("--style", default="original", help="image style; text prompts use none")
     run.add_argument("--concurrency", type=int, default=None)
     run.add_argument("--timeout", type=float, default=None)
     run.add_argument("--auth-env", help="env var holding the bearer token")

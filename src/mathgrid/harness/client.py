@@ -12,6 +12,7 @@ import base64
 import hashlib
 import json
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -227,16 +228,21 @@ def run_benchmark(
     A single writer appends records as workers finish; per-example failures
     become error records and never abort the run. Examples whose latest
     record for this fingerprint is OK are skipped entirely; that record is
-    the one ``score_run`` scores. Image paths resolve against the
-    manifest's directory.
+    the one ``score_run`` scores. A record torn mid-write at the end of the
+    file is cut off before new ones are appended. Image paths resolve
+    against the manifest's directory. Text prompts use no style, so their
+    records carry none.
     """
     manifest_path = Path(manifest_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    if modality is Modality.TEXT_ONLY:
+        style_id = None
     examples = load_manifest(manifest_path)
     done = set()
     if out_path.exists():
         done = {r.fingerprint for r in load_run_records(out_path) if r.status == "ok"}
+        _end_on_a_whole_line(out_path)
 
     todo = []
     for example in examples:
@@ -277,15 +283,52 @@ def run_benchmark(
     return out_path
 
 
+def _end_on_a_whole_line(run_path: Path) -> None:
+    """Let appended records start on a line of their own: cut off a last
+    line that was torn mid-write, or end a whole one that lacks its newline."""
+    data = run_path.read_bytes()
+    if not data or data.endswith(b"\n"):
+        return
+    start = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[start:])
+    except ValueError:
+        with run_path.open("r+b") as fh:
+            fh.truncate(start)
+    else:
+        with run_path.open("ab") as fh:
+            fh.write(b"\n")
+
+
 def load_run_records(run_path: Path | str) -> list[RunRecord]:
-    """Run records with resume duplicates collapsed to the latest attempt."""
+    """Run records with resume duplicates collapsed to the latest attempt.
+
+    A last line with no newline that does not parse is a record torn
+    mid-write: it is dropped with a warning on stderr. Any other line that
+    is not a run record fails, naming the file and line.
+    """
+    lines = Path(run_path).read_bytes().split(b"\n")
     latest: dict[str, RunRecord] = {}
-    with Path(run_path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                record = RunRecord.from_json(json.loads(line))
-                latest[record.fingerprint] = record
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            data = json.loads(line)
+        except ValueError as exc:
+            if number < len(lines):
+                raise ValueError(f"{run_path} line {number}: {exc}") from exc
+            print(
+                f"warning: {run_path} line {number}: dropped a record torn mid-write",
+                file=sys.stderr,
+            )
+            break
+        try:
+            record = RunRecord.from_json(data)
+        except KeyError as exc:
+            raise ValueError(f"{run_path} line {number}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{run_path} line {number}: {exc}") from exc
+        latest[record.fingerprint] = record
     return list(latest.values())
 
 

@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import DatasetExample, SolutionTrace
+from .core import DatasetExample, MathGridError, SolutionTrace
 from .generator import GenParams
 from .render.markdown import parse_markdown
 
@@ -64,11 +64,20 @@ def write_manifest(examples: Iterable[DatasetExample], path: Path | str) -> Path
 
 
 def read_manifest(path: Path | str) -> Iterator[DatasetExample]:
+    """Examples in file order; a line that does not load fails, naming the
+    file and line."""
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                yield example_from_json(json.loads(line))
+            if not line:
+                continue
+            try:
+                example = example_from_json(json.loads(line))
+            except KeyError as exc:
+                raise ValueError(f"{path} line {number}: missing key {exc}") from exc
+            except (MathGridError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from exc
+            yield example
 
 
 def load_manifest(path: Path | str) -> list[DatasetExample]:

@@ -343,3 +343,97 @@ def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+MANIFEST_KEYS = (
+    "id", "difficulty", "seed", "markdown", "gold_answers",
+    "hop_depths", "images", "gen_params", "trace",
+)
+
+
+def _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt) -> str:
+    """A copy of the fixture manifest's first two lines, the second (a medium
+    example with deeper hops) passed through ``corrupt``."""
+    lines = (dataset_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    good = lines[0]
+    bad = next(line for line in lines if max(json.loads(line)["hop_depths"]) > 1)
+    data = json.loads(bad)
+    bad = corrupt(data) or json.dumps(data)
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    return str(path)
+
+
+def _misplace_a_resolution(data):
+    # move the first resolution onto a number cell of the grid
+    rows = [row.split("|")[1:-1] for row in data["markdown"].splitlines()]
+    row, col = next(
+        (r, c) for r, cells in enumerate(rows) for c, text in enumerate(cells)
+        if text.strip().isdigit()
+    )
+    data["trace"]["steps"][0][0].update(row=row, col=col)
+
+
+CORRUPTIONS = {
+    "reversed-gold-answers": lambda d: d["gold_answers"].reverse(),
+    "wrong-hop-depths": lambda d: d.update(hop_depths=[9] * len(d["hop_depths"])),
+    "seed-differs-from-gen-params": lambda d: d.update(seed=d["seed"] + 1),
+    "difficulty-differs-from-gen-params": lambda d: d.update(difficulty="hard"),
+    "no-trace": lambda d: d.pop("trace") and None,
+    "trace-resolves-a-non-target": _misplace_a_resolution,
+}
+
+
+def _one_error_line(capsys, *fragments) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+@pytest.mark.parametrize("command", ["bench-score", "export-sft"])
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, corruption, command):
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, CORRUPTIONS[corruption])
+    first = json.loads(open(manifest, encoding="utf-8").readline())
+    record = {
+        "example_id": first["id"], "modality": "text", "style_id": None, "fingerprint": "fp",
+        "response_text": "<answer>1</answer>", "latency_ms": 1, "status": "ok",
+    }
+    run = tmp_path / "run.jsonl"
+    run.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    argv = {
+        "bench-score": ["bench", "score", "--run", str(run), "--manifest", manifest],
+        "export-sft": ["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")],
+    }[command]
+    assert main(argv) == 1
+    _one_error_line(capsys, f"{manifest} line 2: ")
+
+
+@pytest.mark.parametrize("key", [*MANIFEST_KEYS, "non-json"])
+def test_manifest_load_error_names_file_and_line(dataset_dir, tmp_path, capsys, key):
+    def corrupt(data):
+        if key == "non-json":
+            return json.dumps(data)[:-10]
+        del data[key]
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: ", "" if key == "non-json" else repr(key))
+
+
+def test_text_runs_are_keyed_without_a_style(dataset_dir, tmp_path, capsys):
+    manifest = str(dataset_dir / "manifest.jsonl")
+    run = tmp_path / "run.jsonl"
+    with MockEndpoint(dataset_dir / "manifest.jsonl") as server:
+        argv = [
+            "bench", "run", "--manifest", manifest, "--out", str(run),
+            "--endpoint", server.base_url, "--model", "mock-model", "--modality", "text",
+        ]
+        assert main(argv) == 0
+        sent = server.requests_total
+        assert main([*argv, "--style", "borderless"]) == 0
+        assert server.requests_total == sent  # the same prompts: nothing re-sent
+    assert all(json.loads(line)["style_id"] is None for line in run.read_text().splitlines())
+    assert main(["bench", "score", "--run", str(run), "--manifest", manifest]) == 0
+    assert "100.00" in capsys.readouterr().out

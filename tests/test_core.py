@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +12,8 @@ from mathgrid import (
     EMPTY,
     Grid,
     Operator,
+    Resolution,
+    SolutionTrace,
     TARGET,
     target_order,
 )
@@ -122,6 +126,21 @@ class TestDatasetInvariants:
             read = tuple(example.answer_grid.at(c).value for c in targets)
             assert example.trace.answers == read
 
+    def test_trace_must_resolve_exactly_the_targets(self, mixed_corpus):
+        example = mixed_corpus[0]
+        first, *later = example.trace.steps
+        number = next(c for c in example.grid.coords() if example.grid.at(c).kind is CellKind.NUMBER)
+        for step in (first[1:], first + (Resolution(0, number, 5),)):
+            with pytest.raises(ValueError, match=example.id):
+                replace(example, trace=SolutionTrace((step, *later)))
+
+    def test_fields_read_from_trace_and_gen_params(self, mixed_corpus):
+        for example in mixed_corpus:
+            assert example.difficulty is example.gen_params.difficulty
+            assert example.seed == example.gen_params.seed
+            assert example.gold_answers == tuple(v for _, v, _ in example.trace.resolved)
+            assert max(example.hop_depths) == len(example.trace.steps)
+
     def test_gold_answers_align_with_targets(self, mixed_corpus):
         for example in mixed_corpus:
             n = len(target_order(example.grid))
@@ -129,8 +148,6 @@ class TestDatasetInvariants:
 
 
 def test_solution_trace_json_round_trip(appendix_grid):
-    from mathgrid import SolutionTrace
-
     trace, _ = deduce(appendix_grid)
     data = trace.to_json()
     assert set(data) == {"steps"}

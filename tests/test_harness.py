@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -328,6 +329,52 @@ class TestRunBenchmark:
             run_benchmark(manifest, config, Modality.TEXT_ONLY, None, run_path)
             assert server.requests_total - before == 1  # only the victim
         assert score_run(run_path, manifest).macro == 1.0
+
+    def test_scoring_drops_a_torn_last_record(self, dataset_dir, tmp_path, capsys):
+        manifest = dataset_dir / "manifest.jsonl"
+        with MockEndpoint(manifest) as server:
+            run_path = run_benchmark(
+                manifest, _config(server.base_url), Modality.TEXT_ONLY, None, tmp_path / "run.jsonl"
+            )
+        whole = run_path.read_text(encoding="utf-8").splitlines()[0]
+        with run_path.open("a", encoding="utf-8") as fh:
+            fh.write(whole[: len(whole) // 2])  # a record cut off mid-write
+        assert score_run(run_path, manifest).macro == 1.0
+        n = len(load_manifest(manifest)) + 1
+        assert f"{run_path} line {n}: dropped a record torn mid-write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [7, 0])
+    def test_resume_cuts_off_a_torn_last_record(self, dataset_dir, tmp_path, cut):
+        # the run loses its first record, and its last record loses its
+        # newline and, unless cut is 0, its end too: it was torn mid-write
+        manifest = dataset_dir / "manifest.jsonl"
+        run_path = tmp_path / "run.jsonl"
+        with MockEndpoint(manifest) as server:
+            config = _config(server.base_url)
+            run_benchmark(manifest, config, Modality.TEXT_ONLY, None, run_path)
+            _, *kept, last = run_path.read_text(encoding="utf-8").splitlines()
+            run_path.write_text("\n".join(kept) + "\n" + last[: len(last) - cut], encoding="utf-8")
+            before = server.requests_total
+            run_benchmark(manifest, config, Modality.TEXT_ONLY, None, run_path)
+            assert server.requests_total - before == (2 if cut else 1)
+        records = [json.loads(line) for line in run_path.read_text(encoding="utf-8").splitlines()]
+        assert len(records) == len(load_manifest(manifest))
+        assert score_run(run_path, manifest).macro == 1.0
+
+    @pytest.mark.parametrize(
+        "bad", ['{"example_id": "x", "sta', '["not", "a", "record"]', '{"status": "ok"}']
+    )
+    def test_bad_run_line_fails_with_file_and_line(self, dataset_dir, tmp_path, bad):
+        manifest = dataset_dir / "manifest.jsonl"
+        with MockEndpoint(manifest) as server:
+            run_path = run_benchmark(
+                manifest, _config(server.base_url), Modality.TEXT_ONLY, None, tmp_path / "run.jsonl"
+            )
+        first, *rest = run_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        run_path.write_text(first + bad + "\n" + "".join(rest), encoding="utf-8")
+        for load in (lambda: score_run(run_path, manifest), lambda: load_run_records(run_path)):
+            with pytest.raises(ValueError, match=re.escape(f"{run_path} line 2: ")):
+                load()
 
     def test_bounded_concurrency(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"
