@@ -75,7 +75,7 @@ def read_manifest(path: Path | str) -> Iterator[DatasetExample]:
                 example = example_from_json(json.loads(line))
             except KeyError as exc:
                 raise ValueError(f"{path} line {number}: missing key {exc}") from exc
-            except (MathGridError, TypeError, ValueError) as exc:
+            except (AttributeError, MathGridError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from exc
             yield example
 

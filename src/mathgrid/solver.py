@@ -177,7 +177,9 @@ def deduce(grid: Grid) -> tuple[SolutionTrace, HopMap]:
     Each iteration scans all unresolved equations; any with at least two
     known operands resolves (or, fully known, is consistency-checked). New
     values are committed only after the iteration finishes, so a step never
-    depends on values found within the same step.
+    depends on values found within the same step. Returns the trace and a
+    map from each resolved cell to its hop depth (``trace.hop_depths`` in
+    target order).
     """
     equations = detect_equations(grid)
     known = _initial_knowns(grid)

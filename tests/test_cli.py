@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from mathgrid import Operator
+from mathgrid import CellKind, Operator
 from mathgrid.cli import build_parser, main
-from mathgrid.render.markdown import _OP_ALIASES
+from mathgrid.render.markdown import _OP_ALIASES, parse_markdown
 from mathgrid.manifest import load_manifest
 
 from conftest import REFERENCE_MARKDOWN
@@ -352,13 +352,15 @@ MANIFEST_KEYS = (
 
 
 def _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt) -> str:
-    """A copy of the fixture manifest's first two lines, the second (a medium
-    example with deeper hops) passed through ``corrupt``."""
+    """A copy of the fixture manifest's first line and of a medium example
+    with deeper hops, whose JSON ``corrupt`` edits in place or replaces with
+    the line it returns."""
     lines = (dataset_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
     good = lines[0]
     bad = next(line for line in lines if max(json.loads(line)["hop_depths"]) > 1)
     data = json.loads(bad)
-    bad = corrupt(data) or json.dumps(data)
+    text = corrupt(data)
+    bad = text if isinstance(text, str) else json.dumps(data)
     path = tmp_path / "manifest.jsonl"
     path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
     return str(path)
@@ -366,11 +368,8 @@ def _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt) -> str:
 
 def _misplace_a_resolution(data):
     # move the first resolution onto a number cell of the grid
-    rows = [row.split("|")[1:-1] for row in data["markdown"].splitlines()]
-    row, col = next(
-        (r, c) for r, cells in enumerate(rows) for c, text in enumerate(cells)
-        if text.strip().isdigit()
-    )
+    grid = parse_markdown(data["markdown"])
+    row, col = next(c for c in grid.coords() if grid.at(c).kind is CellKind.NUMBER)
     data["trace"]["steps"][0][0].update(row=row, col=col)
 
 
@@ -379,7 +378,7 @@ CORRUPTIONS = {
     "wrong-hop-depths": lambda d: d.update(hop_depths=[9] * len(d["hop_depths"])),
     "seed-differs-from-gen-params": lambda d: d.update(seed=d["seed"] + 1),
     "difficulty-differs-from-gen-params": lambda d: d.update(difficulty="hard"),
-    "no-trace": lambda d: d.pop("trace") and None,
+    "no-trace": lambda d: d.pop("trace"),
     "trace-resolves-a-non-target": _misplace_a_resolution,
 }
 
@@ -410,16 +409,18 @@ def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, c
     _one_error_line(capsys, f"{manifest} line 2: ")
 
 
-@pytest.mark.parametrize("key", [*MANIFEST_KEYS, "non-json"])
+@pytest.mark.parametrize("key", [*MANIFEST_KEYS, "non-json", "markdown-not-text"])
 def test_manifest_load_error_names_file_and_line(dataset_dir, tmp_path, capsys, key):
     def corrupt(data):
         if key == "non-json":
             return json.dumps(data)[:-10]
+        if key == "markdown-not-text":
+            return json.dumps(dict(data, markdown=5))
         del data[key]
 
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
-    _one_error_line(capsys, f"{manifest} line 2: ", "" if key == "non-json" else repr(key))
+    _one_error_line(capsys, f"{manifest} line 2: ", repr(key) if key in MANIFEST_KEYS else "")
 
 
 def test_text_runs_are_keyed_without_a_style(dataset_dir, tmp_path, capsys):
