@@ -394,7 +394,7 @@ def _one_error_line(capsys, *fragments) -> None:
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, corruption, command):
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, CORRUPTIONS[corruption])
-    first = json.loads(open(manifest, encoding="utf-8").readline())
+    first = json.loads((dataset_dir / "manifest.jsonl").read_text(encoding="utf-8").split("\n")[0])
     record = {
         "example_id": first["id"], "modality": "text", "style_id": None, "fingerprint": "fp",
         "response_text": "<answer>1</answer>", "latency_ms": 1, "status": "ok",
