@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -128,7 +129,7 @@ class Grid:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
-        return Grid(len(rows), width, tuple(c for r in rows for c in r))
+        return Grid(len(rows), width, tuple(chain.from_iterable(rows)))
 
     def at(self, coord: Coord | tuple[int, int]) -> Cell:
         r, c = coord
@@ -293,8 +294,9 @@ def target_order(grid: Grid) -> list[Coord]:
     in this order.
     """
     cols = grid.cols
+    target = CellKind.TARGET
     return [
         Coord(i // cols, i % cols)
         for i, cell in enumerate(grid.cells)
-        if cell.kind is CellKind.TARGET
+        if cell.kind is target
     ]

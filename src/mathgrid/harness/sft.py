@@ -35,7 +35,12 @@ def format_solution_steps(example: DatasetExample) -> str:
     for i, step in enumerate(example.trace.steps, start=1):
         lines.append(f"Step {i}:")
         for res in step:
-            eq = equations[res.eq_id]
+            eq = equations.get(res.eq_id)
+            if eq is None:
+                raise ValueError(
+                    f"example {example.id}: the trace names equation {res.eq_id}, "
+                    "which the grid lacks"
+                )
             lines.append(
                 f"- {eq.orientation.value} equation "
                 f"{_equation_text(eq, example, res)} gives "

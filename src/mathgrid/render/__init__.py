@@ -5,7 +5,6 @@ from .svg import (
     STYLE_IDS,
     RenderView,
     StyleSpec,
-    export_png,
     extract_text_cells,
     render_image,
     texture_seed_for,
@@ -19,7 +18,6 @@ __all__ = [
     "STYLE_IDS",
     "RenderView",
     "StyleSpec",
-    "export_png",
     "extract_text_cells",
     "render_image",
     "texture_seed_for",

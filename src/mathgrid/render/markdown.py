@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from ..core import Cell, CellKind, Grid, MathGridError, Operator, EMPTY, EQUALS, TARGET
 
 
@@ -34,6 +36,9 @@ _OP_ALIASES = {
     "/": Operator.DIV,
 }
 
+# Distinct raw tokens remembered by the parser; a whole dataset has a few hundred.
+_CELL_CACHE_SIZE = 4096
+
 # OCR confusables that may stand in for the digit 1 inside numeric cells.
 _ONE_LOOKALIKES = str.maketrans({"l": "1", "I": "1", "|": "1", "∣": "1", "¦": "1"})
 
@@ -55,7 +60,12 @@ def to_markdown(grid: Grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_cell(token: str, line_no: int, col_no: int) -> Cell:
+@lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _read_cell(token: str) -> Cell | str:
+    """The cell a raw token stands for, or the reason it stands for none.
+
+    Cells are frozen, so every grid may share the cached instances.
+    """
     token = token.strip()
     if not token:
         return EMPTY
@@ -66,12 +76,15 @@ def _parse_cell(token: str, line_no: int, col_no: int) -> Cell:
     if token in _OP_ALIASES:
         return Cell.operator(_OP_ALIASES[token])
     digits = token.translate(_ONE_LOOKALIKES)
-    if digits.isascii() and digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
+        return f"unrecognized cell content {token!r}"
+    try:
         value = int(digits)
-        if value < 1:
-            raise ParseError(line_no, col_no, f"non-positive number {token!r}")
-        return Cell.number(value)
-    raise ParseError(line_no, col_no, f"unrecognized cell content {token!r}")
+    except ValueError:  # more digits than int() converts
+        return f"number of {len(digits)} digits is too long"
+    if value < 1:
+        return f"non-positive number {token!r}"
+    return Cell.number(value)
 
 
 def parse_markdown(text: str) -> Grid:
@@ -92,10 +105,11 @@ def parse_markdown(text: str) -> Grid:
             body = body[1:]
         if body.endswith("|"):
             body = body[:-1]
-        tokens = body.split("|")
-        rows.append(
-            [_parse_cell(tok, line_no, i + 1) for i, tok in enumerate(tokens)]
-        )
+        row = list(map(_read_cell, body.split("|")))
+        if str in map(type, row):
+            col, reason = next((i, c) for i, c in enumerate(row, 1) if type(c) is str)
+            raise ParseError(line_no, col, reason)
+        rows.append(row)
     if not rows:
         raise ParseError(1, 1, "no table rows found")
     width = max(len(r) for r in rows)

@@ -189,15 +189,3 @@ def extract_text_cells(svg_bytes: bytes) -> list[tuple[Coord, str]]:
         row = int(float(el.get("y")) // cell_px)
         out.append((Coord(row, col), el.text or ""))
     return sorted(out, key=lambda item: item[0])
-
-
-def export_png(svg_bytes: bytes) -> bytes:
-    """Rasterize SVG bytes to PNG. Needs the optional cairosvg package."""
-    try:
-        import cairosvg
-    except ImportError as exc:
-        raise MathGridError(
-            "PNG export needs the optional 'cairosvg' package; SVG output "
-            "is the primary artifact"
-        ) from exc
-    return cairosvg.svg2png(bytestring=svg_bytes)

@@ -75,6 +75,13 @@ def test_solve_reports_errors_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_number_too_long_to_read(tmp_path, capsys):
+    grid_file = tmp_path / "long.md"
+    grid_file.write_text("| 1 | + | " + "9" * 5000 + " | = | ? |\n", encoding="utf-8")
+    assert main(["solve", "--markdown", str(grid_file)]) == 1
+    _one_error_line(capsys, "line 1, cell 3: ", "too long")
+
+
 def test_render_single_markdown(tmp_path):
     grid_file = tmp_path / "puzzle.md"
     grid_file.write_text(REFERENCE_MARKDOWN, encoding="utf-8")
@@ -407,6 +414,17 @@ def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, c
     }[command]
     assert main(argv) == 1
     _one_error_line(capsys, f"{manifest} line 2: ")
+
+
+def test_export_sft_rejects_an_unknown_trace_equation(dataset_dir, tmp_path, capsys):
+    def corrupt(data):
+        data["trace"]["steps"][0][0]["eq"] = 999
+        return json.dumps(data)
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    example_id = json.loads(open(manifest, encoding="utf-8").read().splitlines()[1])["id"]
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"example {example_id}: ", "equation 999")
 
 
 @pytest.mark.parametrize("key", [*MANIFEST_KEYS, "non-json", "markdown-not-text"])

@@ -92,6 +92,12 @@ class TestParseMarkdown:
         with pytest.raises(ParseError):
             parse_markdown("| 0 | + | 1 | = | 1 |")
 
+    def test_number_too_long_to_read_raises_with_position(self):
+        with pytest.raises(ParseError) as err:
+            parse_markdown("| 1 | + | 2 | = | 3 |\n| 1 | + | " + "9" * 5000 + " | = | ? |")
+        assert (err.value.line, err.value.col) == (2, 3)
+        assert err.value.reason == "number of 5000 digits is too long"
+
     def test_row_without_pipes_rejected(self):
         with pytest.raises(ParseError):
             parse_markdown("3 + 4 = 7")
@@ -247,17 +253,3 @@ class TestRenderImage:
             StyleSpec("background", background="plain")
         with pytest.raises(ValueError):
             StyleSpec("original", palette={"constant": ("#fff", "#000")})
-
-
-def test_png_export_requires_optional_dependency(appendix_grid):
-    from mathgrid.core import MathGridError
-    from mathgrid.render import render_image as ri, export_png
-
-    svg = ri(appendix_grid, StyleSpec.of("original"), RenderView.QUERY)
-    try:
-        import cairosvg  # noqa: F401
-    except ImportError:
-        with pytest.raises(MathGridError):
-            export_png(svg)
-    else:
-        assert export_png(svg)[:8] == b"\x89PNG\r\n\x1a\n"
