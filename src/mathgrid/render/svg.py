@@ -100,6 +100,78 @@ def _texture_elements(width: int, height: int, seed: int) -> list[str]:
     return parts
 
 
+class _Sheet:
+    """What the documents of one grid and its answers share.
+
+    Positions, glyphs, the header and each texture are made once; each
+    style's cell block and glyph openers once per style. A style is keyed on
+    everything it draws with, since a custom spec may reuse a built-in id.
+    """
+
+    def __init__(self, grid: Grid, answers: tuple[str, ...] | None) -> None:
+        self.grid, self.answers = grid, answers
+        self.n_targets = len(target_order(grid))
+        px, cols = CELL_PX, grid.cols
+        self.width, self.height = cols * px, grid.rows * px
+        self.head = (
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
+            f'height="{self.height}" viewBox="0 0 {self.width} {self.height}" '
+            f'data-cell-px="{px}">'
+        )
+        answers_left = iter(answers) if answers and len(answers) == self.n_targets else None
+        self.drawn: list[tuple[str, str, str]] = []  # (role, rect start, text start)
+        self.glyphs: list[str] = []
+        # The solution view's glyphs, or None when the answers do not fit the targets.
+        self.solved: list[str] | None = None if answers_left is None else []
+        for i, cell in enumerate(grid.cells):
+            kind = cell.kind
+            if kind is CellKind.EMPTY:
+                continue
+            x, y = (i % cols) * px, (i // cols) * px
+            self.drawn.append((
+                _ROLES[kind],
+                f'<rect x="{x}" y="{y}" width="{px}" height="{px}" fill="',
+                f'<text x="{_num(x + px / 2)}" y="{_num(y + px / 2)}" ',
+            ))
+            glyph = cell_text(cell)
+            self.glyphs.append(glyph)
+            if answers_left is not None:
+                self.solved.append(next(answers_left) if kind is CellKind.TARGET else glyph)
+        self.styles: dict[tuple, tuple[str, list[str]]] = {}
+        self.textures: dict[int, str] = {}
+
+    def style_parts(self, style: StyleSpec) -> tuple[str, list[str]]:
+        """The style's cell-rectangle block and one glyph opener per drawn cell."""
+        key = (tuple(sorted(style.palette.items())), style.border,
+               style.font_family_token, style.background)
+        parts = self.styles.get(key)
+        if parts is None:
+            palette = style.palette
+            stroke = f' stroke="{palettes.BORDER_COLOR}" stroke-width="2"' if style.border else ""
+            text_style = (
+                'text-anchor="middle" dominant-baseline="central" '
+                f'font-family="{style.font_family_token}" font-size="{round(CELL_PX * 0.42)}"'
+            )
+            rects = [f'{rect}{palette[role][0]}"{stroke}/>' for role, rect, _ in self.drawn]
+            openers = [f'{text}{text_style} fill="{palette[role][1]}">' for role, _, text in self.drawn]
+            parts = self.styles[key] = ("\n".join(['<g class="cells">', *rects, "</g>"]), openers)
+        return parts
+
+    def texture(self, seed: int) -> str:
+        block = self.textures.get(seed)
+        if block is None:
+            elements = _texture_elements(self.width, self.height, seed)
+            block = self.textures[seed] = "\n".join(['<g class="texture">', *elements, "</g>"])
+        return block
+
+
+# The last grid rendered, for the other documents of the same example. It
+# holds a reference to the grid, so an identity match is always that grid.
+# Threads swap in whole sheets: at worst one builds a sheet twice.
+_last_sheet: _Sheet | None = None
+
+
 def render_image(
     grid: Grid,
     style: StyleSpec,
@@ -112,60 +184,26 @@ def render_image(
     In SOLUTION view, targets display their answer value in the target text
     color; ``answers`` is required whenever the grid contains targets.
     """
-    targets = target_order(grid)
-    answers_left = None
-    if view is RenderView.SOLUTION and targets:
-        if answers is None or len(answers) != len(targets):
+    global _last_sheet
+    key = None if answers is None else tuple(map(str, answers))  # the glyphs drawn
+    sheet = _last_sheet
+    if sheet is None or sheet.grid is not grid or sheet.answers != key:
+        sheet = _last_sheet = _Sheet(grid, key)
+    glyphs = sheet.glyphs
+    if view is RenderView.SOLUTION and sheet.n_targets:
+        if sheet.solved is None:
             raise MathGridError(
-                f"solution view needs {len(targets)} answers, got "
+                f"solution view needs {sheet.n_targets} answers, got "
                 f"{'none' if answers is None else len(answers)}"
             )
-        answers_left = iter(answers)  # consumed in target order by the scan
-
-    px = CELL_PX
-    cols = grid.cols
-    width, height = cols * px, grid.rows * px
-    font_size = round(px * 0.42)
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" data-cell-px="{px}">',
-    ]
+        glyphs = sheet.solved
+    cells, openers = sheet.style_parts(style)
+    parts = [sheet.head]
     if style.background == "textured":
-        parts.append('<g class="texture">')
-        parts.extend(_texture_elements(width, height, rng_seed))
-        parts.append("</g>")
-
-    stroke = f' stroke="{palettes.BORDER_COLOR}" stroke-width="2"' if style.border else ""
-    text_style = (
-        'text-anchor="middle" dominant-baseline="central" '
-        f'font-family="{style.font_family_token}" font-size="{font_size}"'
-    )
-    rects = []
-    texts = []
-    for i, cell in enumerate(grid.cells):
-        kind = cell.kind
-        if kind is CellKind.EMPTY:
-            continue
-        fill, text_color = style.palette[_ROLES[kind]]
-        x, y = (i % cols) * px, (i // cols) * px
-        rects.append(
-            f'<rect x="{x}" y="{y}" width="{px}" height="{px}" fill="{fill}"{stroke}/>'
-        )
-        if kind is CellKind.TARGET and answers_left is not None:
-            glyph = str(next(answers_left))
-        else:
-            glyph = cell_text(cell)
-        texts.append(
-            f'<text x="{_num(x + px / 2)}" y="{_num(y + px / 2)}" '
-            f'{text_style} fill="{text_color}">{glyph}</text>'
-        )
-    parts.append('<g class="cells">')
-    parts.extend(rects)
-    parts.append("</g>")
+        parts.append(sheet.texture(rng_seed))
+    parts.append(cells)
     parts.append('<g class="glyphs">')
-    parts.extend(texts)
+    parts.extend(f"{opener}{glyph}</text>" for opener, glyph in zip(openers, glyphs))
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts).encode("utf-8")
