@@ -558,7 +558,7 @@ def punch_blanks(
         blanks = set().union(*eq_blanks.values()) if eq_blanks else set()
         query = answer_grid.with_cells(dict.fromkeys(blanks, TARGET))
         try:
-            trace, _ = deduce(query)
+            trace, _ = deduce(query, equations)  # blanking cannot change the equations
         except (Unsolvable, Contradiction):
             continue
         realized_max = len(trace.steps)

@@ -171,7 +171,9 @@ def _initial_knowns(grid: Grid) -> dict[Coord, int]:
     }
 
 
-def deduce(grid: Grid) -> tuple[SolutionTrace, HopMap]:
+def deduce(
+    grid: Grid, equations: list[Equation] | None = None
+) -> tuple[SolutionTrace, HopMap]:
     """Resolve every target by iterated 2-of-3 deduction.
 
     Each iteration scans all unresolved equations; any with at least two
@@ -179,9 +181,11 @@ def deduce(grid: Grid) -> tuple[SolutionTrace, HopMap]:
     values are committed only after the iteration finishes, so a step never
     depends on values found within the same step. Returns the trace and a
     map from each resolved cell to its hop depth (``trace.hop_depths`` in
-    target order).
+    target order). ``equations``, when given, must be ``detect_equations``
+    of a grid with the same topology, such as the answer grid.
     """
-    equations = detect_equations(grid)
+    if equations is None:
+        equations = detect_equations(grid)
     known = _initial_knowns(grid)
     open_eqs = {eq.id: eq for eq in equations}
     steps: list[tuple[Resolution, ...]] = []

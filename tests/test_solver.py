@@ -21,7 +21,7 @@ from mathgrid.solver import (
 )
 
 
-from conftest import answered_reference_grid
+from conftest import answered_reference_grid, coords
 
 
 def grid_of(text: str):
@@ -156,6 +156,11 @@ class TestDeduce:
         assert by_coord[Coord(4, 0)] == 1
         assert by_coord[Coord(6, 2)] == 2
 
+    def test_answer_grid_equations_give_the_same_deduction(self, mixed_corpus):
+        for example in mixed_corpus:
+            equations = detect_equations(example.answer_grid)
+            assert deduce(example.grid, equations) == deduce(example.grid)
+
     def test_single_equation_with_two_unknowns_is_unsolvable(self):
         grid = grid_of("| ? | + | ? | = | 12 |")
         with pytest.raises(Unsolvable):
@@ -202,7 +207,7 @@ class TestDeduce:
                     resolved_at[res.coord] = i
             originals = {
                 coord
-                for coord in example.grid.coords()
+                for coord in coords(example.grid)
                 if example.grid.at(coord).kind.value == "number"
             }
             for i, step in enumerate(trace.steps, start=1):
