@@ -8,6 +8,7 @@ chain-of-thought verbalization or direct supervised fine-tuning.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from ..core import DatasetExample, Equation, Resolution
@@ -54,17 +55,28 @@ def answer_line(example: DatasetExample) -> str:
 
 
 def export_sft_trajectories(manifest_path: Path | str, out_path: Path | str) -> Path:
-    """Write one JSONL record per manifest example."""
+    """Write one JSONL record per manifest example.
+
+    Records stream to a temporary file beside ``out_path``, which replaces
+    ``out_path`` only once every example is written: a manifest that fails
+    part-way leaves ``out_path`` as it was.
+    """
     template = load_template(TRAJECTORY_TEMPLATE)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", encoding="utf-8") as sink:
-        for example in read_manifest(manifest_path):
-            record = {
-                "example_id": example.id,
-                "prompt": template + "\n" + example.markdown.rstrip("\n") + "\n",
-                "symbolic_solution": format_solution_steps(example),
-                "answer": answer_line(example),
-            }
-            sink.write(json.dumps(record, ensure_ascii=False) + "\n")
+    partial = out_path.with_name(f"{out_path.name}.{os.getpid()}.tmp")
+    try:
+        with partial.open("w", encoding="utf-8") as sink:
+            for example in read_manifest(manifest_path):
+                record = {
+                    "example_id": example.id,
+                    "prompt": template + "\n" + example.markdown.rstrip("\n") + "\n",
+                    "symbolic_solution": format_solution_steps(example),
+                    "answer": answer_line(example),
+                }
+                sink.write(json.dumps(record, ensure_ascii=False) + "\n")
+        os.replace(partial, out_path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return out_path

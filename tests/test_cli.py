@@ -9,7 +9,7 @@ from mathgrid.cli import build_parser, main
 from mathgrid.render.markdown import _OP_ALIASES, parse_markdown
 from mathgrid.manifest import load_manifest
 
-from conftest import REFERENCE_MARKDOWN
+from conftest import REFERENCE_MARKDOWN, coords
 from endpointmock import MockEndpoint
 
 
@@ -376,7 +376,7 @@ def _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt) -> str:
 def _misplace_a_resolution(data):
     # move the first resolution onto a number cell of the grid
     grid = parse_markdown(data["markdown"])
-    row, col = next(c for c in grid.coords() if grid.at(c).kind is CellKind.NUMBER)
+    row, col = next(c for c in coords(grid) if grid.at(c).kind is CellKind.NUMBER)
     data["trace"]["steps"][0][0].update(row=row, col=col)
 
 
@@ -423,8 +423,13 @@ def test_export_sft_rejects_an_unknown_trace_equation(dataset_dir, tmp_path, cap
 
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     example_id = json.loads(open(manifest, encoding="utf-8").read().splitlines()[1])["id"]
-    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    out = tmp_path / "sft.jsonl"
+    out.write_text("earlier export\n", encoding="utf-8")
+    assert main(["export-sft", "--manifest", manifest, "--out", str(out)]) == 1
     _one_error_line(capsys, f"example {example_id}: ", "equation 999")
+    # the first example's record went nowhere: no partial file, no leftovers
+    assert out.read_text(encoding="utf-8") == "earlier export\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl", "sft.jsonl"]
 
 
 @pytest.mark.parametrize("key", [*MANIFEST_KEYS, "non-json", "markdown-not-text"])
