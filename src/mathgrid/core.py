@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, NamedTuple, TYPE_CHECKING
+from typing import NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .generator import GenParams
@@ -136,12 +136,6 @@ class Grid:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError(f"({r}, {c}) outside {self.rows}x{self.cols} grid")
         return self.cells[r * self.cols + c]
-
-    def coords(self) -> Iterator[Coord]:
-        """All coordinates in row-major order."""
-        for r in range(self.rows):
-            for c in range(self.cols):
-                yield Coord(r, c)
 
     def with_cells(self, updates: dict[Coord, Cell]) -> Grid:
         """A copy of the grid with the cells at the given coordinates replaced."""

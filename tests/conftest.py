@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import pytest
 
 from mathgrid import (
     Cell,
+    Coord,
     Difficulty,
     EMPTY,
     EQUALS,
@@ -31,6 +34,13 @@ REFERENCE_MARKDOWN = """\
 """
 
 REFERENCE_ANSWERS = [6, 93, 45, 8]
+
+
+def coords(grid: Grid) -> Iterator[Coord]:
+    """All coordinates of the grid in row-major order."""
+    for r in range(grid.rows):
+        for c in range(grid.cols):
+            yield Coord(r, c)
 
 
 def _n(v: int) -> Cell:

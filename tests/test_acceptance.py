@@ -43,7 +43,7 @@ from mathgrid.render import (
 from mathgrid.render.markdown import cell_text
 from mathgrid.solver import brute_force_oracle, deduce, detect_equations, verify_solution
 
-from conftest import REFERENCE_MARKDOWN
+from conftest import REFERENCE_MARKDOWN, coords
 from endpointmock import MockEndpoint
 
 
@@ -224,7 +224,7 @@ def test_criterion_7_modality_equivalence(stratified_dataset):
                 assert "\n".join(grid_lines) + "\n" == example.markdown
             expected_cells = {
                 coord: cell_text(example.grid.at(coord))
-                for coord in example.grid.coords()
+                for coord in coords(example.grid)
                 if example.grid.at(coord).kind is not CellKind.EMPTY
             }
             for style_id in STYLE_IDS:

@@ -19,7 +19,7 @@ from mathgrid import (
 )
 from mathgrid.solver import deduce
 
-from conftest import reference_grid
+from conftest import coords, reference_grid
 
 
 class TestTargetOrder:
@@ -129,7 +129,7 @@ class TestDatasetInvariants:
     def test_trace_must_resolve_exactly_the_targets(self, mixed_corpus):
         example = mixed_corpus[0]
         first, *later = example.trace.steps
-        number = next(c for c in example.grid.coords() if example.grid.at(c).kind is CellKind.NUMBER)
+        number = next(c for c in coords(example.grid) if example.grid.at(c).kind is CellKind.NUMBER)
         for step in (first[1:], first + (Resolution(0, number, 5),)):
             with pytest.raises(ValueError, match=example.id):
                 replace(example, trace=SolutionTrace((step, *later)))

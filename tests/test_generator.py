@@ -28,6 +28,8 @@ from mathgrid.generator import (
 from mathgrid.manifest import dumps_line
 from mathgrid.solver import Slot, brute_force_oracle, deduce, detect_equations
 
+from conftest import coords
+
 ALL_OPS = (Operator.ADD, Operator.SUB, Operator.MUL, Operator.DIV)
 
 
@@ -216,7 +218,7 @@ class TestBuildSolvedLayout:
     def test_numbers_respect_value_range(self, mixed_corpus):
         for example in mixed_corpus:
             lo, hi = example.gen_params.value_range
-            for coord in example.answer_grid.coords():
+            for coord in coords(example.answer_grid):
                 cell = example.answer_grid.at(coord)
                 if cell.kind is CellKind.NUMBER:
                     assert lo <= cell.value <= hi

@@ -18,7 +18,7 @@ from mathgrid.render import (
     to_markdown,
 )
 
-from conftest import REFERENCE_MARKDOWN
+from conftest import REFERENCE_MARKDOWN, coords
 
 
 class TestToMarkdown:
@@ -211,7 +211,7 @@ class TestRenderImage:
             rendered = dict(extract_text_cells(svg))
             expected = {
                 coord: cell_text(example.grid.at(coord))
-                for coord in example.grid.coords()
+                for coord in coords(example.grid)
                 if example.grid.at(coord).kind is not CellKind.EMPTY
             }
             assert rendered == expected

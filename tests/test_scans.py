@@ -26,19 +26,21 @@ from mathgrid.core import (
 )
 from mathgrid.solver import MalformedGrid, _initial_knowns, detect_equations
 
+from conftest import coords
+
 # -- reference implementations ----------------------------------------------
 
 _PATTERN_OFFSETS = (0, 1, 2, 3, 4)
 
 
 def reference_target_order(grid: Grid) -> list[Coord]:
-    return [coord for coord in grid.coords() if grid.at(coord).kind is CellKind.TARGET]
+    return [coord for coord in coords(grid) if grid.at(coord).kind is CellKind.TARGET]
 
 
 def reference_initial_knowns(grid: Grid) -> dict[Coord, int]:
     return {
         coord: grid.at(coord).value
-        for coord in grid.coords()
+        for coord in coords(grid)
         if grid.at(coord).kind is CellKind.NUMBER
     }
 
@@ -91,7 +93,7 @@ def reference_detect_equations(grid: Grid) -> list[Equation]:
 
     op_cells = {eq.op_cell for eq in equations}
     eq_cells = {eq.eq_cell for eq in equations}
-    for coord in grid.coords():
+    for coord in coords(grid):
         kind = grid.at(coord).kind
         if kind is CellKind.OPERATOR and coord not in op_cells:
             raise MalformedGrid(f"operator at {tuple(coord)} belongs to no equation")
