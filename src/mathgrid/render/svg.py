@@ -108,7 +108,7 @@ class _Sheet:
     everything it draws with, since a custom spec may reuse a built-in id.
     """
 
-    def __init__(self, grid: Grid, answers: tuple[str, ...] | None) -> None:
+    def __init__(self, grid: Grid, answers: tuple[int, ...] | None) -> None:
         self.grid, self.answers = grid, answers
         self.n_targets = len(target_order(grid))
         px, cols = CELL_PX, grid.cols
@@ -137,7 +137,7 @@ class _Sheet:
             glyph = cell_text(cell)
             self.glyphs.append(glyph)
             if answers_left is not None:
-                self.solved.append(next(answers_left) if kind is CellKind.TARGET else glyph)
+                self.solved.append(str(next(answers_left)) if kind is CellKind.TARGET else glyph)
         self.styles: dict[tuple, tuple[str, list[str]]] = {}
         self.textures: dict[int, str] = {}
 
@@ -185,7 +185,7 @@ def render_image(
     color; ``answers`` is required whenever the grid contains targets.
     """
     global _last_sheet
-    key = None if answers is None else tuple(map(str, answers))  # the glyphs drawn
+    key = None if answers is None else tuple(answers)
     sheet = _last_sheet
     if sheet is None or sheet.grid is not grid or sheet.answers != key:
         sheet = _last_sheet = _Sheet(grid, key)

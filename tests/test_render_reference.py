@@ -161,7 +161,7 @@ def test_eight_documents_of_generated_examples_agree(mixed_corpus):
 
 def test_same_grid_with_different_answers():
     grid = reference_grid()
-    for answers in (REFERENCE_ANSWERS, [1, 2, 3, 4], REFERENCE_ANSWERS, [6.0, 93, 45, 8]):
+    for answers in (REFERENCE_ANSWERS, [1, 2, 3, 4], REFERENCE_ANSWERS):
         assert_agrees(grid, STYLES[0], RenderView.SOLUTION, 0, answers)
 
 
