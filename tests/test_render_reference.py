@@ -177,7 +177,8 @@ def test_equal_but_distinct_grid():
 def test_grid_a_then_b_then_a():
     a = reference_grid()
     b = generate(GenParams(difficulty=Difficulty.HARD, seed=mix_seed(3, 1)))
-    for grid, answers in ((a, REFERENCE_ANSWERS), (b.grid, b.gold_answers), (a, REFERENCE_ANSWERS)):
+    renders = [(a, REFERENCE_ANSWERS), (b.grid, b.gold_answers), (a, REFERENCE_ANSWERS)]
+    for grid, answers in renders:
         for view in RenderView:
             assert_agrees(grid, STYLES[0], view, 0, answers)
 
@@ -201,7 +202,8 @@ def test_wrong_answer_count_gives_the_same_error():
 
 
 def test_grid_without_targets_in_solution_view():
-    grid = Grid.from_rows([[cell] for cell in reference_grid().cells if cell.kind is CellKind.NUMBER])
+    numbers = [cell for cell in reference_grid().cells if cell.kind is CellKind.NUMBER]
+    grid = Grid.from_rows([numbers])
     for style in STYLES:
         assert_agrees(grid, style, RenderView.SOLUTION, 3, None)
 
