@@ -145,8 +145,7 @@ class _Sheet:
 
     def style_parts(self, style: StyleSpec) -> tuple[str, dict[str, str]]:
         """The style's cell-rectangle block, and each role's glyph attributes."""
-        key = (tuple(sorted(style.palette.items())), style.border,
-               style.font_family_token, style.background)
+        key = (*style.palette.items(), style.border, style.font_family_token, style.background)
         parts = self.styles.get(key)
         if parts is None:
             palette = style.palette
