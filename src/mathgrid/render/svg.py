@@ -103,11 +103,9 @@ def _texture_elements(width: int, height: int, seed: int) -> list[str]:
 class _Sheet:
     """What the documents of one grid and its answers share.
 
-    Positions, glyphs, the header and each texture are made once; each
+    Positions, glyphs, the header and each texture are made once, and each
     style's cell block and per-role glyph attributes once per style. A style
-    is keyed on everything it draws with, since a custom spec may reuse a
-    built-in id. Glyph elements are joined per document, not stored per
-    style: keeping them raised dataset-build's peak RSS.
+    is keyed on all it draws with: a custom spec may reuse a built-in id.
     """
 
     def __init__(self, grid: Grid, answers: tuple[int, ...] | None) -> None:
@@ -202,13 +200,11 @@ def render_image(
     parts = [sheet.head]
     if style.background == "textured":
         parts.append(sheet.texture(rng_seed))
-    parts.append(cells)
-    parts.append('<g class="glyphs">')
+    parts += [cells, '<g class="glyphs">']
     parts.extend(
         f"{text}{attrs[role]}{glyph}</text>" for (role, _, text), glyph in zip(sheet.drawn, glyphs)
     )
-    parts.append("</g>")
-    parts.append("</svg>")
+    parts += ["</g>", "</svg>"]
     return "\n".join(parts).encode("utf-8")
 
 
