@@ -3,8 +3,9 @@
 The handler reconstructs the puzzle grid from the request itself (markdown
 lines in text parts, or the base64 SVG image part), solves it, and answers
 in the required format. Behavior knobs cover error injection, hop-limited
-answering, and latency; counters expose request totals and the maximum
-number of concurrently served requests.
+answering, latency and a cookie set on every response; counters expose
+request totals and the maximum number of concurrently served requests, and
+the headers of every request are kept.
 """
 
 from __future__ import annotations
@@ -61,13 +62,16 @@ class MockEndpoint:
         fail_first_n: int = 0,
         fail_status: int = 500,
         latency_s: float = 0.0,
+        set_cookie: str | None = None,
     ):
         self.mode = mode
         self.fail_ids = set(fail_ids or ())
         self.fail_first_n = fail_first_n
         self.fail_status = fail_status
         self.latency_s = latency_s
+        self.set_cookie = set_cookie
         self.requests_total = 0
+        self.request_headers: list[dict[str, str]] = []
         self.max_inflight = 0
         self._inflight = 0
         self._lock = threading.Lock()
@@ -148,6 +152,7 @@ class MockEndpoint:
         with self._lock:
             self.requests_total += 1
             request_index = self.requests_total
+            self.request_headers.append(dict(request.headers.items()))
             self._inflight += 1
             self.max_inflight = max(self.max_inflight, self._inflight)
         try:
@@ -175,11 +180,12 @@ class MockEndpoint:
             with self._lock:
                 self._inflight -= 1
 
-    @staticmethod
-    def _respond(request: BaseHTTPRequestHandler, status: int, payload: dict) -> None:
+    def _respond(self, request: BaseHTTPRequestHandler, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")
         request.send_response(status)
         request.send_header("Content-Type", "application/json")
+        if self.set_cookie is not None:
+            request.send_header("Set-Cookie", self.set_cookie)
         request.send_header("Content-Length", str(len(body)))
         request.end_headers()
         request.wfile.write(body)

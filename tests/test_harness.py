@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import sys
 
 import pytest
 
@@ -115,6 +117,13 @@ class TestBuildPrompt:
         with pytest.raises(MissingStyleArtifact):
             build_prompt(no_images, Modality.IMAGE_ONLY, "original")
 
+    def test_missing_image_file_raises(self, tmp_path):
+        example = _example_with_images(tmp_path)
+        path = tmp_path / example.images["original"]
+        path.unlink()
+        with pytest.raises(MissingStyleArtifact, match=re.escape(f"image file {path} is missing")):
+            build_prompt(example, Modality.IMAGE_TEXT, "original", tmp_path)
+
 
 class TestWireFormat:
     def test_messages_embed_base64_data_url(self, tmp_path):
@@ -203,6 +212,15 @@ def _config(url, **overrides) -> EndpointConfig:
     )
     base.update(overrides)
     return EndpointConfig(**base)
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clear every proxy variable of the process; the test sets its own."""
+    for name in list(os.environ):
+        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
 
 
 class TestRunBenchmark:
@@ -432,6 +450,73 @@ class TestRunBenchmark:
             )
             assert server.requests_total == n + 2
         assert all(r.status == "ok" for r in load_run_records(run_path))
+
+    def test_requests_go_through_the_environment_proxy(self, dataset_dir, tmp_path, proxy_env):
+        # the endpoint's host does not resolve: only the proxy can answer
+        manifest = dataset_dir / "manifest.jsonl"
+        with MockEndpoint(manifest) as proxy:
+            proxy_env.setenv("HTTP_PROXY", proxy.base_url)
+            run_path = run_benchmark(
+                manifest,
+                _config("http://mathgrid-endpoint.invalid", max_retries=0),
+                Modality.TEXT_ONLY,
+                None,
+                tmp_path / "run.jsonl",
+            )
+            assert proxy.requests_total == len(load_manifest(manifest))
+        assert all(r.status == "ok" for r in load_run_records(run_path))
+        assert score_run(run_path, manifest).micro == 1.0
+
+    def test_no_proxy_bypasses_the_environment_proxy(self, dataset_dir, tmp_path, proxy_env):
+        manifest = dataset_dir / "manifest.jsonl"
+        proxy_env.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        proxy_env.setenv("NO_PROXY", "127.0.0.1")
+        with MockEndpoint(manifest) as server:
+            run_path = run_benchmark(
+                manifest,
+                _config(server.base_url, max_retries=0),
+                Modality.TEXT_ONLY,
+                None,
+                tmp_path / "run.jsonl",
+            )
+        assert all(r.status == "ok" for r in load_run_records(run_path))
+
+    def test_no_request_carries_a_cookie(self, dataset_dir, tmp_path):
+        manifest = dataset_dir / "manifest.jsonl"
+        with MockEndpoint(manifest, set_cookie="session=abc; Path=/") as server:
+            run_path = run_benchmark(
+                manifest,
+                _config(server.base_url, max_concurrency=1),
+                Modality.TEXT_ONLY,
+                None,
+                tmp_path / "run.jsonl",
+            )
+            headers = server.request_headers
+        assert len(headers) == len(load_manifest(manifest))
+        assert not [h for h in headers if "cookie" in {k.lower() for k in h}]
+        assert all(r.status == "ok" for r in load_run_records(run_path))
+
+    def test_many_workers_share_the_run(self, dataset_dir, tmp_path):
+        # more workers than cores, switching threads often
+        manifest = dataset_dir / "manifest.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MockEndpoint(manifest) as server:
+                run_path = run_benchmark(
+                    manifest,
+                    _config(server.base_url, max_concurrency=8),
+                    Modality.IMAGE_TEXT,
+                    "original",
+                    tmp_path / "run.jsonl",
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        records = load_run_records(run_path)
+        assert len(records) == len(load_manifest(manifest))
+        assert all(r.status == "ok" for r in records)
+        report = score_run(run_path, manifest)
+        assert report.micro == 1.0 and report.macro == 1.0
 
     def test_score_run_rejects_unknown_ids(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"
