@@ -10,7 +10,7 @@ from pathlib import Path
 from .core import Difficulty, MathGridError, Operator
 from .evaluation import format_metrics_table
 from .generator import GenParams, generate_batch, write_example_images
-from .harness.client import EndpointConfig, Modality, run_benchmark, score_run
+from .harness.client import ConfigError, EndpointConfig, Modality, run_benchmark, score_run
 from .harness.sft import export_sft_trajectories
 from .manifest import load_manifest, write_manifest
 from .render.markdown import _OP_ALIASES, parse_markdown
@@ -120,7 +120,9 @@ def _cmd_export_sft(args: argparse.Namespace) -> int:
 def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
     data: dict = {}
     if args.config:
-        data.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: endpoint config must be a JSON object")
     if args.endpoint:
         data["base_url"] = args.endpoint
     if args.model:

@@ -40,6 +40,14 @@ class ManifestMismatch(MathGridError):
     """Run records reference examples not present in the manifest."""
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Where and how to send chat-completion requests.
@@ -63,14 +71,24 @@ class EndpointConfig:
     backoff_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.base_url:
-            raise ConfigError("base_url is required")
-        if not self.model_name:
-            raise ConfigError("model_name is required")
-        if self.max_concurrency < 1:
-            raise ConfigError("max_concurrency must be >= 1")
-        if self.max_retries < 0:
-            raise ConfigError("max_retries must be >= 0")
+        for name in ("base_url", "model_name", "path", "model_field"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ConfigError(f"{name} must be a non-empty string, not {value!r}")
+        if self.auth_token_env is not None and not isinstance(self.auth_token_env, str):
+            raise ConfigError(
+                f"auth_token_env must be a string or null, not {self.auth_token_env!r}"
+            )
+        for name, least in (("max_concurrency", 1), ("max_retries", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
+        if not _is_number(self.timeout_s) or not self.timeout_s > 0:
+            raise ConfigError(f"timeout_s must be a number > 0, not {self.timeout_s!r}")
+        if not _is_number(self.backoff_s) or not self.backoff_s >= 0:
+            raise ConfigError(f"backoff_s must be a number >= 0, not {self.backoff_s!r}")
+        if not isinstance(self.sampling, dict):
+            raise ConfigError(f"sampling must be an object, not {self.sampling!r}")
 
     @property
     def url(self) -> str:

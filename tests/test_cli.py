@@ -352,6 +352,44 @@ def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"max_concurrency": "2"},
+        {"max_concurrency": True},
+        {"max_retries": -1},
+        {"max_retries": 1.5},
+        {"sampling": [1]},
+        {"timeout_s": -1},
+        {"timeout_s": "30"},
+        {"backoff_s": -0.5},
+        {"path": ""},
+        {"model_field": None},
+        {"model_name": 7},
+        {"auth_token_env": 3},
+        ["base_url", "model_name"],
+    ],
+    ids=lambda config: json.dumps(config),
+)
+def test_wrongly_typed_endpoint_config_errors(dataset_dir, tmp_path, capsys, config):
+    named = next(iter(config)) if isinstance(config, dict) else "must be a JSON object"
+    with MockEndpoint() as server:
+        if isinstance(config, dict):
+            config = {"base_url": server.base_url, "model_name": "m", **config}
+        config_path = tmp_path / "endpoint.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [
+            "bench", "run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+            "--out", str(tmp_path / "run.jsonl"), "--config", str(config_path),
+        ]
+        assert main(argv) == 1
+        assert server.requests_total == 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "run.jsonl").exists()
+
+
 MANIFEST_KEYS = (
     "id", "difficulty", "seed", "markdown", "gold_answers",
     "hop_depths", "images", "gen_params", "trace",
