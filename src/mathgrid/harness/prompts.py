@@ -80,12 +80,14 @@ def _image_part(
     path = Path(example.images[style_id])
     if images_root is not None:
         path = Path(images_root) / path
-    if not path.exists():
-        raise MissingStyleArtifact(f"image file {path} is missing")
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise MissingStyleArtifact(f"image file {path} is missing") from None
     media_type = _MEDIA_TYPES.get(path.suffix.lower())
     if media_type is None:
         raise MissingStyleArtifact(f"unsupported image type {path.suffix!r}")
-    return ImagePart(data=path.read_bytes(), media_type=media_type)
+    return ImagePart(data=data, media_type=media_type)
 
 
 def build_prompt(
