@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import http.cookiejar
 import json
 import os
 import sys
@@ -210,8 +211,49 @@ def response_text(data: dict) -> str:
     return content
 
 
-def _send_once(config: EndpointConfig, payload: dict) -> str:
-    resp = requests.post(
+def _open_session(config: EndpointConfig) -> requests.Session:
+    """The session that every request of one run goes through.
+
+    It reads from the environment once, for ``config.url``, what a session
+    per request would read on every call: the proxies (``NO_PROXY``
+    honoured), netrc auth and the CA bundle. It keeps no cookies, so no
+    request carries state from an earlier one.
+    """
+    session = requests.Session()
+    session.trust_env = False
+    session.proxies = requests.utils.get_environ_proxies(config.url)
+    session.auth = requests.utils.get_netrc_auth(config.url)
+    session.verify = (
+        os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
+    )
+    session.cookies.set_policy(http.cookiejar.DefaultCookiePolicy(allowed_domains=()))
+    # One connection per request: keep-alive is slower against a stdlib HTTP
+    # server such as perfbench/endpoint.py, which writes headers and body
+    # separately, so a kept-alive request waits on Nagle's algorithm meeting
+    # delayed ACKs (22 ms per request there, against 1.4 ms when each request
+    # opens its own connection).
+    session.headers["Connection"] = "close"
+    session.hooks["response"].append(_retire_connection)
+    return session
+
+
+def _retire_connection(response: requests.Response, **_) -> None:
+    """Keep a connection that asked for ``Connection: close`` out of reuse.
+
+    A stdlib HTTP/1.1 server closes such a connection without saying so in
+    its response, so the pool would hand it to the next request, which then
+    fails if the server's close has not arrived yet. Like ``http.client``
+    when a server does say so, this leaves the socket to the response, which
+    closes it once read, and the pool opens a new connection.
+    """
+    connection = response.raw.connection
+    if connection is not None and connection.sock is not None:
+        sock, connection.sock = connection.sock, None
+        sock.close()
+
+
+def _send_once(session: requests.Session, config: EndpointConfig, payload: dict) -> str:
+    resp = session.post(
         config.url, json=payload, headers=config.headers(), timeout=config.timeout_s
     )
     if resp.status_code in (408, 429) or resp.status_code >= 500:
@@ -220,11 +262,13 @@ def _send_once(config: EndpointConfig, payload: dict) -> str:
     return response_text(resp.json())
 
 
-def _send_with_retries(config: EndpointConfig, payload: dict) -> str:
+def _send_with_retries(
+    session: requests.Session, config: EndpointConfig, payload: dict
+) -> str:
     attempt = 0
     while True:
         try:
-            return _send_once(config, payload)
+            return _send_once(session, config, payload)
         except requests.HTTPError:  # a 4xx other than 408/429 fails the same way again
             raise
         except (requests.RequestException, ValueError):
@@ -270,11 +314,11 @@ def run_benchmark(
         if fingerprint not in done:
             todo.append((example, fingerprint))
 
-    def one(example, fingerprint) -> RunRecord:
+    def one(session, example, fingerprint) -> RunRecord:
         started = time.monotonic()
         try:
             parts = build_prompt(example, modality, style_id, manifest_path.parent)
-            text = _send_with_retries(endpoint, build_chat_payload(parts, endpoint))
+            text = _send_with_retries(session, endpoint, build_chat_payload(parts, endpoint))
             status, error = "ok", None
         except Exception as exc:  # noqa: BLE001 - isolate per-record failures
             text, status, error = "", "error", f"{type(exc).__name__}: {exc}"
@@ -291,9 +335,9 @@ def run_benchmark(
         )
 
     if todo:
-        with out_path.open("a", encoding="utf-8") as sink:
+        with _open_session(endpoint) as session, out_path.open("a", encoding="utf-8") as sink:
             with ThreadPoolExecutor(max_workers=endpoint.max_concurrency) as pool:
-                futures = [pool.submit(one, ex, fp) for ex, fp in todo]
+                futures = [pool.submit(one, session, ex, fp) for ex, fp in todo]
                 for future in as_completed(futures):
                     record = future.result()
                     sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")

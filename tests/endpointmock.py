@@ -3,9 +3,11 @@
 The handler reconstructs the puzzle grid from the request itself (markdown
 lines in text parts, or the base64 SVG image part), solves it, and answers
 in the required format. Behavior knobs cover error injection, hop-limited
-answering, latency and a cookie set on every response; counters expose
-request totals and the maximum number of concurrently served requests, and
-the headers of every request are kept.
+answering, latency before a response and a wait after it, a cookie set on
+every response and the HTTP version;
+counters expose request totals and the maximum number of concurrently
+served requests, and the headers and client address of every request are
+kept.
 """
 
 from __future__ import annotations
@@ -62,16 +64,21 @@ class MockEndpoint:
         fail_first_n: int = 0,
         fail_status: int = 500,
         latency_s: float = 0.0,
+        close_delay_s: float = 0.0,
         set_cookie: str | None = None,
+        protocol_version: str = "HTTP/1.0",
     ):
         self.mode = mode
         self.fail_ids = set(fail_ids or ())
         self.fail_first_n = fail_first_n
         self.fail_status = fail_status
         self.latency_s = latency_s
+        self.close_delay_s = close_delay_s  # wait after responding, before a close
         self.set_cookie = set_cookie
+        self.protocol_version = protocol_version
         self.requests_total = 0
         self.request_headers: list[dict[str, str]] = []
+        self.request_peers: list[tuple[str, int]] = []
         self.max_inflight = 0
         self._inflight = 0
         self._lock = threading.Lock()
@@ -90,6 +97,8 @@ class MockEndpoint:
         endpoint = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = self.protocol_version
+
             def log_message(self, *args):  # silence test output
                 pass
 
@@ -153,6 +162,7 @@ class MockEndpoint:
             self.requests_total += 1
             request_index = self.requests_total
             self.request_headers.append(dict(request.headers.items()))
+            self.request_peers.append(request.client_address)
             self._inflight += 1
             self.max_inflight = max(self.max_inflight, self._inflight)
         try:
@@ -179,6 +189,7 @@ class MockEndpoint:
         finally:
             with self._lock:
                 self._inflight -= 1
+            time.sleep(self.close_delay_s)
 
     def _respond(self, request: BaseHTTPRequestHandler, status: int, payload: dict) -> None:
         body = json.dumps(payload).encode("utf-8")

@@ -496,6 +496,23 @@ class TestRunBenchmark:
         assert not [h for h in headers if "cookie" in {k.lower() for k in h}]
         assert all(r.status == "ok" for r in load_run_records(run_path))
 
+    def test_each_request_gets_its_own_connection(self, dataset_dir, tmp_path):
+        # an HTTP/1.1 server that closes each connection late and without
+        # saying so: a reused connection would fail, and nothing retries here
+        manifest = dataset_dir / "manifest.jsonl"
+        with MockEndpoint(manifest, close_delay_s=0.05, protocol_version="HTTP/1.1") as server:
+            run_path = run_benchmark(
+                manifest,
+                _config(server.base_url, max_concurrency=1, max_retries=0),
+                Modality.IMAGE_TEXT,
+                "original",
+                tmp_path / "run.jsonl",
+            )
+            peers = server.request_peers
+        assert all(r.status == "ok" for r in load_run_records(run_path))
+        assert len(set(peers)) == len(peers) == len(load_manifest(manifest))
+        assert all(h.get("Connection") == "close" for h in server.request_headers)
+
     def test_many_workers_share_the_run(self, dataset_dir, tmp_path):
         # more workers than cores, switching threads often
         manifest = dataset_dir / "manifest.jsonl"
