@@ -227,11 +227,10 @@ def _open_session(config: EndpointConfig) -> requests.Session:
         os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
     )
     session.cookies.set_policy(http.cookiejar.DefaultCookiePolicy(allowed_domains=()))
-    # One connection per request: keep-alive is slower against a stdlib HTTP
-    # server such as perfbench/endpoint.py, which writes headers and body
-    # separately, so a kept-alive request waits on Nagle's algorithm meeting
-    # delayed ACKs (22 ms per request there, against 1.4 ms when each request
-    # opens its own connection).
+    # One connection per request. A stdlib HTTP server such as
+    # perfbench/endpoint.py writes headers and body separately, so on a
+    # kept-alive connection each response waits for a delayed ACK: 22 ms per
+    # request there, against 1.4 ms with a new connection each time.
     session.headers["Connection"] = "close"
     session.hooks["response"].append(_retire_connection)
     return session
