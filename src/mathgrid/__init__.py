@@ -7,73 +7,15 @@ into information-equivalent markdown and SVG forms. The harness sends those
 to a chat-completion endpoint and scores the answers.
 """
 
-from .core import (
-    Cell,
-    CellKind,
-    Coord,
-    DatasetExample,
-    Difficulty,
-    EMPTY,
-    EQUALS,
-    Equation,
-    Grid,
-    MathGridError,
-    Operator,
-    Orientation,
-    Resolution,
-    SolutionTrace,
-    TARGET,
-    target_order,
-)
-from .generator import (
-    DifficultyProfile,
-    GenParams,
-    PROFILES,
-    build_solved_layout,
-    generate,
-    generate_batch,
-    punch_blanks,
-    sample_equation,
-)
-from .solver import (
-    brute_force_oracle,
-    deduce,
-    detect_equations,
-    solve_missing,
-    verify_solution,
-)
-
-__version__ = "0.1.0"
+from .core import Difficulty
+from .generator import GenParams, generate
+from .solver import brute_force_oracle, deduce, verify_solution
 
 __all__ = [
-    "Cell",
-    "CellKind",
-    "Coord",
-    "DatasetExample",
     "Difficulty",
-    "EMPTY",
-    "EQUALS",
-    "Equation",
-    "Grid",
-    "MathGridError",
-    "Operator",
-    "Orientation",
-    "Resolution",
-    "SolutionTrace",
-    "TARGET",
-    "target_order",
-    "DifficultyProfile",
     "GenParams",
-    "PROFILES",
-    "build_solved_layout",
     "generate",
-    "generate_batch",
-    "punch_blanks",
-    "sample_equation",
     "brute_force_oracle",
     "deduce",
-    "detect_equations",
-    "solve_missing",
     "verify_solution",
-    "__version__",
 ]

@@ -14,7 +14,7 @@ from .harness.client import ConfigError, EndpointConfig, Modality, run_benchmark
 from .harness.sft import export_sft_trajectories
 from .manifest import load_manifest, write_manifest
 from .render.markdown import _OP_ALIASES, parse_markdown
-from .render.svg import RenderView, STYLE_IDS, StyleSpec, render_image
+from .render.svg import RenderView, STYLE_IDS, render_image
 from .solver import deduce
 
 
@@ -71,11 +71,10 @@ def _cmd_render(args: argparse.Namespace) -> int:
         if len(styles) > 1:
             raise MathGridError(f"--markdown renders one style, got {args.styles!r}")
         grid = parse_markdown(Path(args.markdown).read_text(encoding="utf-8"))
-        style = StyleSpec.of(styles[0])
         view = RenderView(args.view or "query")
         answers = deduce(grid)[0].answers if view is RenderView.SOLUTION else None
         out = Path(args.out)
-        out.write_bytes(render_image(grid, style, view, args.seed or 0, answers=answers))
+        out.write_bytes(render_image(grid, styles[0], view, args.seed or 0, answers=answers))
         print(f"wrote {out}")
         return 0
     if args.view is not None or args.seed is not None:
@@ -111,9 +110,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_sft(args: argparse.Namespace) -> int:
-    out = export_sft_trajectories(args.manifest, args.out)
-    n = sum(1 for _ in open(out, encoding="utf-8"))
-    print(f"wrote {n} trajectory records to {out}")
+    n = export_sft_trajectories(args.manifest, args.out)
+    print(f"wrote {n} trajectory records to {Path(args.out)}")
     return 0
 
 

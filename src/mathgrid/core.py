@@ -95,11 +95,6 @@ class Cell:
     def operator(op: Operator) -> Cell:
         return Cell(CellKind.OPERATOR, op=op)
 
-    @property
-    def is_operand(self) -> bool:
-        """Numbers and targets are the operand-capable cells."""
-        return self.kind in (CellKind.NUMBER, CellKind.TARGET)
-
 
 EMPTY = Cell(CellKind.EMPTY)
 EQUALS = Cell(CellKind.EQUALS)

@@ -33,7 +33,7 @@ from .core import (
     target_order,  # unused here; perfbench/tracing.py counts calls under this name
 )
 from .render.markdown import to_markdown
-from .render.svg import STYLE_IDS, RenderView, StyleSpec, render_image, texture_seed_for
+from .render.svg import STYLE_IDS, RenderView, render_image, texture_seed_for
 from .solver import INVERSE_SLOT, Contradiction, Slot, Unsolvable, deduce, detect_equations
 
 _M64 = (1 << 64) - 1
@@ -593,10 +593,9 @@ def write_example_images(
     texture_seed = texture_seed_for(example_id)
     images: dict[str, str] = {}
     for style_id in styles:
-        style = StyleSpec.of(style_id)
         for view in (RenderView.QUERY, RenderView.SOLUTION):
             name = f"images/{example_id}.{view.value}.{style_id}.svg"
-            svg = render_image(query, style, view, texture_seed, answers=gold_answers)
+            svg = render_image(query, style_id, view, texture_seed, answers=gold_answers)
             (out_dir / name).write_bytes(svg)
         images[style_id] = f"images/{example_id}.query.{style_id}.svg"
     return images

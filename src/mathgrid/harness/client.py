@@ -56,8 +56,8 @@ class EndpointConfig:
     The auth token is read from the environment variable named by
     ``auth_token_env`` at request time and never stored. ``sampling`` is
     passed through into the request body untouched (temperature, top_p,
-    max_tokens, ...); endpoint-dialect differences are covered by ``path``
-    and ``model_field``.
+    max_tokens, ...), but may not set the model field or the messages;
+    endpoint-dialect differences are covered by ``path`` and ``model_field``.
     """
 
     base_url: str
@@ -90,6 +90,9 @@ class EndpointConfig:
             raise ConfigError(f"backoff_s must be a number >= 0, not {self.backoff_s!r}")
         if not isinstance(self.sampling, dict):
             raise ConfigError(f"sampling must be an object, not {self.sampling!r}")
+        for key in (self.model_field, "messages"):
+            if key in self.sampling:
+                raise ConfigError(f"sampling may not set {key!r}: the request builds it")
 
     @property
     def url(self) -> str:

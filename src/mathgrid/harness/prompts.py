@@ -69,6 +69,11 @@ def template_for(modality: Modality) -> str:
     return load_template(_TEMPLATE_FILES[modality])
 
 
+def text_prompt(template: str, markdown: str) -> str:
+    """The template followed by the markdown grid, as text prompts carry it."""
+    return template + "\n" + markdown.rstrip("\n") + "\n"
+
+
 def _image_part(
     example: DatasetExample, style_id: str | None, images_root: Path | str | None
 ) -> ImagePart:
@@ -103,12 +108,9 @@ def build_prompt(
     preceding the image in the combined case.
     """
     instruction = template_for(modality)
-    grid_text = example.markdown.rstrip("\n")
-    if modality is Modality.TEXT_ONLY:
-        return (TextPart(instruction + "\n" + grid_text + "\n"),)
     if modality is Modality.IMAGE_ONLY:
         return (TextPart(instruction), _image_part(example, style_id, images_root))
-    return (
-        TextPart(instruction + "\n" + grid_text + "\n"),
-        _image_part(example, style_id, images_root),
-    )
+    text = TextPart(text_prompt(instruction, example.markdown))
+    if modality is Modality.TEXT_ONLY:
+        return (text,)
+    return (text, _image_part(example, style_id, images_root))

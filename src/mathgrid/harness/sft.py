@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import closing
 from pathlib import Path
 
 from ..core import DatasetExample, Equation, Resolution
 from ..manifest import read_manifest
 from ..render.markdown import cell_text
 from ..solver import detect_equations
-from .prompts import TRAJECTORY_TEMPLATE, load_template
+from .prompts import TRAJECTORY_TEMPLATE, load_template, text_prompt
 
 
 def _equation_text(eq: Equation, example: DatasetExample, resolved: Resolution) -> str:
@@ -54,8 +55,8 @@ def answer_line(example: DatasetExample) -> str:
     return "<answer>" + " ".join(str(v) for v in example.gold_answers) + "</answer>"
 
 
-def export_sft_trajectories(manifest_path: Path | str, out_path: Path | str) -> Path:
-    """Write one JSONL record per manifest example.
+def export_sft_trajectories(manifest_path: Path | str, out_path: Path | str) -> int:
+    """Write one JSONL record per manifest example; return how many.
 
     Records stream to a temporary file beside ``out_path``, which replaces
     ``out_path`` only once every example is written: a manifest that fails
@@ -65,18 +66,24 @@ def export_sft_trajectories(manifest_path: Path | str, out_path: Path | str) -> 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     partial = out_path.with_name(f"{out_path.name}.{os.getpid()}.tmp")
+    count = 0
     try:
-        with partial.open("w", encoding="utf-8") as sink:
-            for example in read_manifest(manifest_path):
+        # closing() shuts the manifest file even when an example fails mid-way
+        with (
+            partial.open("w", encoding="utf-8") as sink,
+            closing(read_manifest(manifest_path)) as examples,
+        ):
+            for example in examples:
                 record = {
                     "example_id": example.id,
-                    "prompt": template + "\n" + example.markdown.rstrip("\n") + "\n",
+                    "prompt": text_prompt(template, example.markdown),
                     "symbolic_solution": format_solution_steps(example),
                     "answer": answer_line(example),
                 }
                 sink.write(json.dumps(record, ensure_ascii=False) + "\n")
+                count += 1
         os.replace(partial, out_path)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
-    return out_path
+    return count

@@ -1,24 +1,12 @@
 """Grid serialization: markdown tables and styled SVG images."""
 
-from .markdown import ParseError, cell_text, parse_markdown, to_markdown
-from .svg import (
-    STYLE_IDS,
-    RenderView,
-    StyleSpec,
-    extract_text_cells,
-    render_image,
-    texture_seed_for,
-)
+from .markdown import parse_markdown, to_markdown
+from .svg import STYLE_IDS, RenderView, render_image
 
 __all__ = [
-    "ParseError",
-    "cell_text",
     "parse_markdown",
     "to_markdown",
     "STYLE_IDS",
     "RenderView",
-    "StyleSpec",
-    "extract_text_cells",
     "render_image",
-    "texture_seed_for",
 ]

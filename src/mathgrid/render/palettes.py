@@ -2,8 +2,7 @@
 
 Color roles follow the conventional cross-math look: blue cells for fixed
 constants, white cells with red text for targets, yellow cells for operator
-and equals signs. Exact hex values here are presentation defaults; swap
-them per StyleSpec if a different scheme is wanted.
+and equals signs.
 """
 
 from __future__ import annotations

@@ -12,58 +12,25 @@ import enum
 import random
 import xml.etree.ElementTree as ET
 import zlib
-from dataclasses import dataclass, field
 
 from ..core import CellKind, Coord, Grid, MathGridError, target_order
 from . import palettes
 from .markdown import cell_text
 
-STYLE_IDS = ("original", "borderless", "background", "altfontcolor")
+# style id -> (cell borders, textured backdrop, font family, role palette)
+_STYLES = {
+    "original": (True, False, palettes.DEFAULT_FONT, palettes.ORIGINAL_PALETTE),
+    "borderless": (False, False, palettes.DEFAULT_FONT, palettes.ORIGINAL_PALETTE),
+    "background": (True, True, palettes.DEFAULT_FONT, palettes.ORIGINAL_PALETTE),
+    "altfontcolor": (True, False, palettes.ALT_FONT, palettes.ALT_PALETTE),
+}
+STYLE_IDS = tuple(_STYLES)
 CELL_PX = 64
 
 
 class RenderView(enum.Enum):
     QUERY = "query"
     SOLUTION = "solution"
-
-
-@dataclass(frozen=True)
-class StyleSpec:
-    """Presentation parameters for one image style."""
-
-    style_id: str
-    palette: dict[str, tuple[str, str]] = field(
-        default_factory=lambda: dict(palettes.ORIGINAL_PALETTE)
-    )
-    border: bool = True
-    background: str = "plain"  # or "textured"
-    font_family_token: str = palettes.DEFAULT_FONT
-
-    def __post_init__(self) -> None:
-        missing = {"constant", "target", "operator", "equals", "empty"} - set(self.palette)
-        if missing:
-            raise ValueError(f"palette missing roles: {sorted(missing)}")
-        if self.style_id == "borderless" and self.border:
-            raise ValueError("borderless style cannot draw borders")
-        if self.style_id == "background" and self.background != "textured":
-            raise ValueError("background style requires a textured backdrop")
-
-    @staticmethod
-    def of(style_id: str) -> StyleSpec:
-        """Built-in spec for one of the four standard styles."""
-        if style_id == "original":
-            return StyleSpec("original")
-        if style_id == "borderless":
-            return StyleSpec("borderless", border=False)
-        if style_id == "background":
-            return StyleSpec("background", background="textured")
-        if style_id == "altfontcolor":
-            return StyleSpec(
-                "altfontcolor",
-                palette=dict(palettes.ALT_PALETTE),
-                font_family_token=palettes.ALT_FONT,
-            )
-        raise ValueError(f"unknown style {style_id!r}; expected one of {STYLE_IDS}")
 
 
 def texture_seed_for(example_id: str) -> int:
@@ -104,8 +71,7 @@ class _Sheet:
     """What the documents of one grid and its answers share.
 
     Positions, glyphs, the header and each texture are made once, and each
-    style's cell block and per-role glyph attributes once per style. A style
-    is keyed on all it draws with: a custom spec may reuse a built-in id.
+    style's cell block and per-role glyph attributes once per style.
     """
 
     def __init__(self, grid: Grid, answers: tuple[int, ...] | None) -> None:
@@ -138,23 +104,24 @@ class _Sheet:
             self.glyphs.append(glyph)
             if answers_left is not None:
                 self.solved.append(str(next(answers_left)) if kind is CellKind.TARGET else glyph)
-        self.styles: dict[tuple, tuple[str, dict[str, str]]] = {}
+        self.styles: dict[str, tuple[str, dict[str, str]]] = {}
         self.textures: dict[int, str] = {}
 
-    def style_parts(self, style: StyleSpec) -> tuple[str, dict[str, str]]:
+    def style_parts(self, style_id: str) -> tuple[str, dict[str, str]]:
         """The style's cell-rectangle block, and each role's glyph attributes."""
-        key = (*style.palette.items(), style.border, style.font_family_token, style.background)
-        parts = self.styles.get(key)
+        parts = self.styles.get(style_id)
         if parts is None:
-            palette = style.palette
-            stroke = f' stroke="{palettes.BORDER_COLOR}" stroke-width="2"' if style.border else ""
+            border, _, font, palette = _STYLES[style_id]
+            stroke = f' stroke="{palettes.BORDER_COLOR}" stroke-width="2"' if border else ""
             text_style = (
                 'text-anchor="middle" dominant-baseline="central" '
-                f'font-family="{style.font_family_token}" font-size="{round(CELL_PX * 0.42)}"'
+                f'font-family="{font}" font-size="{round(CELL_PX * 0.42)}"'
             )
             rects = [f'{rect}{palette[role][0]}"{stroke}/>' for role, rect, _ in self.drawn]
             attrs = {role: f'{text_style} fill="{color}">' for role, (_, color) in palette.items()}
-            parts = self.styles[key] = ("\n".join(['<g class="cells">', *rects, "</g>"]), attrs)
+            parts = self.styles[style_id] = (
+                "\n".join(['<g class="cells">', *rects, "</g>"]), attrs
+            )
         return parts
 
     def texture(self, seed: int) -> str:
@@ -173,17 +140,19 @@ _last_sheet: _Sheet | None = None
 
 def render_image(
     grid: Grid,
-    style: StyleSpec,
+    style_id: str,
     view: RenderView = RenderView.QUERY,
     rng_seed: int = 0,
     answers: list[int] | tuple[int, ...] | None = None,
 ) -> bytes:
-    """Render the grid as standalone SVG bytes.
+    """Render the grid as standalone SVG bytes in one of ``STYLE_IDS``.
 
     In SOLUTION view, targets display their answer value in the target text
     color; ``answers`` is required whenever the grid contains targets.
     """
     global _last_sheet
+    if style_id not in _STYLES:
+        raise ValueError(f"unknown style {style_id!r}; expected one of {STYLE_IDS}")
     key = None if answers is None else tuple(answers)
     sheet = _last_sheet
     if sheet is None or sheet.grid is not grid or sheet.answers != key:
@@ -196,9 +165,9 @@ def render_image(
                 f"{'none' if answers is None else len(answers)}"
             )
         glyphs = sheet.solved
-    cells, attrs = sheet.style_parts(style)
+    cells, attrs = sheet.style_parts(style_id)
     parts = [sheet.head]
-    if style.background == "textured":
+    if _STYLES[style_id][1]:
         parts.append(sheet.texture(rng_seed))
     parts += [cells, '<g class="glyphs">']
     parts.extend(

@@ -4,19 +4,8 @@ from collections.abc import Iterator
 
 import pytest
 
-from mathgrid import (
-    Cell,
-    Coord,
-    Difficulty,
-    EMPTY,
-    EQUALS,
-    GenParams,
-    Grid,
-    Operator,
-    TARGET,
-    generate,
-    target_order,
-)
+from mathgrid import Difficulty, GenParams, generate
+from mathgrid.core import Cell, Coord, EMPTY, EQUALS, Grid, Operator, TARGET, target_order
 from mathgrid.generator import mix_seed
 from mathgrid.manifest import write_manifest
 

@@ -19,9 +19,10 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from mathgrid import Cell, CellKind, Grid, Operator
+from mathgrid.core import Cell, CellKind, Grid, Operator
 from mathgrid.manifest import load_manifest
-from mathgrid.render import extract_text_cells, parse_markdown, to_markdown
+from mathgrid.render import parse_markdown, to_markdown
+from mathgrid.render.svg import extract_text_cells
 from mathgrid.solver import deduce
 
 _DATA_URL = re.compile(r"^data:(?P<media>[^;]+);base64,(?P<payload>.*)$", re.DOTALL)
@@ -106,7 +107,10 @@ class MockEndpoint:
                 endpoint._handle(self)
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll keeps shutdown() in __exit__ from waiting out the 0.5 s default
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self._thread.start()
         return self
 

@@ -12,13 +12,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from mathgrid import (
-    CellKind,
-    Difficulty,
-    GenParams,
-    generate,
-    target_order,
-)
+from mathgrid import Difficulty, GenParams, generate
+from mathgrid.core import CellKind, target_order
 from mathgrid.cli import main
 from mathgrid.evaluation import (
     CellScore,
@@ -31,15 +26,8 @@ from mathgrid.generator import mix_seed
 from mathgrid.harness import Modality, build_prompt, run_benchmark, score_run
 from mathgrid.harness.prompts import TextPart
 from mathgrid.manifest import write_manifest
-from mathgrid.render import (
-    RenderView,
-    STYLE_IDS,
-    StyleSpec,
-    extract_text_cells,
-    parse_markdown,
-    render_image,
-    to_markdown,
-)
+from mathgrid.render import RenderView, STYLE_IDS, parse_markdown, render_image, to_markdown
+from mathgrid.render.svg import extract_text_cells
 from mathgrid.render.markdown import cell_text
 from mathgrid.solver import brute_force_oracle, deduce, detect_equations, verify_solution
 
@@ -229,7 +217,7 @@ def test_criterion_7_modality_equivalence(stratified_dataset):
             }
             for style_id in STYLE_IDS:
                 svg = render_image(
-                    example.grid, StyleSpec.of(style_id), RenderView.QUERY, rng_seed=1
+                    example.grid, style_id, RenderView.QUERY, rng_seed=1
                 )
                 assert dict(extract_text_cells(svg)) == expected_cells
 

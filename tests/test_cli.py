@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import gc
+import io
 import json
+from pathlib import Path
 
 import pytest
 
-from mathgrid import CellKind, Operator
+from mathgrid.core import CellKind, Operator
 from mathgrid.cli import build_parser, main
+from mathgrid.harness.sft import export_sft_trajectories
 from mathgrid.render.markdown import _OP_ALIASES, parse_markdown
 from mathgrid.manifest import load_manifest
 
@@ -360,6 +364,8 @@ def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
         {"max_retries": -1},
         {"max_retries": 1.5},
         {"sampling": [1]},
+        {"sampling": {"model": "other"}},
+        {"sampling": {"messages": []}},
         {"timeout_s": -1},
         {"timeout_s": "30"},
         {"backoff_s": -0.5},
@@ -373,6 +379,8 @@ def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
 )
 def test_wrongly_typed_endpoint_config_errors(dataset_dir, tmp_path, capsys, config):
     named = next(iter(config)) if isinstance(config, dict) else "must be a JSON object"
+    if isinstance(config, dict) and isinstance(config.get("sampling"), dict):
+        named = repr(next(iter(config["sampling"])))
     with MockEndpoint() as server:
         if isinstance(config, dict):
             config = {"base_url": server.base_url, "model_name": "m", **config}
@@ -460,7 +468,7 @@ def test_export_sft_rejects_an_unknown_trace_equation(dataset_dir, tmp_path, cap
         return json.dumps(data)
 
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
-    example_id = json.loads(open(manifest, encoding="utf-8").read().splitlines()[1])["id"]
+    example_id = json.loads(Path(manifest).read_text(encoding="utf-8").splitlines()[1])["id"]
     out = tmp_path / "sft.jsonl"
     out.write_text("earlier export\n", encoding="utf-8")
     assert main(["export-sft", "--manifest", manifest, "--out", str(out)]) == 1
@@ -468,6 +476,22 @@ def test_export_sft_rejects_an_unknown_trace_equation(dataset_dir, tmp_path, cap
     # the first example's record went nowhere: no partial file, no leftovers
     assert out.read_text(encoding="utf-8") == "earlier export\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl", "sft.jsonl"]
+
+
+def test_export_sft_closes_the_manifest_when_an_example_fails(dataset_dir, tmp_path):
+    def corrupt(data):
+        data["trace"]["steps"][0][0]["eq"] = 999
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    with pytest.raises(ValueError, match="equation 999") as failure:
+        export_sft_trajectories(manifest, tmp_path / "sft.jsonl")
+    # the traceback keeps the failed call's frames alive, and the file must be shut anyway
+    assert failure.traceback
+    still_open = [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, io.TextIOWrapper) and obj.name == manifest and not obj.closed
+    ]
+    assert still_open == []
 
 
 @pytest.mark.parametrize("key", [*MANIFEST_KEYS, "non-json", "markdown-not-text"])

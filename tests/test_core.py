@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from mathgrid import (
+from mathgrid.core import (
     Cell,
     CellKind,
     Coord,

@@ -4,25 +4,18 @@ import random
 
 import pytest
 
-from mathgrid import (
-    Cell,
-    CellKind,
-    Difficulty,
-    GenParams,
-    Operator,
-    PROFILES,
-    build_solved_layout,
-    generate,
-    generate_batch,
-    punch_blanks,
-    sample_equation,
-    target_order,
-)
+from mathgrid import Difficulty, GenParams, generate
+from mathgrid.core import Cell, CellKind, Operator, target_order
 from mathgrid import generator
 from mathgrid.generator import (
     LayoutFailure,
+    PROFILES,
     RangeInfeasible,
+    build_solved_layout,
+    generate_batch,
     mix_seed,
+    punch_blanks,
+    sample_equation,
     sample_equation_at,
 )
 from mathgrid.manifest import dumps_line
@@ -160,7 +153,7 @@ class TestBuildSolvedLayout:
 
     def test_reference_topology_class_is_reachable(self):
         # six equations, three per orientation, every horizontal crossed
-        from mathgrid import Orientation
+        from mathgrid.core import Orientation
 
         params = GenParams(
             difficulty=Difficulty.EASY,

@@ -9,25 +9,24 @@ import pytest
 
 from mathgrid import Difficulty, GenParams, generate
 from mathgrid.evaluation import EmptyReport
-from mathgrid.harness import (
+from mathgrid.harness import EndpointConfig, Modality, build_prompt, run_benchmark, score_run
+from mathgrid.harness.client import (
     ConfigError,
-    EndpointConfig,
     ManifestMismatch,
-    Modality,
-    TEMPLATE_VERSION,
-    MissingStyleArtifact,
     build_chat_payload,
-    build_prompt,
     bundle_to_messages,
     load_run_records,
-    load_template,
     request_fingerprint,
-    run_benchmark,
-    score_run,
+    response_text,
+)
+from mathgrid.harness.prompts import (
+    ImagePart,
+    MissingStyleArtifact,
+    TEMPLATE_VERSION,
+    TextPart,
+    load_template,
     template_for,
 )
-from mathgrid.harness.prompts import ImagePart, TextPart
-from mathgrid.harness.client import response_text
 from mathgrid.harness.sft import answer_line, export_sft_trajectories, format_solution_steps
 from mathgrid.manifest import load_manifest, write_manifest
 from mathgrid.render import to_markdown
@@ -594,7 +593,8 @@ class TestSftExport:
             trace=deduce(appendix_grid)[0],
         )
         manifest = write_manifest([example], tmp_path / "m.jsonl")
-        out = export_sft_trajectories(manifest, tmp_path / "sft.jsonl")
+        out = tmp_path / "sft.jsonl"
+        assert export_sft_trajectories(manifest, out) == 1
         (record,) = [json.loads(l) for l in out.read_text().splitlines()]
         assert record["answer"] == "<answer>6 93 45 8</answer>"
         assert record["symbolic_solution"].startswith("Step 1:")
@@ -604,13 +604,14 @@ class TestSftExport:
 
     def test_record_count_matches_manifest(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"
-        out = export_sft_trajectories(manifest, tmp_path / "sft.jsonl")
-        n_records = len(out.read_text().splitlines())
-        assert n_records == len(load_manifest(manifest))
+        out = tmp_path / "sft.jsonl"
+        n_records = export_sft_trajectories(manifest, out)
+        assert n_records == len(out.read_text().splitlines()) == len(load_manifest(manifest))
 
     def test_easy_examples_have_single_step_sections(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"
-        out = export_sft_trajectories(manifest, tmp_path / "sft.jsonl")
+        out = tmp_path / "sft.jsonl"
+        export_sft_trajectories(manifest, out)
         for line in out.read_text().splitlines():
             record = json.loads(line)
             if record["example_id"].startswith("easy"):

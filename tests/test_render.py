@@ -6,17 +6,11 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mathgrid import Cell, CellKind, Coord, EMPTY, EQUALS, Grid, Operator, TARGET
-from mathgrid.render import (
-    ParseError,
-    RenderView,
-    STYLE_IDS,
-    StyleSpec,
-    extract_text_cells,
-    parse_markdown,
-    render_image,
-    to_markdown,
-)
+from mathgrid.core import Cell, CellKind, Coord, EMPTY, EQUALS, Grid, Operator, TARGET
+from mathgrid.render import RenderView, STYLE_IDS, parse_markdown, render_image, to_markdown
+from mathgrid.render.markdown import ParseError
+from mathgrid.render.palettes import ORIGINAL_PALETTE
+from mathgrid.render.svg import extract_text_cells
 
 from conftest import REFERENCE_MARKDOWN, coords
 
@@ -148,20 +142,20 @@ def _rects(svg: bytes) -> list[str]:
 
 class TestRenderImage:
     def test_byte_determinism(self, appendix_grid):
-        style = StyleSpec.of("background")
+        style = "background"
         a = render_image(appendix_grid, style, RenderView.QUERY, rng_seed=99)
         b = render_image(appendix_grid, style, RenderView.QUERY, rng_seed=99)
         assert a == b
 
     def test_texture_seed_changes_bytes(self, appendix_grid):
-        style = StyleSpec.of("background")
+        style = "background"
         a = render_image(appendix_grid, style, RenderView.QUERY, rng_seed=1)
         b = render_image(appendix_grid, style, RenderView.QUERY, rng_seed=2)
         assert a != b
 
     def test_borderless_differs_only_in_strokes(self, appendix_grid):
-        original = render_image(appendix_grid, StyleSpec.of("original"), RenderView.QUERY)
-        borderless = render_image(appendix_grid, StyleSpec.of("borderless"), RenderView.QUERY)
+        original = render_image(appendix_grid, "original", RenderView.QUERY)
+        borderless = render_image(appendix_grid, "borderless", RenderView.QUERY)
         assert _texts(original) == _texts(borderless)
         rects_o, rects_b = _rects(original), _rects(borderless)
         assert len(rects_o) == len(rects_b)
@@ -170,7 +164,7 @@ class TestRenderImage:
             assert re.sub(r' stroke="[^"]*" stroke-width="[^"]*"', "", ro) == rb
 
     def test_query_view_shows_question_marks(self, appendix_grid):
-        svg = render_image(appendix_grid, StyleSpec.of("original"), RenderView.QUERY)
+        svg = render_image(appendix_grid, "original", RenderView.QUERY)
         cells = dict(extract_text_cells(svg))
         assert cells[Coord(0, 4)] == "?"
         assert cells[Coord(2, 2)] == "?"
@@ -178,7 +172,7 @@ class TestRenderImage:
     def test_solution_view_shows_answers_in_target_color(self, appendix_grid):
         svg = render_image(
             appendix_grid,
-            StyleSpec.of("original"),
+            "original",
             RenderView.SOLUTION,
             answers=[6, 93, 45, 8],
         )
@@ -187,19 +181,19 @@ class TestRenderImage:
         assert cells[Coord(2, 2)] == "93"
         assert cells[Coord(4, 0)] == "45"
         assert cells[Coord(6, 2)] == "8"
-        target_color = StyleSpec.of("original").palette["target"][1]
+        target_color = ORIGINAL_PALETTE["target"][1]
         doc = svg.decode("utf-8")
         for value in ("6", "93", "45", "8"):
             assert re.search(f'fill="{target_color}">{value}</text>', doc)
 
     def test_solution_view_requires_answers(self, appendix_grid):
         with pytest.raises(Exception):
-            render_image(appendix_grid, StyleSpec.of("original"), RenderView.SOLUTION)
+            render_image(appendix_grid, "original", RenderView.SOLUTION)
 
     def test_style_invariance_of_content(self, appendix_grid):
         glyph_sets = []
         for style_id in STYLE_IDS:
-            svg = render_image(appendix_grid, StyleSpec.of(style_id), RenderView.QUERY, rng_seed=5)
+            svg = render_image(appendix_grid, style_id, RenderView.QUERY, rng_seed=5)
             glyph_sets.append(extract_text_cells(svg))
         assert all(g == glyph_sets[0] for g in glyph_sets[1:])
 
@@ -207,7 +201,7 @@ class TestRenderImage:
         from mathgrid.render.markdown import cell_text
 
         for example in mixed_corpus[:10]:
-            svg = render_image(example.grid, StyleSpec.of("original"), RenderView.QUERY)
+            svg = render_image(example.grid, "original", RenderView.QUERY)
             rendered = dict(extract_text_cells(svg))
             expected = {
                 coord: cell_text(example.grid.at(coord))
@@ -217,39 +211,31 @@ class TestRenderImage:
             assert rendered == expected
 
     def test_background_style_has_texture_group(self, appendix_grid):
-        svg = render_image(appendix_grid, StyleSpec.of("background"), RenderView.QUERY, rng_seed=3)
+        svg = render_image(appendix_grid, "background", RenderView.QUERY, rng_seed=3)
         assert b'class="texture"' in svg
-        plain = render_image(appendix_grid, StyleSpec.of("original"), RenderView.QUERY, rng_seed=3)
+        plain = render_image(appendix_grid, "original", RenderView.QUERY, rng_seed=3)
         assert b'class="texture"' not in plain
 
     def test_altfontcolor_changes_font_and_palette(self, appendix_grid):
-        alt = render_image(appendix_grid, StyleSpec.of("altfontcolor"), RenderView.QUERY)
-        original = render_image(appendix_grid, StyleSpec.of("original"), RenderView.QUERY)
+        alt = render_image(appendix_grid, "altfontcolor", RenderView.QUERY)
+        original = render_image(appendix_grid, "original", RenderView.QUERY)
         assert b"Courier" in alt and b"Courier" not in original
         assert extract_text_cells(alt) == extract_text_cells(original)
 
     def test_extract_needs_a_declared_cell_size(self, appendix_grid):
         from mathgrid.core import MathGridError
 
-        svg = render_image(appendix_grid, StyleSpec.of("original"), RenderView.QUERY)
+        svg = render_image(appendix_grid, "original", RenderView.QUERY)
         assert b' data-cell-px="64"' in svg
         with pytest.raises(MathGridError):
             extract_text_cells(svg.replace(b' data-cell-px="64"', b""))
 
     def test_svg_is_well_formed_xml(self, appendix_grid):
         for style_id in STYLE_IDS:
-            svg = render_image(appendix_grid, StyleSpec.of(style_id), RenderView.QUERY, rng_seed=8)
+            svg = render_image(appendix_grid, style_id, RenderView.QUERY, rng_seed=8)
             root = ET.fromstring(svg)
             assert root.tag.endswith("svg")
 
-    def test_unknown_style_rejected(self):
-        with pytest.raises(ValueError):
-            StyleSpec.of("sepia")
-
-    def test_spec_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            StyleSpec("borderless", border=True)
-        with pytest.raises(ValueError):
-            StyleSpec("background", background="plain")
-        with pytest.raises(ValueError):
-            StyleSpec("original", palette={"constant": ("#fff", "#000")})
+    def test_unknown_style_rejected(self, appendix_grid):
+        with pytest.raises(ValueError, match="unknown style 'sepia'; expected one of"):
+            render_image(appendix_grid, "sepia")

@@ -45,13 +45,16 @@ def reference_initial_knowns(grid: Grid) -> dict[Coord, int]:
     }
 
 
+_OPERAND_KINDS = (CellKind.NUMBER, CellKind.TARGET)
+
+
 def _window_matches(cells: list[Cell]) -> bool:
     return (
-        cells[0].is_operand
+        cells[0].kind in _OPERAND_KINDS
         and cells[1].kind is CellKind.OPERATOR
-        and cells[2].is_operand
+        and cells[2].kind in _OPERAND_KINDS
         and cells[3].kind is CellKind.EQUALS
-        and cells[4].is_operand
+        and cells[4].kind in _OPERAND_KINDS
     )
 
 

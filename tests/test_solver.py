@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from mathgrid import Coord, Operator, Orientation, target_order
+from mathgrid.core import Coord, Operator, Orientation, target_order
 from mathgrid.render import parse_markdown
 from mathgrid.solver import (
     ArityMismatch,
