@@ -167,7 +167,7 @@ def render_image(
         glyphs = sheet.solved
     cells, attrs = sheet.style_parts(style_id)
     parts = [sheet.head]
-    if _STYLES[style_id][1]:
+    if _STYLES[style_id][1]:  # textured backdrop
         parts.append(sheet.texture(rng_seed))
     parts += [cells, '<g class="glyphs">']
     parts.extend(
