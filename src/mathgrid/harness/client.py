@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import http.cookiejar
+import http.client
+import ipaddress
 import json
+import netrc
 import os
+import ssl
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from ..core import MathGridError
 from ..evaluation import EvalReport, Prediction, build_report, evaluate_prediction
@@ -49,6 +51,16 @@ def _is_number(value: object) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
+def _is_http_url(text: str) -> bool:
+    """An http or https URL with a host, a valid port if any, and no query or fragment."""
+    url = urlsplit(text)
+    try:
+        url.port
+    except ValueError:
+        return False
+    return url.scheme in ("http", "https") and bool(url.hostname) and not (url.query or url.fragment)
+
+
 @dataclass(frozen=True)
 class EndpointConfig:
     """Where and how to send chat-completion requests.
@@ -76,6 +88,12 @@ class EndpointConfig:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"{name} must be a non-empty string, not {value!r}")
+        if not _is_http_url(self.base_url):
+            raise ConfigError(
+                f"base_url must be an http:// or https:// URL with a host, not {self.base_url!r}"
+            )
+        if not self.path.startswith("/"):
+            raise ConfigError(f"path must start with '/', not {self.path!r}")
         if self.auth_token_env is not None and not isinstance(self.auth_token_env, str):
             raise ConfigError(
                 f"auth_token_env must be a string or null, not {self.auth_token_env!r}"
@@ -214,70 +232,174 @@ def response_text(data: dict) -> str:
     return content
 
 
-def _open_session(config: EndpointConfig) -> requests.Session:
-    """The session that every request of one run goes through.
+class StatusError(Exception):
+    """The endpoint answered with a status other than 2xx."""
 
-    It reads from the environment once, for ``config.url``, what a session
-    per request would read on every call: the proxies (``NO_PROXY``
-    honoured), netrc auth and the CA bundle. It keeps no cookies, so no
-    request carries state from an earlier one.
+    def __init__(self, status: int, reason: str, body: bytes):
+        super().__init__(f"HTTP {status} {reason}: {body[:200].decode('utf-8', 'replace')}")
+        # a redirect, or a 4xx other than 408/429, fails the same way again
+        self.transient = status in (408, 429) or status >= 500
+
+
+def _basic_auth(user: str, password: str) -> str:
+    return "Basic " + base64.b64encode(f"{user}:{password}".encode("utf-8")).decode("ascii")
+
+
+def _env(name: str) -> str | None:
+    """A proxy variable, the lower-case form before the upper-case one."""
+    return os.environ.get(name) or os.environ.get(name.upper())
+
+
+def _bypasses_proxy(host: str, port: int, no_proxy: str) -> bool:
+    """Whether a ``NO_PROXY`` list names ``host`` on ``port``.
+
+    An entry is ``*``, a host name with or without a leading dot (covering
+    its subdomains too), an IP address, or for an IP host a CIDR range; a
+    name or address may end in ``:port``.
     """
-    session = requests.Session()
-    session.trust_env = False
-    session.proxies = requests.utils.get_environ_proxies(config.url)
-    session.auth = requests.utils.get_netrc_auth(config.url)
-    session.verify = (
-        os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE") or True
-    )
-    session.cookies.set_policy(http.cookiejar.DefaultCookiePolicy(allowed_domains=()))
-    # One connection per request. A stdlib HTTP server such as
-    # perfbench/endpoint.py writes headers and body separately, so on a
-    # kept-alive connection each response waits for a delayed ACK: 22 ms per
-    # request there, against 1.4 ms with a new connection each time.
-    session.headers["Connection"] = "close"
-    session.hooks["response"].append(_retire_connection)
-    return session
+    try:
+        address = ipaddress.ip_address(host)
+    except ValueError:
+        address = None
+    for entry in no_proxy.replace(" ", "").lower().split(","):
+        name, entry_port = entry.split(":") if entry.count(":") == 1 else (entry, "")
+        name = name.lstrip(".")
+        if not name or entry_port not in ("", str(port)):
+            continue
+        if name in ("*", host):
+            return True
+        if address is None:
+            if host.endswith("." + name):
+                return True
+        elif "/" in name:
+            try:
+                if address in ipaddress.ip_network(name, strict=False):
+                    return True
+            except ValueError:
+                pass
+    return False
 
 
-def _retire_connection(response: requests.Response, **_) -> None:
-    """Keep a connection that asked for ``Connection: close`` out of reuse.
-
-    A stdlib HTTP/1.1 server closes such a connection without saying so in
-    its response, so the pool would hand it to the next request, which then
-    fails if the server's close has not arrived yet. Like ``http.client``
-    when a server does say so, this leaves the socket to the response, which
-    closes it once read, and the pool opens a new connection.
-    """
-    connection = response.raw.connection
-    if connection is not None and connection.sock is not None:
-        sock, connection.sock = connection.sock, None
-        sock.close()
-
-
-def _send_once(session: requests.Session, config: EndpointConfig, payload: dict) -> str:
-    resp = session.post(
-        config.url, json=payload, headers=config.headers(), timeout=config.timeout_s
-    )
-    if resp.status_code in (408, 429) or resp.status_code >= 500:
-        raise requests.RequestException(f"HTTP {resp.status_code}: {resp.text[:200]}")
-    resp.raise_for_status()
-    return response_text(resp.json())
+def _netrc_credentials(host: str) -> tuple[str, str] | None:
+    """Login and password for ``host`` from ``$NETRC``, else ``~/.netrc`` or ``~/_netrc``."""
+    paths = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
+    for path in map(os.path.expanduser, paths):
+        if os.path.exists(path):
+            break
+    else:
+        return None
+    try:
+        entry = netrc.netrc(path).authenticators(host)
+    except (netrc.NetrcParseError, OSError):
+        return None
+    if entry is None:
+        return None
+    login, account, password = entry
+    return login or account, password
 
 
-def _send_with_retries(
-    session: requests.Session, config: EndpointConfig, payload: dict
-) -> str:
+def _ssl_context() -> ssl.SSLContext:
+    """Verify against ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` when one is
+    set (a file or a hashed directory), else against the system trust store."""
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if bundle and os.path.isdir(bundle):
+        return ssl.create_default_context(capath=bundle)
+    return ssl.create_default_context(cafile=bundle or None)
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How every request of one run reaches the endpoint."""
+
+    address: tuple[str, int]  # what the socket connects to: the endpoint or its proxy
+    target: str  # the request line's target: the path, or the whole URL for a plain-HTTP proxy
+    headers: dict[str, str]
+    tunnel: tuple[str, int, dict[str, str]] | None = None  # CONNECT to an https endpoint
+    context: ssl.SSLContext | None = None  # set for an https endpoint
+
+    def connect(self, timeout_s: float) -> http.client.HTTPConnection:
+        if self.context is None:
+            return http.client.HTTPConnection(*self.address, timeout=timeout_s)
+        connection = http.client.HTTPSConnection(
+            *self.address, timeout=timeout_s, context=self.context
+        )
+        if self.tunnel is not None:
+            connection.set_tunnel(*self.tunnel)
+        return connection
+
+
+def _resolve_route(config: EndpointConfig) -> _Route:
+    """Read once, for ``config.url``, what the environment says about
+    reaching it: the proxy (``NO_PROXY`` honoured) and its credentials,
+    netrc auth, and the CA bundle for an https endpoint."""
+    url = urlsplit(config.url)
+    host, secure = url.hostname, url.scheme == "https"
+    port = url.port or (443 if secure else 80)
+    path = url.path + (f"?{url.query}" if url.query else "")
+    # One connection per request, which the server is asked to close. A stdlib
+    # HTTP server such as perfbench/endpoint.py writes headers and body
+    # separately, so on a kept-alive connection each response waits for a
+    # delayed ACK: 22 ms per request there, against 1.4 ms with a new
+    # connection each time.
+    headers = {"User-Agent": "mathgrid", "Connection": "close"}
+    credentials = _netrc_credentials(host)
+    if credentials is None and url.username:
+        credentials = unquote(url.username), unquote(url.password or "")
+    if credentials is not None:
+        headers["Authorization"] = _basic_auth(*credentials)
+    context = _ssl_context() if secure else None
+    no_proxy = _env("no_proxy")
+    proxy = None
+    if not (no_proxy and _bypasses_proxy(host, port, no_proxy)):
+        proxy = _env(f"{url.scheme}_proxy") or _env("all_proxy")
+    if not proxy:
+        return _Route((host, port), path, headers, context=context)
+    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if via.scheme != "http" or not via.hostname:
+        raise ConfigError(
+            f"the proxy for {url.scheme} must be an http:// URL with a host, "
+            f"not {via.scheme}://{via.hostname or ''}"
+        )
+    proxy_headers = {}
+    if via.username:
+        proxy_headers["Proxy-Authorization"] = _basic_auth(
+            unquote(via.username), unquote(via.password or "")
+        )
+    address = (via.hostname, via.port or 80)
+    if secure:
+        return _Route(address, path, headers, (host, port, proxy_headers), context)
+    absolute = url._replace(netloc=url.netloc.rpartition("@")[2]).geturl()
+    return _Route(address, absolute, {**headers, **proxy_headers})
+
+
+def _send_once(route: _Route, headers: dict[str, str], body: bytes, timeout_s: float) -> str:
+    connection = route.connect(timeout_s)
+    try:
+        connection.request("POST", route.target, body, headers)
+        response = connection.getresponse()
+        data = response.read()
+    finally:
+        connection.close()
+    if not 200 <= response.status < 300:
+        raise StatusError(response.status, response.reason, data)
+    return response_text(json.loads(data))
+
+
+def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict) -> str:
+    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+    headers = {**config.headers(), **route.headers}  # netrc Basic auth replaces a Bearer token
     attempt = 0
     while True:
         try:
-            return _send_once(session, config, payload)
-        except requests.HTTPError:  # a 4xx other than 408/429 fails the same way again
-            raise
-        except (requests.RequestException, ValueError):
+            return _send_once(route, headers, body, config.timeout_s)
+        except StatusError as exc:
+            if not exc.transient or attempt >= config.max_retries:
+                raise
+        except (OSError, http.client.HTTPException, ValueError):
             if attempt >= config.max_retries:
                 raise
-            time.sleep(config.backoff_s * (2**attempt))
-            attempt += 1
+        time.sleep(config.backoff_s * (2**attempt))
+        attempt += 1
 
 
 def run_benchmark(
@@ -295,8 +417,10 @@ def run_benchmark(
     the one ``score_run`` scores. A record torn mid-write at the end of the
     file is cut off before new ones are appended. Image paths resolve
     against the manifest's directory. Text prompts use no style, so their
-    records carry none.
+    records carry none. The proxy, netrc and CA-bundle environment is read
+    once, before any request; a change to it during the run has no effect.
     """
+    route = _resolve_route(endpoint)
     manifest_path = Path(manifest_path)
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -316,11 +440,11 @@ def run_benchmark(
         if fingerprint not in done:
             todo.append((example, fingerprint))
 
-    def one(session, example, fingerprint) -> RunRecord:
+    def one(example, fingerprint) -> RunRecord:
         started = time.monotonic()
         try:
             parts = build_prompt(example, modality, style_id, manifest_path.parent)
-            text = _send_with_retries(session, endpoint, build_chat_payload(parts, endpoint))
+            text = _send_with_retries(route, endpoint, build_chat_payload(parts, endpoint))
             status, error = "ok", None
         except Exception as exc:  # noqa: BLE001 - isolate per-record failures
             text, status, error = "", "error", f"{type(exc).__name__}: {exc}"
@@ -337,9 +461,9 @@ def run_benchmark(
         )
 
     if todo:
-        with _open_session(endpoint) as session, out_path.open("a", encoding="utf-8") as sink:
+        with out_path.open("a", encoding="utf-8") as sink:
             with ThreadPoolExecutor(max_workers=endpoint.max_concurrency) as pool:
-                futures = [pool.submit(one, session, ex, fp) for ex, fp in todo]
+                futures = [pool.submit(one, ex, fp) for ex, fp in todo]
                 for future in as_completed(futures):
                     record = future.result()
                     sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")

@@ -4,10 +4,10 @@ The handler reconstructs the puzzle grid from the request itself (markdown
 lines in text parts, or the base64 SVG image part), solves it, and answers
 in the required format. Behavior knobs cover error injection, hop-limited
 answering, latency before a response and a wait after it, a cookie set on
-every response and the HTTP version;
+every response, the HTTP version and TLS from a certificate and key;
 counters expose request totals and the maximum number of concurrently
 served requests, and the headers and client address of every request are
-kept.
+kept. ``TunnelProxy`` is an HTTP proxy that serves only ``CONNECT``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from __future__ import annotations
 import base64
 import json
 import re
+import select
+import socket
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -68,6 +71,7 @@ class MockEndpoint:
         close_delay_s: float = 0.0,
         set_cookie: str | None = None,
         protocol_version: str = "HTTP/1.0",
+        tls: tuple[str, str] | None = None,  # certificate and key files: serve https
     ):
         self.mode = mode
         self.fail_ids = set(fail_ids or ())
@@ -77,6 +81,7 @@ class MockEndpoint:
         self.close_delay_s = close_delay_s  # wait after responding, before a close
         self.set_cookie = set_cookie
         self.protocol_version = protocol_version
+        self.tls = tls
         self.requests_total = 0
         self.request_headers: list[dict[str, str]] = []
         self.request_peers: list[tuple[str, int]] = []
@@ -91,8 +96,12 @@ class MockEndpoint:
         self._thread: threading.Thread | None = None
 
     @property
+    def port(self) -> int:
+        return self._server.server_port
+
+    @property
     def base_url(self) -> str:
-        return f"http://127.0.0.1:{self._server.server_port}"
+        return f"{'https' if self.tls else 'http'}://127.0.0.1:{self.port}"
 
     def __enter__(self) -> "MockEndpoint":
         endpoint = self
@@ -107,6 +116,10 @@ class MockEndpoint:
                 endpoint._handle(self)
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        if self.tls is not None:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(*self.tls)
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
         # a short poll keeps shutdown() in __exit__ from waiting out the 0.5 s default
         self._thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -201,6 +214,66 @@ class MockEndpoint:
         request.send_header("Content-Type", "application/json")
         if self.set_cookie is not None:
             request.send_header("Set-Cookie", self.set_cookie)
+        if 300 <= status < 400:
+            request.send_header("Location", "/moved")
         request.send_header("Content-Length", str(len(body)))
         request.end_headers()
         request.wfile.write(body)
+
+
+class TunnelProxy:
+    """Context-managed proxy that answers ``CONNECT`` and relays the bytes
+    both ways; it keeps each request's target and headers."""
+
+    def __init__(self):
+        self.targets: list[str] = []
+        self.request_headers: list[dict[str, str]] = []
+        self._server: ThreadingHTTPServer | None = None
+        self._thread: threading.Thread | None = None
+
+    @property
+    def port(self) -> int:
+        return self._server.server_port
+
+    def __enter__(self) -> "TunnelProxy":
+        proxy = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):  # silence test output
+                pass
+
+            def do_CONNECT(self):
+                proxy.targets.append(self.path)
+                proxy.request_headers.append(dict(self.headers.items()))
+                host, _, port = self.path.rpartition(":")
+                with socket.create_connection((host, int(port)), timeout=5) as upstream:
+                    self.send_response(200)
+                    self.end_headers()
+                    _relay(self.connection, upstream)
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+        return False
+
+
+def _relay(client: socket.socket, upstream: socket.socket) -> None:
+    """Copy bytes between the two sockets until either closes or both idle for 5 s."""
+    peer = {client: upstream, upstream: client}
+    while True:
+        readable, _, _ = select.select(list(peer), [], [], 5)
+        if not readable:
+            return
+        for sock in readable:
+            data = sock.recv(65536)
+            if not data:
+                return
+            peer[sock].sendall(data)

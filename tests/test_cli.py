@@ -3,10 +3,14 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mathgrid
 from mathgrid.core import CellKind, Operator
 from mathgrid.cli import build_parser, main
 from mathgrid.harness.sft import export_sft_trajectories
@@ -15,6 +19,18 @@ from mathgrid.manifest import load_manifest
 
 from conftest import REFERENCE_MARKDOWN, coords
 from endpointmock import MockEndpoint
+
+
+def test_cli_imports_no_third_party_http_library():
+    # importing requests took about 100 ms of every command's start-up
+    src = str(Path(mathgrid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mathgrid.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_generate_writes_manifest_and_images(tmp_path, capsys):
@@ -370,6 +386,11 @@ def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
         {"timeout_s": "30"},
         {"backoff_s": -0.5},
         {"path": ""},
+        {"path": "v1/chat/completions"},
+        {"base_url": "localhost:9"},
+        {"base_url": "ftp://127.0.0.1:9"},
+        {"base_url": "http://"},
+        {"base_url": "http://127.0.0.1:port"},
         {"model_field": None},
         {"model_name": 7},
         {"auth_token_env": 3},
@@ -485,10 +506,13 @@ def test_export_sft_closes_the_manifest_when_an_example_fails(dataset_dir, tmp_p
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     with pytest.raises(ValueError, match="equation 999") as failure:
         export_sft_trajectories(manifest, tmp_path / "sft.jsonl")
-    # ``failure`` holds the traceback and so the failed call's frames; the file is shut anyway
+    # ``failure`` holds the traceback and so the failed call's frames; the file is shut anyway.
+    # A wrapper over an in-memory buffer, such as pytest's capture, has no name.
     still_open = [
         obj for obj in gc.get_objects()
-        if isinstance(obj, io.TextIOWrapper) and obj.name == manifest and not obj.closed
+        if isinstance(obj, io.TextIOWrapper)
+        and getattr(obj, "name", None) == manifest
+        and not obj.closed
     ]
     assert still_open == []
 
