@@ -120,17 +120,11 @@ class MockEndpoint:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
             context.load_cert_chain(*self.tls)
             self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
-        # a short poll keeps shutdown() in __exit__ from waiting out the 0.5 s default
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        )
-        self._thread.start()
+        self._thread = _serve(self._server)
         return self
 
     def __exit__(self, *exc_info):
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
+        _stop(self._server, self._thread)
         return False
 
     # -- request handling -------------------------------------------------
@@ -252,17 +246,27 @@ class TunnelProxy:
                     _relay(self.connection, upstream)
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-        )
-        self._thread.start()
+        self._thread = _serve(self._server)
         return self
 
     def __exit__(self, *exc_info):
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5)
+        _stop(self._server, self._thread)
         return False
+
+
+def _serve(server: ThreadingHTTPServer) -> threading.Thread:
+    # a short poll keeps shutdown() in _stop from waiting out the 0.5 s default
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
+    thread.start()
+    return thread
+
+
+def _stop(server: ThreadingHTTPServer, thread: threading.Thread) -> None:
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 def _relay(client: socket.socket, upstream: socket.socket) -> None:
