@@ -9,6 +9,7 @@ micro (mean of per-example fractions), macro (all-correct rate), K-hop
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -139,8 +140,21 @@ def macro_accuracy(results: Iterable[ExampleResult]) -> float:
     return sum(res.all_correct for res in results) / len(results)
 
 
-def _bucket(hop: int) -> int:
-    return min(hop, 4)
+def _khop_counts(results: Iterable[ExampleResult]) -> dict[int, tuple[int, int]]:
+    """Right and seen cells of each K-hop bucket that has any, in bucket
+    order, from one pass over the cell scores; bucket 4 pools depths >= 4."""
+    right: Counter[int] = Counter()
+    seen: Counter[int] = Counter()
+    for res in results:
+        for s in res.scores:
+            seen[s.hop] += 1
+            right[s.hop] += s.correct
+    bucket_right: Counter[int] = Counter()
+    bucket_seen: Counter[int] = Counter()
+    for hop, n in seen.items():
+        bucket_right[min(hop, 4)] += right[hop]
+        bucket_seen[min(hop, 4)] += n
+    return {k: (bucket_right[k], bucket_seen[k]) for k in KHOP_BUCKETS if bucket_seen[k]}
 
 
 def khop_accuracy(results: Iterable[ExampleResult], k: int) -> float:
@@ -150,12 +164,11 @@ def khop_accuracy(results: Iterable[ExampleResult], k: int) -> float:
     """
     if k not in KHOP_BUCKETS:
         raise ValueError(f"k must be one of {KHOP_BUCKETS}")
-    pool = [
-        s for res in results for s in res.scores if _bucket(s.hop) == k
-    ]
-    if not pool:
+    counts = _khop_counts(results)
+    if k not in counts:
         raise NoSuchHop(f"no cells with hop depth {'4+' if k == 4 else k}")
-    return sum(s.correct for s in pool) / len(pool)
+    right, seen = counts[k]
+    return right / seen
 
 
 def weighted_reward(
@@ -229,12 +242,7 @@ def build_report(results: Iterable[ExampleResult]) -> EvalReport:
     results = tuple(results)
     if not results:
         raise EmptyReport("no examples to aggregate")
-    khop = {}
-    for k in KHOP_BUCKETS:
-        try:
-            khop[k] = khop_accuracy(results, k)
-        except NoSuchHop:
-            continue
+    khop = {k: right / seen for k, (right, seen) in _khop_counts(results).items()}
     rewards = [weighted_reward(res.scores) for res in results]
     return EvalReport(
         per_example=results,

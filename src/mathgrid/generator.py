@@ -10,6 +10,7 @@ brute-force oracle re-checks that in tests).
 
 from __future__ import annotations
 
+import enum
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -57,6 +58,17 @@ class LayoutFailure(MathGridError):
 
 class ProfileInfeasible(MathGridError):
     """Could not punch a blank set matching the difficulty profile."""
+
+
+_MEMBERS = {kind: {m.value: m for m in kind} for kind in (Difficulty, Operator)}
+
+
+def _member(kind: type[enum.Enum], value: object) -> enum.Enum:
+    """``kind(value)``, looked up in a plain dict while that holds the value."""
+    try:
+        return _MEMBERS[kind][value]
+    except (KeyError, TypeError):  # not a value of ``kind``: let it raise its own error
+        return kind(value)
 
 
 _DEFAULT_MAX_HOP = {Difficulty.EASY: 1, Difficulty.MEDIUM: 4, Difficulty.HARD: 6}
@@ -107,8 +119,8 @@ class GenParams:
     @staticmethod
     def from_json(data: dict) -> GenParams:
         return GenParams(
-            difficulty=Difficulty(data["difficulty"]),
-            operators=tuple(Operator(symbol) for symbol in data["operators"]),
+            difficulty=_member(Difficulty, data["difficulty"]),
+            operators=tuple(_member(Operator, symbol) for symbol in data["operators"]),
             value_range=tuple(data["value_range"]),
             equation_count=tuple(data["equation_count"]),
             max_hop=data["max_hop"],

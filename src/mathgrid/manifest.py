@@ -41,7 +41,20 @@ def example_from_json(data: dict) -> DatasetExample:
         gen_params=GenParams.from_json(data["gen_params"]),
         trace=SolutionTrace.from_json(data["trace"]),
     )
-    stale = [key for key, value in example_to_json(example).items() if data[key] != value]
+    params, trace = example.gen_params, example.trace
+    # example_to_json's keys, in its order, each beside the value it is written from
+    derived = (
+        ("id", example.id),
+        ("difficulty", params.difficulty.value),
+        ("seed", params.seed),
+        ("markdown", example.markdown),
+        ("gold_answers", list(trace.answers)),
+        ("hop_depths", list(trace.hop_depths)),
+        ("images", example.images),
+        ("gen_params", params.to_json()),
+        ("trace", trace.to_json()),
+    )
+    stale = [key for key, value in derived if data[key] != value]
     if stale:
         raise ValueError(
             f"example {example.id}: stored fields disagree with its trace and gen_params: "

@@ -87,12 +87,41 @@ def _read_cell(token: str) -> Cell | str:
     return Cell.number(value)
 
 
+def _read_canonical(text: str) -> Grid | None:
+    r"""The grid of a table in :func:`to_markdown`'s exact shape, else None.
+
+    Such a table, ``| a | b |\n| c | d |\n``, splits at its pipes into
+    ``""``, the cells of each row and a ``"\n"`` after each row's cells. Any
+    other text, or a table with an unreadable cell, gives None.
+    """
+    lines = len(text.splitlines())
+    pieces = text.split("|")
+    if pieces[0] or "\n" not in pieces:
+        return None
+    step = pieces.index("\n")  # the cells of a row and their line break
+    rows = (len(pieces) - 1) // step
+    # Every line break must be one of the row ends, so no cell holds one and
+    # nothing follows the last.
+    if step < 2 or rows != lines or pieces[step::step].count("\n") != rows:
+        return None
+    del pieces[::step]  # the leading "" and the line breaks
+    cells = tuple(map(_read_cell, pieces))
+    if str in map(type, cells):
+        return None
+    return Grid(rows, step - 1, cells)
+
+
 def parse_markdown(text: str) -> Grid:
     """Inverse of :func:`to_markdown`, tolerant of padding and OCR aliases.
 
     Accepts x/* for ×, / for ÷, and 1-lookalikes (l, I, pipe artifacts)
     inside otherwise numeric cells. Short rows are padded with empty cells.
+    A table in ``to_markdown``'s exact shape, such as every manifest holds,
+    is read in one split; any other text row by row.
     """
+    grid = _read_canonical(text)
+    if grid is not None:
+        return grid
     rows: list[list[Cell]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

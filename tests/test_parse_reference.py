@@ -1,14 +1,17 @@
 """The cached-token parser agrees with the per-token parser it replaced.
 
 ``parse_markdown`` reads each distinct raw token once, through a bounded
-cache that holds the token's cell or the reason it is not one. The
-reference below parses every token afresh at its position, exactly as the
-package first did; on every table both must give an equal grid, or the
-same ``ParseError`` at the same line and cell with the same reason.
+cache that holds the token's cell or the reason it is not one, and reads a
+table in ``to_markdown``'s exact shape in one split of the whole text. The
+reference below parses every token afresh at its position, line by line,
+exactly as the package first did; on every table both must give an equal
+grid, or the same ``ParseError`` at the same line and cell with the same
+reason.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mathgrid.core import EMPTY, EQUALS, TARGET, Cell, Grid
@@ -115,9 +118,19 @@ _rows = st.builds(
 # Without outer pipes a line is a row only from three cells on.
 _bare_rows = st.lists(_tokens, min_size=1, max_size=7).map("|".join)
 _lines = _now_and_then(_rows, st.one_of(_bare_rows, st.sampled_from(["", "   "])), 8)
+_free_tables = st.lists(_lines, min_size=0, max_size=8).map("\n".join)
+# to_markdown's shape: every row "| a | b |", one width, each line ending in "\n"
+_canonical_tables = st.integers(1, 7).flatmap(
+    lambda width: st.lists(
+        st.lists(_now_and_then(_good_tokens, _bad_tokens, 25), min_size=width, max_size=width),
+        min_size=1,
+        max_size=8,
+    )
+).map(lambda rows: "".join("| " + " | ".join(row) + " |\n" for row in rows))
+
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(_lines, min_size=0, max_size=8).map("\n".join))
+@given(st.one_of(_free_tables, _canonical_tables))
 def test_parser_agrees_with_reference(text):
     assert_agrees(text)
 
@@ -147,3 +160,51 @@ def test_repeated_bad_token_reports_its_first_position():
 def test_token_cache_is_bounded():
     maxsize = _read_cell.cache_info().maxsize
     assert maxsize is not None and maxsize == _CELL_CACHE_SIZE
+
+
+# -- edges of the one-split read ------------------------------------------------
+
+_CANONICAL = "| 12 | + | 30 | = | 42 |\n|  | × |  | ? | 8 |\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_CANONICAL, id="canonical"),
+        pytest.param(_CANONICAL[:-1], id="no-final-newline"),
+        pytest.param(_CANONICAL.replace("\n", "\r\n"), id="crlf"),
+        pytest.param(_CANONICAL.replace("\n", "\n\n", 1), id="blank-line-between-rows"),
+        # a 2-cell row then a 4-cell row: as many pieces as two rows of 3
+        pytest.param("| 1 | 2 |\n| 3 |\n| 4 | 5 | 6 |\n", id="short-row-made-up-by-a-longer-one"),
+        pytest.param("| 1 | 2 |\n| 3 | 4 | 5 | 6 |\n", id="rows-of-two-widths"),
+        pytest.param(_CANONICAL.replace("30", "3O"), id="bad-token"),
+        pytest.param(_CANONICAL.replace("42", "0"), id="non-positive-token"),
+        pytest.param(_CANONICAL.replace(" + ", " +\r"), id="carriage-return-inside-a-cell"),
+        pytest.param(_CANONICAL.replace(" = ", " =\x0c", 1), id="form-feed-inside-a-cell"),
+        pytest.param(" " + _CANONICAL, id="leading-space"),
+        pytest.param("|\n|\n", id="no-cells"),
+        pytest.param("\n", id="newline-only"),
+    ],
+)
+def test_one_split_read_agrees_at_its_edges(text):
+    assert_agrees(text)
+
+
+def test_short_row_is_padded_not_shifted():
+    grid = parse_markdown("| 1 | 2 |\n| 3 |\n| 4 | 5 | 6 |\n")
+    assert grid.rows == 3 and grid.cols == 3
+    assert grid.cells[3:6] == (Cell.number(3), EMPTY, EMPTY)
+
+
+def test_bad_token_in_a_canonical_table_names_its_cell():
+    text = _CANONICAL.replace("30", "3O")
+    assert outcome(parse_markdown, text) == (
+        "ParseError", 1, 3, "unrecognized cell content '3O'"
+    )
+
+
+def test_cell_holding_a_line_break_is_read_line_by_line():
+    text = "| 1 \r| + | 1 | = | 2 |\n"
+    assert outcome(parse_markdown, text) == (
+        "ParseError", 1, 1, "expected a pipe-delimited table row"
+    )
