@@ -50,11 +50,15 @@ def parse_token(token: str) -> int | None:
     """Integer value of a token, or None when it is not a plain number.
 
     Wrapping punctuation and thousands separators are tolerated; anything
-    else (signs, decimals, words) does not count as a valid answer.
+    else (signs, decimals, words), and a number too long for ``int()``,
+    does not count as a valid answer.
     """
     cleaned = token.strip().strip(_WRAPPING).replace(",", "")
     if cleaned.isascii() and cleaned.isdigit():
-        return int(cleaned)
+        try:
+            return int(cleaned)
+        except ValueError:  # more digits than int() converts
+            return None
     return None
 
 

@@ -13,6 +13,7 @@ import hashlib
 import http.client
 import ipaddress
 import json
+import math
 import netrc
 import os
 import ssl
@@ -111,6 +112,13 @@ class EndpointConfig:
         for key in (self.model_field, "messages"):
             if key in self.sampling:
                 raise ConfigError(f"sampling may not set {key!r}: the request builds it")
+        for key, value in self.sampling.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"sampling {key!r} must be JSON without NaN or Infinity, not {value!r}"
+                ) from None
 
     @property
     def url(self) -> str:
@@ -165,16 +173,32 @@ class RunRecord:
 
     @staticmethod
     def from_json(data: dict) -> RunRecord:
-        return RunRecord(
+        """The record a run-file line holds; ValueError names a mistyped field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a run record is a JSON object, not a {type(data).__name__}")
+        latency_ms = data.get("latency_ms", 0)
+        if not (_is_int(latency_ms) or (isinstance(latency_ms, float) and math.isfinite(latency_ms))):
+            raise ValueError(f"latency_ms must be a finite number, not {latency_ms!r}")
+        record = RunRecord(
             example_id=data["example_id"],
             modality=data["modality"],
             style_id=data.get("style_id"),
             fingerprint=data["fingerprint"],
             response_text=data.get("response_text", ""),
-            latency_ms=int(data.get("latency_ms", 0)),
+            latency_ms=int(latency_ms),
             status=data["status"],
             error=data.get("error"),
         )
+        texts = ["example_id", "modality", "fingerprint", "response_text"]
+        if record.style_id is not None:
+            texts.append("style_id")
+        for name in texts:
+            value = getattr(record, name)
+            if type(value) is not str:
+                raise ValueError(f"{name} must be a string, not {type(value).__name__}")
+        if record.status not in ("ok", "error"):
+            raise ValueError(f"status must be 'ok' or 'error', not {record.status!r}")
+        return record
 
 
 def request_fingerprint(
@@ -215,8 +239,10 @@ def build_chat_payload(
     return payload
 
 
-def response_text(data: dict) -> str:
-    """Pull the assistant text out of a chat-completion response body."""
+def response_text(data: object) -> str:
+    """Pull the assistant text out of a decoded chat-completion response body."""
+    if not isinstance(data, dict):
+        raise ValueError(f"response body is a JSON {type(data).__name__}, not an object")
     choices = data.get("choices") or []
     if not choices:
         raise ValueError("response has no choices")

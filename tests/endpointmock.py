@@ -63,7 +63,7 @@ class MockEndpoint:
         self,
         manifest_path=None,
         *,
-        mode: str = "gold",  # or "hop1"
+        mode: str = "gold",  # "hop1", or "list": a 200 whose body is the JSON list []
         fail_ids: set[str] | None = None,
         fail_first_n: int = 0,
         fail_status: int = 500,
@@ -184,6 +184,9 @@ class MockEndpoint:
             if request_index <= self.fail_first_n:
                 self._respond(request, self.fail_status, {"error": "scripted transient failure"})
                 return
+            if self.mode == "list":
+                self._respond(request, 200, [])
+                return
             grid = self._extract_grid(body)
             example_id = self._md_to_id.get(to_markdown(grid).strip())
             if example_id is not None and example_id in self.fail_ids:
@@ -202,7 +205,7 @@ class MockEndpoint:
                 self._inflight -= 1
             time.sleep(self.close_delay_s)
 
-    def _respond(self, request: BaseHTTPRequestHandler, status: int, payload: dict) -> None:
+    def _respond(self, request: BaseHTTPRequestHandler, status: int, payload: dict | list) -> None:
         body = json.dumps(payload).encode("utf-8")
         request.send_response(status)
         request.send_header("Content-Type", "application/json")

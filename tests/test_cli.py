@@ -13,6 +13,7 @@ import pytest
 import mathgrid
 from mathgrid.core import CellKind, Operator
 from mathgrid.cli import build_parser, main
+from mathgrid.harness.client import load_run_records
 from mathgrid.harness.sft import export_sft_trajectories
 from mathgrid.render.markdown import _OP_ALIASES, parse_markdown
 from mathgrid.manifest import load_manifest
@@ -382,6 +383,8 @@ def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
         {"sampling": [1]},
         {"sampling": {"model": "other"}},
         {"sampling": {"messages": []}},
+        {"sampling": {"temperature": float("nan")}},
+        {"sampling": {"logit_bias": {"42": float("-inf")}}},
         {"timeout_s": -1},
         {"timeout_s": "30"},
         {"backoff_s": -0.5},
@@ -546,3 +549,81 @@ def test_text_runs_are_keyed_without_a_style(dataset_dir, tmp_path, capsys):
     assert all(json.loads(line)["style_id"] is None for line in run.read_text().splitlines())
     assert main(["bench", "score", "--run", str(run), "--manifest", manifest]) == 0
     assert "100.00" in capsys.readouterr().out
+
+
+def _gold_run(dataset_dir, tmp_path, answer_texts=None) -> Path:
+    """A run file answering every fixture example with its gold answers; an
+    entry of ``answer_texts`` replaces one example's answer block text."""
+    answer_texts = answer_texts or {}
+    lines = []
+    for example in load_manifest(dataset_dir / "manifest.jsonl"):
+        answers = answer_texts.get(example.id, " ".join(map(str, example.gold_answers)))
+        record = {
+            "example_id": example.id, "modality": "text", "style_id": None,
+            "fingerprint": f"fp-{example.id}", "response_text": f"<answer>{answers}</answer>",
+            "latency_ms": 5, "status": "ok",
+        }
+        lines.append(json.dumps(record) + "\n")
+    run = tmp_path / "run.jsonl"
+    run.write_text("".join(lines), encoding="utf-8")
+    return run
+
+
+def test_an_overlong_answer_number_scores_as_wrong_cells(dataset_dir, tmp_path, capsys):
+    examples = load_manifest(dataset_dir / "manifest.jsonl")
+    victim = examples[3]
+    # more digits than int() converts, in place of the first answer
+    rest = " ".join(map(str, victim.gold_answers[1:]))
+    run = _gold_run(dataset_dir, tmp_path, {victim.id: "9" * 5000 + " " + rest})
+    out = tmp_path / "report.json"
+    argv = [
+        "bench", "score", "--run", str(run), "--manifest", str(dataset_dir / "manifest.jsonl"),
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text(encoding="utf-8"))
+    n, cells = len(examples), len(victim.gold_answers)
+    assert report["macro"] == pytest.approx((n - 1) / n)
+    assert report["micro"] == pytest.approx((n - 1 + (cells - 1) / cells) / n)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("example_id", 5),
+        ("modality", None),
+        ("fingerprint", ["fp"]),
+        ("style_id", 3),
+        ("response_text", 5),
+        ("latency_ms", float("inf")),
+        ("latency_ms", float("nan")),
+        ("latency_ms", "12"),
+        ("latency_ms", True),
+        ("status", "maybe"),
+    ],
+    ids=lambda v: json.dumps(v),
+)
+def test_mistyped_run_record_is_rejected(dataset_dir, tmp_path, capsys, field, value):
+    run = _gold_run(dataset_dir, tmp_path)
+    lines = run.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    record[field] = value
+    lines[1] = json.dumps(record) + "\n"
+    run.write_text("".join(lines), encoding="utf-8")
+    argv = ["bench", "score", "--run", str(run), "--manifest", str(dataset_dir / "manifest.jsonl")]
+    assert main(argv) == 1
+    _one_error_line(capsys, f"{run} line 2: ", field)
+
+
+def test_well_typed_run_records_load_as_before(dataset_dir, tmp_path):
+    run = _gold_run(dataset_dir, tmp_path)
+    lines = run.read_text(encoding="utf-8").splitlines(keepends=True)
+    record = json.loads(lines[1])
+    del record["style_id"], record["response_text"]  # both optional
+    record.update(latency_ms=12.7, status="error")
+    lines[1] = json.dumps(record) + "\n"
+    run.write_text("".join(lines), encoding="utf-8")
+    records = {r.example_id: r for r in load_run_records(run)}
+    loaded = records[record["example_id"]]
+    assert (loaded.style_id, loaded.response_text, loaded.latency_ms) == (None, "", 12)

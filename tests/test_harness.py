@@ -172,6 +172,11 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             response_text({"choices": []})
 
+    @pytest.mark.parametrize("body", [[], "text", 5, None])
+    def test_response_that_is_not_an_object_rejected(self, body):
+        with pytest.raises(ValueError, match="not an object"):
+            response_text(body)
+
 
 class TestEndpointConfig:
     def test_validation(self):
@@ -438,6 +443,25 @@ class TestRunBenchmark:
         errors = [r for r in load_run_records(run_path) if r.status == "error"]
         assert len(errors) == 1
         assert "400" in errors[0].error
+
+    def test_a_body_that_is_not_an_object_is_retried(self, dataset_dir, tmp_path):
+        manifest = dataset_dir / "manifest.jsonl"
+        n = len(load_manifest(manifest))
+        with MockEndpoint(manifest, mode="list") as server:
+            run_path = run_benchmark(
+                manifest,
+                _config(server.base_url, max_retries=1),
+                Modality.TEXT_ONLY,
+                None,
+                tmp_path / "run.jsonl",
+            )
+            assert server.requests_total == 2 * n  # each body retried once
+        records = load_run_records(run_path)
+        assert len(records) == n
+        assert all(r.status == "error" for r in records)
+        assert {r.error for r in records} == {
+            "ValueError: response body is a JSON list, not an object"
+        }
 
     def test_request_timeout_is_retried(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"
