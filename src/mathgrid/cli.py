@@ -12,7 +12,7 @@ from .evaluation import format_metrics_table
 from .generator import GenParams, generate_batch, write_example_images
 from .harness.client import ConfigError, EndpointConfig, Modality, run_benchmark, score_run
 from .harness.sft import export_sft_trajectories
-from .manifest import load_manifest, write_manifest
+from .manifest import load_manifest, parse_json, write_manifest
 from .render.markdown import _OP_ALIASES, parse_markdown
 from .render.svg import RenderView, STYLE_IDS, render_image
 from .solver import deduce
@@ -115,10 +115,17 @@ def _cmd_export_sft(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_json_file(path: str) -> object:
+    try:
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
     data: dict = {}
     if args.config:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        data = _read_json_file(args.config)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: endpoint config must be a JSON object")
     if args.endpoint:
@@ -161,7 +168,7 @@ def _cmd_bench_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    data = _read_json_file(args.report)
     print(format_metrics_table(data))
     return 0
 

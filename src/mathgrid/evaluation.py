@@ -26,10 +26,6 @@ class EmptyReport(MathGridError):
     """Metrics need at least one scored example."""
 
 
-class NoSuchHop(MathGridError):
-    """No gold cell has the requested hop depth."""
-
-
 class EmptyScores(MathGridError):
     """Reward needs at least one cell score."""
 
@@ -64,27 +60,19 @@ def parse_token(token: str) -> int | None:
 
 @dataclass(frozen=True)
 class Prediction:
-    """One model response reduced to ordered answer tokens."""
+    """One model response reduced to the parsed tokens of its last answer
+    block, in order; None where a token is not a plain number."""
 
     example_id: str
-    raw_text: str
-    extracted: tuple[str, ...]
     parsed: tuple[int | None, ...]
 
     @staticmethod
     def from_text(example_id: str, raw_text: str) -> Prediction:
-        tokens = tuple(extract_answers(raw_text))
-        return Prediction(
-            example_id=example_id,
-            raw_text=raw_text,
-            extracted=tokens,
-            parsed=tuple(parse_token(t) for t in tokens),
-        )
+        return Prediction(example_id, tuple(parse_token(t) for t in extract_answers(raw_text)))
 
 
 @dataclass(frozen=True)
 class CellScore:
-    index: int
     hop: int
     correct: bool
 
@@ -98,81 +86,24 @@ class ExampleResult:
     all_correct: bool
 
 
-def score_example(pred: Prediction, gold: DatasetExample) -> list[CellScore]:
+def evaluate_prediction(pred: Prediction, gold: DatasetExample) -> ExampleResult:
     """Positional comparison of parsed answers against the gold list.
 
     Position i is correct iff a valid integer was produced there and equals
     the gold value; missing positions are wrong. Surplus tokens do not
-    affect cell scores (see :func:`evaluate_prediction` for the strict flag).
+    affect cell scores, but they fail the all-correct flag.
     """
     if pred.example_id != gold.id:
         raise UnknownExample(f"prediction for {pred.example_id!r}, gold is {gold.id!r}")
-    scores = []
-    for i, (answer, hop) in enumerate(zip(gold.gold_answers, gold.hop_depths)):
-        value = pred.parsed[i] if i < len(pred.parsed) else None
-        scores.append(CellScore(index=i, hop=hop, correct=value == answer))
-    return scores
-
-
-def evaluate_prediction(pred: Prediction, gold: DatasetExample) -> ExampleResult:
-    """Cell scores plus the all-correct flag (surplus answers fail it)."""
-    scores = score_example(pred, gold)
+    padded = pred.parsed + (None,) * len(gold.gold_answers)
+    scores = tuple(
+        CellScore(hop, value == answer)
+        for answer, hop, value in zip(gold.gold_answers, gold.hop_depths, padded)
+    )
     all_correct = all(s.correct for s in scores) and len(pred.parsed) == len(
         gold.gold_answers
     )
-    return ExampleResult(gold.id, tuple(scores), all_correct)
-
-
-def micro_accuracy(results: Iterable[ExampleResult]) -> float:
-    """Mean over examples of the per-example fraction of correct cells."""
-    results = list(results)
-    if not results:
-        raise EmptyReport("no examples to aggregate")
-    fractions = []
-    for res in results:
-        if not res.scores:
-            raise EmptyReport(f"example {res.example_id} has no target cells")
-        fractions.append(sum(s.correct for s in res.scores) / len(res.scores))
-    return sum(fractions) / len(fractions)
-
-
-def macro_accuracy(results: Iterable[ExampleResult]) -> float:
-    """Fraction of examples answered completely correctly."""
-    results = list(results)
-    if not results:
-        raise EmptyReport("no examples to aggregate")
-    return sum(res.all_correct for res in results) / len(results)
-
-
-def _khop_counts(results: Iterable[ExampleResult]) -> dict[int, tuple[int, int]]:
-    """Right and seen cells of each K-hop bucket that has any, in bucket
-    order, from one pass over the cell scores; bucket 4 pools depths >= 4."""
-    right: Counter[int] = Counter()
-    seen: Counter[int] = Counter()
-    for res in results:
-        for s in res.scores:
-            seen[s.hop] += 1
-            right[s.hop] += s.correct
-    bucket_right: Counter[int] = Counter()
-    bucket_seen: Counter[int] = Counter()
-    for hop, n in seen.items():
-        bucket_right[min(hop, 4)] += right[hop]
-        bucket_seen[min(hop, 4)] += n
-    return {k: (bucket_right[k], bucket_seen[k]) for k in KHOP_BUCKETS if bucket_seen[k]}
-
-
-def khop_accuracy(results: Iterable[ExampleResult], k: int) -> float:
-    """Pooled accuracy over all cells of hop depth k (k=4 pools depths >= 4).
-
-    One flat sum across the dataset; no per-example averaging.
-    """
-    if k not in KHOP_BUCKETS:
-        raise ValueError(f"k must be one of {KHOP_BUCKETS}")
-    counts = _khop_counts(results)
-    if k not in counts:
-        raise NoSuchHop(f"no cells with hop depth {'4+' if k == 4 else k}")
-    right, seen = counts[k]
-    return right / seen
+    return ExampleResult(gold.id, scores, all_correct)
 
 
 def weighted_reward(
@@ -198,7 +129,7 @@ def weighted_reward(
 class EvalReport:
     """Aggregate metrics over a scored run."""
 
-    per_example: tuple[ExampleResult, ...]
+    examples: int
     micro: float
     macro: float
     khop: dict[int, float]
@@ -214,7 +145,7 @@ class EvalReport:
             "macro": self.macro,
             "khop": khop_json,
             "mean_reward": self.mean_reward,
-            "examples": len(self.per_example),
+            "examples": self.examples,
         }
 
 
@@ -242,16 +173,31 @@ def format_metrics_table(report_json: dict) -> str:
 
 
 def build_report(results: Iterable[ExampleResult]) -> EvalReport:
-    """Assemble the full report; K-hop buckets absent from gold are omitted."""
-    results = tuple(results)
-    if not results:
+    """Micro, macro, K-hop and mean reward from one pass over the results.
+
+    K-hop is one flat sum per depth across the run, with no per-example
+    averaging; bucket 4 pools depths >= 4, and buckets absent from gold are
+    omitted.
+    """
+    fractions: list[float] = []
+    rewards: list[float] = []
+    perfect = 0
+    right: Counter[int] = Counter()
+    seen: Counter[int] = Counter()
+    for res in results:
+        rewards.append(weighted_reward(res.scores))  # EmptyScores for a result without cells
+        fractions.append(sum(s.correct for s in res.scores) / len(res.scores))
+        perfect += res.all_correct
+        for s in res.scores:
+            bucket = min(s.hop, 4)
+            seen[bucket] += 1
+            right[bucket] += s.correct
+    if not fractions:
         raise EmptyReport("no examples to aggregate")
-    khop = {k: right / seen for k, (right, seen) in _khop_counts(results).items()}
-    rewards = [weighted_reward(res.scores) for res in results]
     return EvalReport(
-        per_example=results,
-        micro=micro_accuracy(results),
-        macro=macro_accuracy(results),
-        khop=khop,
+        examples=len(fractions),
+        micro=sum(fractions) / len(fractions),
+        macro=perfect / len(fractions),
+        khop={k: right[k] / seen[k] for k in KHOP_BUCKETS if seen[k]},
         mean_reward=sum(rewards) / len(rewards),
     )

@@ -26,7 +26,7 @@ from urllib.parse import unquote, urlsplit
 
 from ..core import MathGridError
 from ..evaluation import EvalReport, Prediction, build_report, evaluate_prediction
-from ..manifest import load_manifest
+from ..manifest import load_manifest, parse_json
 from .prompts import (
     ImagePart,
     Modality,
@@ -239,15 +239,21 @@ def build_chat_payload(
     return payload
 
 
+def _expect(value: object, kind: type, what: str):
+    if not isinstance(value, kind):
+        article = "an object" if kind is dict else "an array"
+        raise ValueError(f"response {what} is a JSON {type(value).__name__}, not {article}")
+    return value
+
+
 def response_text(data: object) -> str:
-    """Pull the assistant text out of a decoded chat-completion response body."""
-    if not isinstance(data, dict):
-        raise ValueError(f"response body is a JSON {type(data).__name__}, not an object")
-    choices = data.get("choices") or []
+    """Pull the assistant text out of a decoded chat-completion response body;
+    a ValueError names the part that is missing or of the wrong type."""
+    choices = _expect(_expect(data, dict, "body").get("choices") or [], list, "choices")
     if not choices:
         raise ValueError("response has no choices")
-    first = choices[0]
-    message = first.get("message") or {}
+    first = _expect(choices[0], dict, "first choice")
+    message = _expect(first.get("message") or {}, dict, "message")
     content = message.get("content", first.get("text"))
     if isinstance(content, list):  # some dialects return part lists
         content = "".join(
@@ -408,7 +414,7 @@ def _send_once(route: _Route, headers: dict[str, str], body: bytes, timeout_s: f
         connection.close()
     if not 200 <= response.status < 300:
         raise StatusError(response.status, response.reason, data)
-    return response_text(json.loads(data))
+    return response_text(parse_json(data))
 
 
 def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict) -> str:
@@ -505,7 +511,7 @@ def _end_on_a_whole_line(run_path: Path) -> None:
         return
     start = data.rfind(b"\n") + 1
     try:
-        json.loads(data[start:])
+        parse_json(data[start:])
     except ValueError:
         with run_path.open("r+b") as fh:
             fh.truncate(start)
@@ -527,7 +533,7 @@ def load_run_records(run_path: Path | str) -> list[RunRecord]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
+            data = parse_json(line)
         except ValueError as exc:
             if number < len(lines):
                 raise ValueError(f"{run_path} line {number}: {exc}") from exc

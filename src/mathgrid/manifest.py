@@ -16,6 +16,15 @@ from .generator import GenParams
 from .render.markdown import parse_markdown
 
 
+def parse_json(text: str | bytes) -> object:
+    """``json.loads`` of outside input; text nested too deeply for the parser
+    fails with a ValueError, as other text that does not parse does."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def example_to_json(example: DatasetExample) -> dict:
     return {
         "id": example.id,
@@ -33,6 +42,9 @@ def example_to_json(example: DatasetExample) -> dict:
 def example_from_json(data: dict) -> DatasetExample:
     """Rebuild an example from its trace and gen_params, and reject the line
     when a stored field disagrees with what they give."""
+    for key in ("id", "markdown"):
+        if type(data[key]) is not str:
+            raise ValueError(f"{key} must be a string, not {type(data[key]).__name__}")
     example = DatasetExample(
         id=data["id"],
         grid=parse_markdown(data["markdown"]),
@@ -41,20 +53,7 @@ def example_from_json(data: dict) -> DatasetExample:
         gen_params=GenParams.from_json(data["gen_params"]),
         trace=SolutionTrace.from_json(data["trace"]),
     )
-    params, trace = example.gen_params, example.trace
-    # example_to_json's keys, in its order, each beside the value it is written from
-    derived = (
-        ("id", example.id),
-        ("difficulty", params.difficulty.value),
-        ("seed", params.seed),
-        ("markdown", example.markdown),
-        ("gold_answers", list(trace.answers)),
-        ("hop_depths", list(trace.hop_depths)),
-        ("images", example.images),
-        ("gen_params", params.to_json()),
-        ("trace", trace.to_json()),
-    )
-    stale = [key for key, value in derived if data[key] != value]
+    stale = [key for key, value in example_to_json(example).items() if data[key] != value]
     if stale:
         raise ValueError(
             f"example {example.id}: stored fields disagree with its trace and gen_params: "
@@ -85,7 +84,7 @@ def read_manifest(path: Path | str) -> Iterator[DatasetExample]:
             if not line:
                 continue
             try:
-                example = example_from_json(json.loads(line))
+                example = example_from_json(parse_json(line))
             except KeyError as exc:
                 raise ValueError(f"{path} line {number}: missing key {exc}") from exc
             except (AttributeError, MathGridError, TypeError, ValueError) as exc:

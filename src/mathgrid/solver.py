@@ -236,8 +236,9 @@ def deduce(
 
     unresolved = [coord for coord in target_order(grid) if coord not in known]
     if unresolved:
-        where = [tuple(c) for c in unresolved]
-        raise Unsolvable(f"targets {where} cannot be deduced")
+        where = [tuple(c) for c in unresolved[:10]]
+        more = f" and {len(unresolved) - 10} more" if len(unresolved) > 10 else ""
+        raise Unsolvable(f"targets {where}{more} cannot be deduced")
 
     hops = {res.coord: hop for hop, step in enumerate(steps, 1) for res in step}
     return SolutionTrace(tuple(steps)), hops

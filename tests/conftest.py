@@ -6,6 +6,7 @@ import pytest
 
 from mathgrid import Difficulty, GenParams, generate
 from mathgrid.core import Cell, Coord, EMPTY, EQUALS, Grid, Operator, TARGET, target_order
+from mathgrid.evaluation import ExampleResult, Prediction, evaluate_prediction
 from mathgrid.generator import mix_seed
 from mathgrid.manifest import write_manifest
 
@@ -30,6 +31,24 @@ def coords(grid: Grid) -> Iterator[Coord]:
     for r in range(grid.rows):
         for c in range(grid.cols):
             yield Coord(r, c)
+
+
+class FakeGold:
+    """Minimal stand-in for a dataset example, carrying just what scoring reads."""
+
+    def __init__(self, example_id, gold_answers, hop_depths):
+        self.id = example_id
+        self.gold_answers = gold_answers
+        self.hop_depths = hop_depths
+
+
+def scored(example_id: str, mask, hops=None) -> ExampleResult:
+    """The scoring of a response whose i-th answer is right iff mask[i]
+    (every hop 1 unless ``hops`` is given)."""
+    hops = hops or [1] * len(mask)
+    gold = FakeGold(example_id, tuple(range(1, len(mask) + 1)), tuple(hops))
+    answers = " ".join(str(i + 1) if ok else "0" for i, ok in enumerate(mask))
+    return evaluate_prediction(Prediction.from_text(example_id, f"<answer>{answers}</answer>"), gold)
 
 
 def _n(v: int) -> Cell:

@@ -15,13 +15,7 @@ import pytest
 from mathgrid import Difficulty, GenParams, generate
 from mathgrid.core import CellKind, target_order
 from mathgrid.cli import main
-from mathgrid.evaluation import (
-    CellScore,
-    ExampleResult,
-    macro_accuracy,
-    micro_accuracy,
-    weighted_reward,
-)
+from mathgrid.evaluation import CellScore, build_report, weighted_reward
 from mathgrid.generator import mix_seed
 from mathgrid.harness import Modality, build_prompt, run_benchmark, score_run
 from mathgrid.harness.prompts import TextPart
@@ -31,7 +25,7 @@ from mathgrid.render.svg import extract_text_cells
 from mathgrid.render.markdown import cell_text
 from mathgrid.solver import brute_force_oracle, deduce, detect_equations, verify_solution
 
-from conftest import REFERENCE_MARKDOWN, coords
+from conftest import REFERENCE_MARKDOWN, coords, scored
 from endpointmock import MockEndpoint
 
 
@@ -151,30 +145,24 @@ def test_criterion_4_difficulty_stratification(stratified_dataset):
 
 def test_criterion_5_metric_formulas():
     with criterion(5, "micro/macro formulas exact on fixtures; macro <= micro on 10,000 masks"):
-        fixture = [
-            ExampleResult("a", tuple(CellScore(i, 1, True) for i in range(4)), True),
-            ExampleResult(
-                "b",
-                tuple(CellScore(i, 1, i < 2) for i in range(4)),
-                False,
-            ),
-        ]
-        assert micro_accuracy(fixture) == 0.75
-        assert macro_accuracy(fixture) == 0.5
+        fixture = [scored("a", [True] * 4), scored("b", [True, True, False, False])]
+        report = build_report(fixture)
+        assert report.micro == 0.75
+        assert report.macro == 0.5
         rng = random.Random(0)
         for _ in range(10_000):
             n_examples = rng.randint(1, 6)
             results = []
             for j in range(n_examples):
                 mask = [rng.random() < 0.5 for _ in range(rng.randint(1, 8))]
-                scores = tuple(CellScore(i, 1, ok) for i, ok in enumerate(mask))
-                results.append(ExampleResult(str(j), scores, all(mask)))
-            assert macro_accuracy(results) <= micro_accuracy(results) + 1e-12
+                results.append(scored(str(j), mask))
+            report = build_report(results)
+            assert report.macro <= report.micro + 1e-12
 
 
 def test_criterion_6_reward_formula():
     with criterion(6, "hop-weighted reward: fixture 0.5 exact, monotone, all-correct gives 1.0"):
-        fixture = [CellScore(0, 1, True), CellScore(1, 1, True), CellScore(2, 2, False)]
+        fixture = [CellScore(1, True), CellScore(1, True), CellScore(2, False)]
         assert weighted_reward(fixture) == 0.5
         rng = random.Random(1)
         for _ in range(2_000):
@@ -187,14 +175,14 @@ def test_criterion_6_reward_formula():
             improved = list(mask)
             improved[flip] = True
             before = weighted_reward(
-                [CellScore(i, h, ok) for i, (h, ok) in enumerate(zip(hops, mask))]
+                [CellScore(h, ok) for h, ok in zip(hops, mask)]
             )
             after = weighted_reward(
-                [CellScore(i, h, ok) for i, (h, ok) in enumerate(zip(hops, improved))]
+                [CellScore(h, ok) for h, ok in zip(hops, improved)]
             )
             assert after > before
             assert 0.0 <= before < 1.0
-        perfect = [CellScore(i, h, True) for i, h in enumerate((1, 2, 5))]
+        perfect = [CellScore(h, True) for h in (1, 2, 5)]
         assert weighted_reward(perfect) == 1.0
 
 

@@ -103,6 +103,22 @@ def test_solve_rejects_a_number_too_long_to_read(tmp_path, capsys):
     _one_error_line(capsys, "line 1, cell 3: ", "too long")
 
 
+def test_solve_lists_at_most_ten_unresolved_targets(tmp_path, capsys):
+    grid_file = tmp_path / "wide.md"
+    grid_file.write_text("| " + " | ".join(["?"] * 20_000) + " |\n", encoding="utf-8")
+    assert main(["solve", "--markdown", str(grid_file)]) == 1
+    first_ten = str([(0, col) for col in range(10)])
+    _one_error_line(capsys, f"error: targets {first_ten} and 19990 more cannot be deduced\n")
+
+
+def test_solve_lists_up_to_ten_unresolved_targets_in_full(tmp_path, capsys):
+    grid_file = tmp_path / "ten.md"
+    grid_file.write_text("| " + " | ".join(["?"] * 10) + " |\n", encoding="utf-8")
+    assert main(["solve", "--markdown", str(grid_file)]) == 1
+    every = str([(0, col) for col in range(10)])
+    assert capsys.readouterr().err == f"error: targets {every} cannot be deduced\n"
+
+
 def test_render_single_markdown(tmp_path):
     grid_file = tmp_path / "puzzle.md"
     grid_file.write_text(REFERENCE_MARKDOWN, encoding="utf-8")
@@ -532,6 +548,35 @@ def test_manifest_load_error_names_file_and_line(dataset_dir, tmp_path, capsys, 
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
     _one_error_line(capsys, f"{manifest} line 2: ", repr(key) if key in MANIFEST_KEYS else "")
+
+
+@pytest.mark.parametrize("key", ["id", "markdown"])
+def test_manifest_text_fields_must_be_strings(dataset_dir, tmp_path, capsys, key):
+    def corrupt(data):
+        data[key] = 5
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: {key} must be a string, not int")
+
+
+@pytest.mark.parametrize("source", ["manifest", "run", "config", "report"])
+def test_deeply_nested_json_gives_one_error_line(dataset_dir, tmp_path, capsys, source):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    manifest, run = str(dataset_dir / "manifest.jsonl"), str(_gold_run(dataset_dir, tmp_path))
+    argv = {
+        "manifest": ["bench", "score", "--run", run, "--manifest", str(deep)],
+        "run": ["bench", "score", "--run", str(deep), "--manifest", manifest],
+        "config": [
+            "bench", "run", "--manifest", manifest, "--out", str(tmp_path / "out.jsonl"),
+            "--config", str(deep),
+        ],
+        "report": ["bench", "table", "--report", str(deep)],
+    }[source]
+    assert main(argv) == 1
+    where = f"{deep} line 1: " if source in ("manifest", "run") else f"{deep}: "
+    _one_error_line(capsys, where + "JSON nested too deeply to parse")
 
 
 def test_text_runs_are_keyed_without_a_style(dataset_dir, tmp_path, capsys):

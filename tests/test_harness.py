@@ -178,6 +178,22 @@ class TestWireFormat:
             response_text(body)
 
 
+    @pytest.mark.parametrize(
+        "body, part",
+        [
+            ({"choices": [5]}, "first choice is a JSON int, not an object"),
+            ({"choices": [{"message": "hi"}]}, "message is a JSON str, not an object"),
+            ({"choices": "abc"}, "choices is a JSON str, not an array"),
+            ({"choices": {"a": 1}}, "choices is a JSON dict, not an array"),
+        ],
+        ids=["choice-int", "message-str", "choices-str", "choices-dict"],
+    )
+    def test_response_part_of_the_wrong_type_rejected(self, body, part):
+        # a ValueError, which _send_with_retries retries like any unusable body
+        with pytest.raises(ValueError, match=f"^response {part}$"):
+            response_text(body)
+
+
 class TestEndpointConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
