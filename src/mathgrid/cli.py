@@ -169,7 +169,11 @@ def _cmd_bench_score(args: argparse.Namespace) -> int:
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
     data = _read_json_file(args.report)
-    print(format_metrics_table(data))
+    try:
+        table = format_metrics_table(data)
+    except ValueError as exc:
+        raise ValueError(f"{args.report}: {exc}") from exc
+    print(table)
     return 0
 
 

@@ -9,7 +9,7 @@ A puzzle lives on a rectangular grid of cells. Horizontal and vertical
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple, TYPE_CHECKING
@@ -181,25 +181,25 @@ class SolutionTrace:
 
     ``steps[i]`` holds every resolution made in iteration i+1, so i+1 is the
     hop depth of each cell it resolves; a coordinate appears at most once
-    across all steps.
+    across all steps. The other fields are read off ``steps`` when the trace
+    is built; equality and hashing look at ``steps`` alone.
     """
 
     steps: tuple[tuple[Resolution, ...], ...]
+    #: ``(coord, value, hop depth)`` of every resolved cell, in target (reading) order.
+    resolved: list[tuple[Coord, int, int]] = field(init=False, repr=False, compare=False)
+    #: Every resolved value, in target (reading) order.
+    answers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    #: The hop depth of every resolved cell, aligned with ``answers``.
+    hop_depths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def resolved(self) -> list[tuple[Coord, int, int]]:
-        """``(coord, value, hop depth)`` of every resolved cell, in target (reading) order."""
-        return sorted((r.coord, r.value, hop) for hop, step in enumerate(self.steps, 1) for r in step)
-
-    @cached_property
-    def answers(self) -> tuple[int, ...]:
-        """Every resolved value, in target (reading) order."""
-        return tuple(value for _, value, _ in self.resolved)
-
-    @cached_property
-    def hop_depths(self) -> tuple[int, ...]:
-        """The hop depth of every resolved cell, aligned with ``answers``."""
-        return tuple(hop for _, _, hop in self.resolved)
+    def __post_init__(self) -> None:
+        resolved = sorted(
+            (r.coord, r.value, hop) for hop, step in enumerate(self.steps, 1) for r in step
+        )
+        object.__setattr__(self, "resolved", resolved)
+        object.__setattr__(self, "answers", tuple([value for _, value, _ in resolved]))
+        object.__setattr__(self, "hop_depths", tuple([hop for _, _, hop in resolved]))
 
     def to_json(self) -> dict:
         return {

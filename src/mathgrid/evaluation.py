@@ -8,10 +8,11 @@ micro (mean of per-example fractions), macro (all-correct rate), K-hop
 
 from __future__ import annotations
 
+import operator
 import re
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import reduce
+from typing import Callable, Iterable, NamedTuple
 
 from .core import DatasetExample, MathGridError
 
@@ -58,6 +59,13 @@ def parse_token(token: str) -> int | None:
     return None
 
 
+def _sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum, the one ``sum()`` gives before Python 3.12;
+    3.12's compensated ``sum()`` would move a report's last digits with the
+    interpreter."""
+    return reduce(operator.add, values, 0)
+
+
 @dataclass(frozen=True)
 class Prediction:
     """One model response reduced to the parsed tokens of its last answer
@@ -71,8 +79,9 @@ class Prediction:
         return Prediction(example_id, tuple(parse_token(t) for t in extract_answers(raw_text)))
 
 
-@dataclass(frozen=True)
-class CellScore:
+class CellScore(NamedTuple):
+    """One gold cell: its hop depth and whether the prediction got it."""
+
     hop: int
     correct: bool
 
@@ -121,8 +130,8 @@ def weighted_reward(
     weights = [weight_fn(s.hop) for s in scores]
     if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    total = sum(weights)
-    return sum(w for w, s in zip(weights, scores) if s.correct) / total
+    total = _sum(weights)
+    return _sum(w for w, s in zip(weights, scores) if s.correct) / total
 
 
 @dataclass(frozen=True)
@@ -150,21 +159,29 @@ class EvalReport:
 
 
 def format_metrics_table(report_json: dict) -> str:
-    """Fixed-width text table of the headline metrics, in percent."""
+    """Fixed-width text table of the headline metrics, in percent.
 
-    def pct(value: float | None) -> str:
-        return "   -  " if value is None else f"{100 * value:6.2f}"
+    A metric that is absent or null shows as "-". Raises ValueError naming
+    a key whose value has the wrong type.
+    """
+    if not isinstance(report_json, dict):
+        raise ValueError(f"report must be a JSON object, not {type(report_json).__name__}")
+    khop = report_json.get("khop")
+    if khop is None:
+        khop = {}
+    elif not isinstance(khop, dict):
+        raise ValueError(f"khop must be a JSON object, not {type(khop).__name__}")
 
-    khop = report_json.get("khop", {})
+    def pct(key: str, value: object) -> str:
+        if value is None:
+            return "   -  "
+        if type(value) not in (int, float):  # bool is an int, yet no metric
+            raise ValueError(f"{key} must be a number, not {type(value).__name__}")
+        return f"{100 * value:6.2f}"
+
     headers = ["Micro Acc", "Macro Acc", "1 Hop", "2 Hops", "3 Hops", "4+ Hops"]
-    values = [
-        pct(report_json.get("micro")),
-        pct(report_json.get("macro")),
-        pct(khop.get("1")),
-        pct(khop.get("2")),
-        pct(khop.get("3")),
-        pct(khop.get("4plus")),
-    ]
+    values = [pct(key, report_json.get(key)) for key in ("micro", "macro")]
+    values += [pct(f"khop.{key}", khop.get(key)) for key in ("1", "2", "3", "4plus")]
     widths = [max(len(h), 6) for h in headers]
     head = " | ".join(h.rjust(w) for h, w in zip(headers, widths))
     row = " | ".join(v.rjust(w) for v, w in zip(values, widths))
@@ -182,22 +199,24 @@ def build_report(results: Iterable[ExampleResult]) -> EvalReport:
     fractions: list[float] = []
     rewards: list[float] = []
     perfect = 0
-    right: Counter[int] = Counter()
-    seen: Counter[int] = Counter()
+    # cells seen and cells right per bucket; index 0 stays unused, as
+    # weighted_reward rejects a hop below 1 before its cells are tallied
+    seen = [0] * 5
+    right = [0] * 5
     for res in results:
         rewards.append(weighted_reward(res.scores))  # EmptyScores for a result without cells
         fractions.append(sum(s.correct for s in res.scores) / len(res.scores))
         perfect += res.all_correct
-        for s in res.scores:
-            bucket = min(s.hop, 4)
+        for hop, correct in res.scores:
+            bucket = hop if hop < 4 else 4
             seen[bucket] += 1
-            right[bucket] += s.correct
+            right[bucket] += correct
     if not fractions:
         raise EmptyReport("no examples to aggregate")
     return EvalReport(
         examples=len(fractions),
-        micro=sum(fractions) / len(fractions),
+        micro=_sum(fractions) / len(fractions),
         macro=perfect / len(fractions),
         khop={k: right[k] / seen[k] for k in KHOP_BUCKETS if seen[k]},
-        mean_reward=sum(rewards) / len(rewards),
+        mean_reward=_sum(rewards) / len(rewards),
     )

@@ -12,40 +12,45 @@ import os
 from contextlib import closing
 from pathlib import Path
 
-from ..core import DatasetExample, Equation, Resolution
+from ..core import Coord, DatasetExample
 from ..manifest import read_manifest
 from ..render.markdown import cell_text
 from ..solver import detect_equations
 from .prompts import TRAJECTORY_TEMPLATE, load_template, text_prompt
 
 
-def _equation_text(eq: Equation, example: DatasetExample, resolved: Resolution) -> str:
-    """Render an equation with the newly resolved operand masked as '?'."""
-    symbols = []
-    for coord in (eq.a, eq.op_cell, eq.b, eq.eq_cell, eq.c):
-        if coord == resolved.coord:
-            symbols.append("?")
-        else:
-            symbols.append(cell_text(example.answer_grid.at(coord)))
-    return " ".join(symbols)
-
-
 def format_solution_steps(example: DatasetExample) -> str:
-    """Numbered textual steps mirroring the deduction trace."""
-    equations = {eq.id: eq for eq in detect_equations(example.grid)}
+    """Numbered textual steps mirroring the deduction trace.
+
+    Each step writes its equation's five symbols as the answer grid shows
+    them, with the newly resolved operand masked as '?': targets from the
+    trace's values, every other cell from the query grid.
+    """
+    cols, cells = example.grid.cols, example.grid.cells
+    equations = detect_equations(example.grid)
+    filled: dict[Coord, str] | None = None
     lines = []
     for i, step in enumerate(example.trace.steps, start=1):
         lines.append(f"Step {i}:")
         for res in step:
-            eq = equations.get(res.eq_id)
-            if eq is None:
+            if not 0 <= res.eq_id < len(equations):
                 raise ValueError(
                     f"example {example.id}: the trace names equation {res.eq_id}, "
                     "which the grid lacks"
                 )
+            eq = equations[res.eq_id]
+            if filled is None:
+                if min(example.trace.answers) < 1:
+                    example.answer_grid  # raises Cell.number's error for the first such value
+                filled = {coord: str(value) for coord, value, _ in example.trace.resolved}
+            symbols = [
+                "?"
+                if coord == res.coord
+                else filled.get(coord) or cell_text(cells[coord.row * cols + coord.col])
+                for coord in (eq.a, eq.op_cell, eq.b, eq.eq_cell, eq.c)
+            ]
             lines.append(
-                f"- {eq.orientation.value} equation "
-                f"{_equation_text(eq, example, res)} gives "
+                f"- {eq.orientation.value} equation {' '.join(symbols)} gives "
                 f"cell ({res.coord.row}, {res.coord.col}) = {res.value}"
             )
     return "\n".join(lines)

@@ -62,6 +62,9 @@ class Slot(enum.Enum):
 # Where each slot of ``a op b = c`` sits in the inverse equation ``b inv c = a``.
 INVERSE_SLOT = {Slot.A: Slot.C, Slot.B: Slot.A, Slot.C: Slot.B}
 
+# CellKind members bound once: reading one off the Enum class costs several
+# times a module global.
+_OPERATOR, _EQUALS, _EMPTY = CellKind.OPERATOR, CellKind.EQUALS, CellKind.EMPTY
 _OPERAND_KINDS = (CellKind.NUMBER, CellKind.TARGET)
 _AXES = ((Orientation.HORIZONTAL, (0, 1)), (Orientation.VERTICAL, (1, 0)))
 
@@ -74,10 +77,10 @@ def _run_matches(kinds: list[CellKind], op: int, step: int, first: bool, last: b
     return (
         kinds[op - step] in _OPERAND_KINDS
         and kinds[op + step] in _OPERAND_KINDS
-        and kinds[op + 2 * step] is CellKind.EQUALS
+        and kinds[op + 2 * step] is _EQUALS
         and kinds[op + 3 * step] in _OPERAND_KINDS
-        and (first or kinds[op - 2 * step] is CellKind.EMPTY)
-        and (last or kinds[op + 4 * step] is CellKind.EMPTY)
+        and (first or kinds[op - 2 * step] is _EMPTY)
+        and (last or kinds[op + 4 * step] is _EMPTY)
     )
 
 
@@ -88,26 +91,35 @@ def detect_equations(grid: Grid) -> list[Equation]:
     pass over the operator cells meets both sets in scan order.
 
     Raises MalformedGrid when an operator or equals cell is left over, which
-    happens for runs longer or shorter than the exact 5-cell pattern.
+    happens for runs longer or shorter than the exact 5-cell pattern; the
+    first such cell in reading order is named.
     """
-    rows, cols = grid.rows, grid.cols
-    kinds = [cell.kind for cell in grid.cells]
-    marks = [
-        i for i, kind in enumerate(kinds) if kind is CellKind.OPERATOR or kind is CellKind.EQUALS
-    ]
-    ops: dict[Orientation, list[Coord]] = {Orientation.HORIZONTAL: [], Orientation.VERTICAL: []}
-    for i in marks:
-        if kinds[i] is not CellKind.OPERATOR:
-            continue
+    rows, cols, cells = grid.rows, grid.cols, grid.cells
+    kinds = [cell.kind for cell in cells]
+    ops = [i for i, kind in enumerate(kinds) if kind is _OPERATOR]
+    horizontal: list[int] = []
+    vertical: list[int] = []
+    for i in ops:
         r, c = divmod(i, cols)
         if 1 <= c <= cols - 4 and _run_matches(kinds, i, 1, c == 1, c == cols - 4):
-            ops[Orientation.HORIZONTAL].append(Coord(r, c))
+            horizontal.append(i)
         if 1 <= r <= rows - 4 and _run_matches(kinds, i, cols, r == 1, r == rows - 4):
-            ops[Orientation.VERTICAL].append(Coord(r, c))
+            vertical.append(i)
+
+    # flat indices of the operator and equals cells no equation takes
+    equals = {i for i, kind in enumerate(kinds) if kind is _EQUALS}
+    leftover = set(ops).difference(horizontal, vertical) | equals.difference(
+        [i + 2 for i in horizontal], [i + 2 * cols for i in vertical]
+    )
+    if leftover:
+        first = min(leftover)
+        what = "operator" if kinds[first] is _OPERATOR else "equals sign"
+        raise MalformedGrid(f"{what} at {divmod(first, cols)} belongs to no equation")
 
     equations = []
-    for orientation, (dr, dc) in _AXES:
-        for r, c in ops[orientation]:
+    for (orientation, (dr, dc)), found in zip(_AXES, (horizontal, vertical)):
+        for i in found:
+            r, c = divmod(i, cols)
             equations.append(
                 Equation(
                     id=len(equations),
@@ -115,20 +127,11 @@ def detect_equations(grid: Grid) -> list[Equation]:
                     a=Coord(r - dr, c - dc),
                     b=Coord(r + dr, c + dc),
                     c=Coord(r + 3 * dr, c + 3 * dc),
-                    op=grid.cells[r * cols + c].op,
+                    op=cells[i].op,
                     op_cell=Coord(r, c),
                     eq_cell=Coord(r + 2 * dr, c + 2 * dc),
                 )
             )
-
-    op_cells = {eq.op_cell for eq in equations}
-    eq_cells = {eq.eq_cell for eq in equations}
-    for i in marks:
-        coord = Coord(i // cols, i % cols)
-        if kinds[i] is CellKind.OPERATOR and coord not in op_cells:
-            raise MalformedGrid(f"operator at {tuple(coord)} belongs to no equation")
-        if kinds[i] is CellKind.EQUALS and coord not in eq_cells:
-            raise MalformedGrid(f"equals sign at {tuple(coord)} belongs to no equation")
     return equations
 
 

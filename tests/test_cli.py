@@ -374,6 +374,33 @@ def test_bad_input_gives_one_error_line(case, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "report, named",
+    [
+        ([1], "report must be a JSON object, not list"),
+        ({"khop": [1]}, "khop must be a JSON object, not list"),
+        ({"micro": [1]}, "micro must be a number, not list"),
+        ({"micro": "x"}, "micro must be a number, not str"),
+        ({"micro": True}, "micro must be a number, not bool"),
+        ({"micro": 0.5, "khop": {"4plus": {}}}, "khop.4plus must be a number, not dict"),
+    ],
+    ids=lambda value: None if isinstance(value, str) else json.dumps(value),
+)
+def test_bench_table_checks_the_report_shape(tmp_path, capsys, report, named):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert main(["bench", "table", "--report", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {named}\n")
+
+
+def test_bench_table_shows_absent_and_null_metrics_as_dashes(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"micro": 1, "macro": None, "khop": None}), encoding="utf-8")
+    assert main(["bench", "table", "--report", str(path)]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    assert [cell.strip() for cell in row.split("|")] == ["100.00", "-", "-", "-", "-", "-"]
+
+
 def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
     code = main(
         [

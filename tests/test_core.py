@@ -156,5 +156,30 @@ def test_solution_trace_json_round_trip(appendix_grid):
     assert rebuilt == trace
 
 
+def test_solution_trace_identity_is_its_steps(appendix_grid):
+    trace, _ = deduce(appendix_grid)
+    twin = SolutionTrace(trace.steps)
+    assert twin == trace and hash(twin) == hash(trace) and twin is not trace
+    assert replace(trace) == trace
+    assert {trace: 1}[twin] == 1
+    assert (trace.answers, trace.hop_depths) == ((6, 93, 45, 8), (1, 1, 1, 1))
+
+
+def test_replacing_a_traces_steps_recomputes_what_it_reads_off_them(appendix_grid):
+    trace, _ = deduce(appendix_grid)
+    (step,) = trace.steps
+    bumped = replace(trace, steps=(tuple(r._replace(value=r.value + 1) for r in step),))
+    assert bumped != trace
+    assert bumped.answers == (7, 94, 46, 9) and bumped.hop_depths == (1, 1, 1, 1)
+    split = replace(trace, steps=(step[:1], step[1:]))
+    assert split.answers == trace.answers
+    later = {r.coord for r in step[1:]}
+    assert split.hop_depths == tuple(2 if c in later else 1 for c in target_order(appendix_grid))
+    assert [(c, v) for c, v, _ in split.resolved] == [(c, v) for c, v, _ in trace.resolved]
+    for derived in ("resolved", "answers", "hop_depths"):
+        with pytest.raises(ValueError):
+            replace(trace, **{derived: ()})
+
+
 def test_reference_grid_matches_cell_construction(appendix_grid):
     assert appendix_grid == reference_grid()

@@ -10,6 +10,7 @@ from mathgrid.evaluation import (
     CellScore,
     EmptyReport,
     EmptyScores,
+    ExampleResult,
     Prediction,
     UnknownExample,
     build_report,
@@ -142,8 +143,35 @@ class TestMetrics:
         assert build_report(results).khop[1] == pytest.approx(0.2)
 
     def test_khop_4_pools_deeper_hops(self):
-        report = build_report([scored("a", [True, False], hops=[4, 6])])
-        assert report.khop == {4: pytest.approx(0.5)}
+        report = build_report([scored("a", [True, False, True, False], hops=[4, 6, 5, 1])])
+        assert report.khop == {1: 0.0, 4: pytest.approx(2 / 3)}
+        assert report.to_json()["khop"] == {"1": 0.0, "4plus": pytest.approx(2 / 3)}
+
+    @pytest.mark.parametrize("hop", [0, -1])
+    def test_a_hop_below_1_fails_in_weighted_reward(self, hop):
+        # hand-built: evaluate_prediction copies the hops of a real example, all >= 1
+        result = ExampleResult("a", (CellScore(1, True), CellScore(hop, False)), False)
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            weighted_reward(result.scores)
+        with pytest.raises(ValueError, match="^weights must be positive$"):
+            build_report([scored("b", [True], hops=[2]), result])
+
+    def test_cell_score_is_a_plain_pair(self):
+        score = CellScore(3, True)
+        assert score == (3, True) and (score.hop, score.correct) == (3, True)
+        assert scored("a", [True, False], hops=[2, 1]).scores == (
+            CellScore(2, True),
+            CellScore(1, False),
+        )
+
+    def test_floats_are_summed_left_to_right_on_every_python(self):
+        # ten fractions of 0.1 add up to 0.9999999999999999 left to right;
+        # Python 3.12's compensated sum() would give 1.0, so micro 0.1
+        results = [scored(f"e{i}", [True] + [False] * 9) for i in range(10)]
+        assert build_report(results).micro == 0.9999999999999999 / 10
+        # six weights of 0.1 add up to 0.6 left to right, and to 0.6000000000000001 compensated
+        scores = [CellScore(1, True)] + [CellScore(1, False)] * 5
+        assert weighted_reward(scores, lambda hop: 0.1) == 0.1 / 0.6 == 0.16666666666666669
 
     def test_missing_hop_raises(self):
         report = build_report([scored("a", [True], hops=[1])])
