@@ -158,7 +158,7 @@ class EvalReport:
         }
 
 
-def format_metrics_table(report_json: dict) -> str:
+def format_metrics_table(report_json: object) -> str:
     """Fixed-width text table of the headline metrics, in percent.
 
     A metric that is absent or null shows as "-". Raises ValueError naming
