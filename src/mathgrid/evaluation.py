@@ -166,10 +166,8 @@ def format_metrics_table(report_json: object) -> str:
     """
     if not isinstance(report_json, dict):
         raise ValueError(f"report must be a JSON object, not {type(report_json).__name__}")
-    khop = report_json.get("khop")
-    if khop is None:
-        khop = {}
-    elif not isinstance(khop, dict):
+    khop = report_json.get("khop", {})
+    if not isinstance(khop, dict):
         raise ValueError(f"khop must be a JSON object, not {type(khop).__name__}")
 
     def pct(key: str, value: object) -> str:

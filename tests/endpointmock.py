@@ -177,33 +177,30 @@ class MockEndpoint:
             self._inflight += 1
             self.max_inflight = max(self.max_inflight, self._inflight)
         try:
-            if self.latency_s:
-                time.sleep(self.latency_s)
-            length = int(request.headers.get("Content-Length", 0))
-            body = json.loads(request.rfile.read(length))
-            if request_index <= self.fail_first_n:
-                self._respond(request, self.fail_status, {"error": "scripted transient failure"})
-                return
-            if self.mode == "list":
-                self._respond(request, 200, [])
-                return
-            grid = self._extract_grid(body)
-            example_id = self._md_to_id.get(to_markdown(grid).strip())
-            if example_id is not None and example_id in self.fail_ids:
-                self._respond(
-                    request, self.fail_status, {"error": f"scripted failure for {example_id}"}
-                )
-                return
-            payload = {
-                "choices": [{"message": {"content": self._answer_text(grid)}}]
-            }
-            self._respond(request, 200, payload)
+            status, payload = self._reply(request, request_index)
         except Exception as exc:  # pragma: no cover - surfaced as HTTP 400
-            self._respond(request, 400, {"error": str(exc)})
-        finally:
-            with self._lock:
-                self._inflight -= 1
-            time.sleep(self.close_delay_s)
+            status, payload = 400, {"error": str(exc)}
+        # The client may send its next request as soon as it has read this
+        # response, so this one stops counting as in flight before it is written.
+        with self._lock:
+            self._inflight -= 1
+        self._respond(request, status, payload)
+        time.sleep(self.close_delay_s)
+
+    def _reply(self, request: BaseHTTPRequestHandler, request_index: int) -> tuple[int, dict | list]:
+        if self.latency_s:
+            time.sleep(self.latency_s)
+        length = int(request.headers.get("Content-Length", 0))
+        body = json.loads(request.rfile.read(length))
+        if request_index <= self.fail_first_n:
+            return self.fail_status, {"error": "scripted transient failure"}
+        if self.mode == "list":
+            return 200, []
+        grid = self._extract_grid(body)
+        example_id = self._md_to_id.get(to_markdown(grid).strip())
+        if example_id is not None and example_id in self.fail_ids:
+            return self.fail_status, {"error": f"scripted failure for {example_id}"}
+        return 200, {"choices": [{"message": {"content": self._answer_text(grid)}}]}
 
     def _respond(self, request: BaseHTTPRequestHandler, status: int, payload: dict | list) -> None:
         body = json.dumps(payload).encode("utf-8")

@@ -395,7 +395,7 @@ def test_bench_table_checks_the_report_shape(tmp_path, capsys, report, named):
 
 def test_bench_table_shows_absent_and_null_metrics_as_dashes(tmp_path, capsys):
     path = tmp_path / "report.json"
-    path.write_text(json.dumps({"micro": 1, "macro": None, "khop": None}), encoding="utf-8")
+    path.write_text(json.dumps({"micro": 1, "macro": None, "khop": {"2": None}}), encoding="utf-8")
     assert main(["bench", "table", "--report", str(path)]) == 0
     row = capsys.readouterr().out.splitlines()[-1]
     assert [cell.strip() for cell in row.split("|")] == ["100.00", "-", "-", "-", "-", "-"]
