@@ -158,23 +158,35 @@ class EvalReport:
         }
 
 
+#: The JSON name of each type that json.loads gives.
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "number",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
+}
+
+
 def format_metrics_table(report_json: object) -> str:
     """Fixed-width text table of the headline metrics, in percent.
 
     A metric that is absent or null shows as "-". Raises ValueError naming
-    a key whose value has the wrong type.
+    a key whose value has the wrong JSON type.
     """
     if not isinstance(report_json, dict):
-        raise ValueError(f"report must be a JSON object, not {type(report_json).__name__}")
+        raise ValueError(f"report must be a JSON object, not {_JSON_TYPES[type(report_json)]}")
     khop = report_json.get("khop", {})
     if not isinstance(khop, dict):
-        raise ValueError(f"khop must be a JSON object, not {type(khop).__name__}")
+        raise ValueError(f"khop must be a JSON object, not {_JSON_TYPES[type(khop)]}")
 
     def pct(key: str, value: object) -> str:
         if value is None:
             return "   -  "
         if type(value) not in (int, float):  # bool is an int, yet no metric
-            raise ValueError(f"{key} must be a number, not {type(value).__name__}")
+            raise ValueError(f"{key} must be a number, not {_JSON_TYPES[type(value)]}")
         return f"{100 * value:6.2f}"
 
     headers = ["Micro Acc", "Macro Acc", "1 Hop", "2 Hops", "3 Hops", "4+ Hops"]

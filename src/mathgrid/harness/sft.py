@@ -12,7 +12,7 @@ import os
 from contextlib import closing
 from pathlib import Path
 
-from ..core import Coord, DatasetExample
+from ..core import DatasetExample
 from ..manifest import read_manifest
 from ..render.markdown import cell_text
 from ..solver import detect_equations
@@ -23,12 +23,10 @@ def format_solution_steps(example: DatasetExample) -> str:
     """Numbered textual steps mirroring the deduction trace.
 
     Each step writes its equation's five symbols as the answer grid shows
-    them, with the newly resolved operand masked as '?': targets from the
-    trace's values, every other cell from the query grid.
+    them, with the newly resolved operand masked as '?'.
     """
-    cols, cells = example.grid.cols, example.grid.cells
+    cols = example.grid.cols
     equations = detect_equations(example.grid)
-    filled: dict[Coord, str] | None = None
     lines = []
     for i, step in enumerate(example.trace.steps, start=1):
         lines.append(f"Step {i}:")
@@ -39,14 +37,9 @@ def format_solution_steps(example: DatasetExample) -> str:
                     "which the grid lacks"
                 )
             eq = equations[res.eq_id]
-            if filled is None:
-                if min(example.trace.answers) < 1:
-                    example.answer_grid  # raises Cell.number's error for the first such value
-                filled = {coord: str(value) for coord, value, _ in example.trace.resolved}
+            cells = example.answer_grid.cells
             symbols = [
-                "?"
-                if coord == res.coord
-                else filled.get(coord) or cell_text(cells[coord.row * cols + coord.col])
+                "?" if coord == res.coord else cell_text(cells[coord.row * cols + coord.col])
                 for coord in (eq.a, eq.op_cell, eq.b, eq.eq_cell, eq.c)
             ]
             lines.append(

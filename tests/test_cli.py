@@ -377,12 +377,14 @@ def test_bad_input_gives_one_error_line(case, tmp_path, capsys):
 @pytest.mark.parametrize(
     "report, named",
     [
-        ([1], "report must be a JSON object, not list"),
-        ({"khop": [1]}, "khop must be a JSON object, not list"),
-        ({"micro": [1]}, "micro must be a number, not list"),
-        ({"micro": "x"}, "micro must be a number, not str"),
-        ({"micro": True}, "micro must be a number, not bool"),
-        ({"micro": 0.5, "khop": {"4plus": {}}}, "khop.4plus must be a number, not dict"),
+        ([1], "report must be a JSON object, not array"),
+        (1.5, "report must be a JSON object, not number"),
+        ({"khop": [1]}, "khop must be a JSON object, not array"),
+        ({"khop": None}, "khop must be a JSON object, not null"),
+        ({"micro": [1]}, "micro must be a number, not array"),
+        ({"micro": "x"}, "micro must be a number, not string"),
+        ({"micro": True}, "micro must be a number, not boolean"),
+        ({"micro": 0.5, "khop": {"4plus": {}}}, "khop.4plus must be a number, not object"),
     ],
     ids=lambda value: None if isinstance(value, str) else json.dumps(value),
 )

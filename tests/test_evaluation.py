@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import operator
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -298,9 +300,14 @@ class TestReport:
 # replaced, kept to pin its output.
 
 
+def left_to_right_sum(values):
+    # sum() before Python 3.12; later versions compensate rounding
+    return reduce(operator.add, values, 0)
+
+
 def reference_micro(results):
     fractions = [sum(s.correct for s in res.scores) / len(res.scores) for res in results]
-    return sum(fractions) / len(fractions)
+    return left_to_right_sum(fractions) / len(fractions)
 
 
 def reference_macro(results):
@@ -334,7 +341,7 @@ def reference_report_json(results):
         "micro": reference_micro(results),
         "macro": reference_macro(results),
         "khop": {"4plus" if k == 4 else str(k): reference_khop(results, k) for k in counts},
-        "mean_reward": sum(rewards) / len(rewards),
+        "mean_reward": left_to_right_sum(rewards) / len(rewards),
         "examples": len(results),
     }
 
