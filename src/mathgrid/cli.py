@@ -6,11 +6,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
-from .core import Difficulty, MathGridError, Operator
+from .core import Difficulty, MathGridError, Operator, check_type, located
 from .evaluation import format_metrics_table
 from .generator import GenParams, generate_batch, write_example_images
-from .harness.client import ConfigError, EndpointConfig, Modality, run_benchmark, score_run
+from .harness.client import EndpointConfig, Modality, run_benchmark, score_run
 from .harness.sft import export_sft_trajectories
 from .manifest import load_manifest, parse_json, write_manifest
 from .render.markdown import _OP_ALIASES, parse_markdown
@@ -115,19 +116,16 @@ def _cmd_export_sft(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_json_file(path: str) -> object:
-    try:
-        return parse_json(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def _read_json_file(path: str, read: Callable[[object], object]) -> object:
+    """``read`` of the JSON a file holds; an error either meets names the file."""
+    with located(path):
+        return read(parse_json(Path(path).read_text(encoding="utf-8")))
 
 
 def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
     data: dict = {}
     if args.config:
-        data = _read_json_file(args.config)
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: endpoint config must be a JSON object")
+        data = _read_json_file(args.config, lambda data: check_type(data, dict, "endpoint config"))
     if args.endpoint:
         data["base_url"] = args.endpoint
     if args.model:
@@ -168,12 +166,7 @@ def _cmd_bench_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
-    data = _read_json_file(args.report)
-    try:
-        table = format_metrics_table(data)
-    except ValueError as exc:
-        raise ValueError(f"{args.report}: {exc}") from exc
-    print(table)
+    print(_read_json_file(args.report, format_metrics_table))
     return 0
 
 

@@ -22,6 +22,62 @@ class MathGridError(Exception):
     """Base class for all package errors."""
 
 
+#: The JSON name of each type that ``json.loads`` gives.
+_JSON_NAMES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "number",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
+}
+#: What a slot of each type must hold; a float slot holds any number.
+_SLOT_NAMES = {
+    dict: "a JSON object",
+    list: "a JSON array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+}
+
+
+def check_type(value: object, kind: type, what: str):
+    """``value`` when its type is exactly ``kind`` (dict, list, str, int, or
+    float for any number), else a ValueError saying what ``what`` must be.
+
+    A bool is neither an integer nor a number.
+    """
+    if type(value) is kind or (kind is float and type(value) is int):
+        return value
+    raise ValueError(f"{what} must be {_SLOT_NAMES[kind]}, not {_JSON_NAMES[type(value)]}")
+
+
+#: What ``located`` reports: the errors that reading a value of the wrong
+#: type or form gives.
+_INPUT_ERRORS = (AttributeError, KeyError, MathGridError, OverflowError, TypeError, ValueError)
+
+
+class located:
+    """Context manager for reading outside input: an error met inside
+    becomes ``ValueError("<where>: ...")``, where ``where`` is ``path`` or
+    ``path line N``, and a KeyError reads ``missing key 'k'``. A reader of
+    many lines sets ``line`` as it moves on."""
+
+    def __init__(self, path: object, line: int | None = None):
+        self.path = path
+        self.line = line
+
+    def __enter__(self) -> located:
+        return self
+
+    def __exit__(self, _kind, exc: BaseException | None, _traceback) -> None:
+        if isinstance(exc, _INPUT_ERRORS):
+            where = self.path if self.line is None else f"{self.path} line {self.line}"
+            detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{where}: {detail}") from exc
+
+
 class Coord(NamedTuple):
     """Grid position: row 0 is the top row, col 0 the leftmost column."""
 

@@ -12,9 +12,9 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .core import DatasetExample, MathGridError
+from .core import DatasetExample, MathGridError, check_type
 
 KHOP_BUCKETS = (1, 2, 3, 4)  # bucket 4 pools every depth >= 4
 
@@ -115,23 +115,15 @@ def evaluate_prediction(pred: Prediction, gold: DatasetExample) -> ExampleResult
     return ExampleResult(gold.id, scores, all_correct)
 
 
-def weighted_reward(
-    scores: Iterable[CellScore],
-    weight_fn: Callable[[int], float] = lambda hop: float(hop),
-) -> float:
-    """Hop-weighted fraction of correct cells: sum(w*correct) / sum(w).
-
-    The default weight equals the hop depth, so later-chain cells count
-    more; any positive weight function may be substituted.
-    """
+def weighted_reward(scores: Iterable[CellScore]) -> float:
+    """Hop-weighted fraction of correct cells: each cell weighs its hop
+    depth, so later-chain cells count more. Both sums are of ints, so exact."""
     scores = list(scores)
     if not scores:
         raise EmptyScores("reward needs at least one cell")
-    weights = [weight_fn(s.hop) for s in scores]
-    if any(w <= 0 for w in weights):
+    if min(hop for hop, _ in scores) < 1:
         raise ValueError("weights must be positive")
-    total = _sum(weights)
-    return _sum(w for w, s in zip(weights, scores) if s.correct) / total
+    return sum(hop for hop, correct in scores if correct) / sum(hop for hop, _ in scores)
 
 
 @dataclass(frozen=True)
@@ -158,36 +150,19 @@ class EvalReport:
         }
 
 
-#: The JSON name of each type that json.loads gives.
-_JSON_TYPES = {
-    dict: "object",
-    list: "array",
-    str: "string",
-    int: "number",
-    float: "number",
-    bool: "boolean",
-    type(None): "null",
-}
-
-
 def format_metrics_table(report_json: object) -> str:
     """Fixed-width text table of the headline metrics, in percent.
 
     A metric that is absent or null shows as "-". Raises ValueError naming
     a key whose value has the wrong JSON type.
     """
-    if not isinstance(report_json, dict):
-        raise ValueError(f"report must be a JSON object, not {_JSON_TYPES[type(report_json)]}")
-    khop = report_json.get("khop", {})
-    if not isinstance(khop, dict):
-        raise ValueError(f"khop must be a JSON object, not {_JSON_TYPES[type(khop)]}")
+    check_type(report_json, dict, "report")
+    khop = check_type(report_json.get("khop", {}), dict, "khop")
 
     def pct(key: str, value: object) -> str:
         if value is None:
             return "   -  "
-        if type(value) not in (int, float):  # bool is an int, yet no metric
-            raise ValueError(f"{key} must be a number, not {_JSON_TYPES[type(value)]}")
-        return f"{100 * value:6.2f}"
+        return f"{100 * check_type(value, float, key):6.2f}"
 
     headers = ["Micro Acc", "Macro Acc", "1 Hop", "2 Hops", "3 Hops", "4+ Hops"]
     values = [pct(key, report_json.get(key)) for key in ("micro", "macro")]

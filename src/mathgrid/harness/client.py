@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
-from ..core import MathGridError
+from ..core import MathGridError, check_type, located
 from ..evaluation import EvalReport, Prediction, build_report, evaluate_prediction
 from ..manifest import load_manifest, parse_json
 from .prompts import (
@@ -42,14 +42,6 @@ class ConfigError(MathGridError):
 
 class ManifestMismatch(MathGridError):
     """Run records reference examples not present in the manifest."""
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return _is_int(value) or isinstance(value, float)
 
 
 def _is_http_url(text: str) -> bool:
@@ -101,11 +93,11 @@ class EndpointConfig:
             )
         for name, least in (("max_concurrency", 1), ("max_retries", 0)):
             value = getattr(self, name)
-            if not _is_int(value) or value < least:
+            if type(value) is not int or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
-        if not _is_number(self.timeout_s) or not self.timeout_s > 0:
+        if type(self.timeout_s) not in (int, float) or not self.timeout_s > 0:
             raise ConfigError(f"timeout_s must be a number > 0, not {self.timeout_s!r}")
-        if not _is_number(self.backoff_s) or not self.backoff_s >= 0:
+        if type(self.backoff_s) not in (int, float) or not self.backoff_s >= 0:
             raise ConfigError(f"backoff_s must be a number >= 0, not {self.backoff_s!r}")
         if not isinstance(self.sampling, dict):
             raise ConfigError(f"sampling must be an object, not {self.sampling!r}")
@@ -172,33 +164,26 @@ class RunRecord:
         return data
 
     @staticmethod
-    def from_json(data: dict) -> RunRecord:
+    def from_json(data: object) -> RunRecord:
         """The record a run-file line holds; ValueError names a mistyped field."""
-        if not isinstance(data, dict):
-            raise ValueError(f"a run record is a JSON object, not a {type(data).__name__}")
-        latency_ms = data.get("latency_ms", 0)
-        if not (_is_int(latency_ms) or (isinstance(latency_ms, float) and math.isfinite(latency_ms))):
+        check_type(data, dict, "run record")
+        latency_ms = check_type(data.get("latency_ms", 0), float, "latency_ms")
+        if type(latency_ms) is float and not math.isfinite(latency_ms):
             raise ValueError(f"latency_ms must be a finite number, not {latency_ms!r}")
-        record = RunRecord(
-            example_id=data["example_id"],
-            modality=data["modality"],
-            style_id=data.get("style_id"),
-            fingerprint=data["fingerprint"],
-            response_text=data.get("response_text", ""),
+        style_id = data.get("style_id")
+        status = data["status"]
+        if status not in ("ok", "error"):
+            raise ValueError(f"status must be 'ok' or 'error', not {status!r}")
+        return RunRecord(
+            example_id=check_type(data["example_id"], str, "example_id"),
+            modality=check_type(data["modality"], str, "modality"),
+            style_id=style_id if style_id is None else check_type(style_id, str, "style_id"),
+            fingerprint=check_type(data["fingerprint"], str, "fingerprint"),
+            response_text=check_type(data.get("response_text", ""), str, "response_text"),
             latency_ms=int(latency_ms),
-            status=data["status"],
+            status=status,
             error=data.get("error"),
         )
-        texts = ["example_id", "modality", "fingerprint", "response_text"]
-        if record.style_id is not None:
-            texts.append("style_id")
-        for name in texts:
-            value = getattr(record, name)
-            if type(value) is not str:
-                raise ValueError(f"{name} must be a string, not {type(value).__name__}")
-        if record.status not in ("ok", "error"):
-            raise ValueError(f"status must be 'ok' or 'error', not {record.status!r}")
-        return record
 
 
 def request_fingerprint(
@@ -239,21 +224,15 @@ def build_chat_payload(
     return payload
 
 
-def _expect(value: object, kind: type, what: str):
-    if not isinstance(value, kind):
-        article = "an object" if kind is dict else "an array"
-        raise ValueError(f"response {what} is a JSON {type(value).__name__}, not {article}")
-    return value
-
-
 def response_text(data: object) -> str:
     """Pull the assistant text out of a decoded chat-completion response body;
     a ValueError names the part that is missing or of the wrong type."""
-    choices = _expect(_expect(data, dict, "body").get("choices") or [], list, "choices")
+    body = check_type(data, dict, "response body")
+    choices = check_type(body.get("choices") or [], list, "response choices")
     if not choices:
         raise ValueError("response has no choices")
-    first = _expect(choices[0], dict, "first choice")
-    message = _expect(first.get("message") or {}, dict, "message")
+    first = check_type(choices[0], dict, "response first choice")
+    message = check_type(first.get("message") or {}, dict, "response message")
     content = message.get("content", first.get("text"))
     if isinstance(content, list):  # some dialects return part lists
         content = "".join(
@@ -511,7 +490,7 @@ def _end_on_a_whole_line(run_path: Path) -> None:
         return
     start = data.rfind(b"\n") + 1
     try:
-        parse_json(data[start:])
+        parse_json(data[start:].decode("utf-8"))
     except ValueError:
         with run_path.open("r+b") as fh:
             fh.truncate(start)
@@ -529,26 +508,23 @@ def load_run_records(run_path: Path | str) -> list[RunRecord]:
     """
     lines = Path(run_path).read_bytes().split(b"\n")
     latest: dict[str, RunRecord] = {}
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            data = parse_json(line)
-        except ValueError as exc:
-            if number < len(lines):
-                raise ValueError(f"{run_path} line {number}: {exc}") from exc
-            print(
-                f"warning: {run_path} line {number}: dropped a record torn mid-write",
-                file=sys.stderr,
-            )
-            break
-        try:
+    with located(run_path) as where:
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            where.line = number
+            try:
+                data = parse_json(line.decode("utf-8"))  # strict, unlike json.loads(bytes)
+            except ValueError:
+                if number < len(lines):
+                    raise
+                print(
+                    f"warning: {run_path} line {number}: dropped a record torn mid-write",
+                    file=sys.stderr,
+                )
+                break
             record = RunRecord.from_json(data)
-        except KeyError as exc:
-            raise ValueError(f"{run_path} line {number}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{run_path} line {number}: {exc}") from exc
-        latest[record.fingerprint] = record
+            latest[record.fingerprint] = record
     return list(latest.values())
 
 

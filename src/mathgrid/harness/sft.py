@@ -12,7 +12,7 @@ import os
 from contextlib import closing
 from pathlib import Path
 
-from ..core import DatasetExample
+from ..core import DatasetExample, located
 from ..manifest import read_manifest
 from ..render.markdown import cell_text
 from ..solver import detect_equations
@@ -71,14 +71,15 @@ def export_sft_trajectories(manifest_path: Path | str, out_path: Path | str) -> 
             partial.open("w", encoding="utf-8") as sink,
             closing(read_manifest(manifest_path)) as examples,
         ):
-            for example in examples:
-                record = {
-                    "example_id": example.id,
-                    "prompt": text_prompt(template, example.markdown),
-                    "symbolic_solution": format_solution_steps(example),
-                    "answer": answer_line(example),
-                }
-                sink.write(json.dumps(record, ensure_ascii=False) + "\n")
+            for number, example in examples:
+                with located(manifest_path, number):
+                    record = {
+                        "example_id": example.id,
+                        "prompt": text_prompt(template, example.markdown),
+                        "symbolic_solution": format_solution_steps(example),
+                        "answer": answer_line(example),
+                    }
+                    sink.write(json.dumps(record, ensure_ascii=False) + "\n")
                 count += 1
         os.replace(partial, out_path)
     except BaseException:

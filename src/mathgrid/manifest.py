@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import DatasetExample, MathGridError, SolutionTrace
+from .core import DatasetExample, SolutionTrace, check_type, located
 from .generator import GenParams
 from .render.markdown import parse_markdown
 
@@ -39,17 +39,19 @@ def example_to_json(example: DatasetExample) -> dict:
     }
 
 
-def example_from_json(data: dict) -> DatasetExample:
+def example_from_json(data: object) -> DatasetExample:
     """Rebuild an example from its trace and gen_params, and reject the line
     when a stored field disagrees with what they give."""
-    for key in ("id", "markdown"):
-        if type(data[key]) is not str:
-            raise ValueError(f"{key} must be a string, not {type(data[key]).__name__}")
+    check_type(data, dict, "manifest line")
+    markdown = check_type(data["markdown"], str, "markdown")
+    images = check_type(data["images"], dict, "images")
+    for style_id, path in images.items():
+        check_type(path, str, f"images {style_id!r}")
     example = DatasetExample(
-        id=data["id"],
-        grid=parse_markdown(data["markdown"]),
-        markdown=data["markdown"],
-        images=dict(data["images"]),
+        id=check_type(data["id"], str, "id"),
+        grid=parse_markdown(markdown),
+        markdown=markdown,
+        images=images,
         gen_params=GenParams.from_json(data["gen_params"]),
         trace=SolutionTrace.from_json(data["trace"]),
     )
@@ -75,22 +77,16 @@ def write_manifest(examples: Iterable[DatasetExample], path: Path | str) -> Path
     return path
 
 
-def read_manifest(path: Path | str) -> Iterator[DatasetExample]:
-    """Examples in file order; a line that does not load fails, naming the
-    file and line."""
-    with Path(path).open("r", encoding="utf-8") as fh:
+def read_manifest(path: Path | str) -> Iterator[tuple[int, DatasetExample]]:
+    """Line number and example of each line in file order; a line that does
+    not load fails, naming the file and line."""
+    with Path(path).open("rb") as fh, located(path) as where:
         for number, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                example = example_from_json(parse_json(line))
-            except KeyError as exc:
-                raise ValueError(f"{path} line {number}: missing key {exc}") from exc
-            except (AttributeError, MathGridError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path} line {number}: {exc}") from exc
-            yield example
+            where.line = number
+            text = line.decode("utf-8").strip()  # decoded per line, so a bad byte names its line
+            if text:
+                yield number, example_from_json(parse_json(text))
 
 
 def load_manifest(path: Path | str) -> list[DatasetExample]:
-    return list(read_manifest(path))
+    return [example for _, example in read_manifest(path)]

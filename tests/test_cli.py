@@ -395,6 +395,13 @@ def test_bench_table_checks_the_report_shape(tmp_path, capsys, report, named):
     assert capsys.readouterr() == ("", f"error: {path}: {named}\n")
 
 
+def test_bench_table_names_a_metric_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text('{"micro": 1' + "0" * 400 + "}", encoding="utf-8")
+    assert main(["bench", "table", "--report", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: int too large to convert to float\n")
+
+
 def test_bench_table_shows_absent_and_null_metrics_as_dashes(tmp_path, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps({"micro": 1, "macro": None, "khop": {"2": None}}), encoding="utf-8")
@@ -586,7 +593,57 @@ def test_manifest_text_fields_must_be_strings(dataset_dir, tmp_path, capsys, key
 
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
-    _one_error_line(capsys, f"{manifest} line 2: {key} must be a string, not int")
+    _one_error_line(capsys, f"{manifest} line 2: {key} must be a string, not number")
+
+
+def test_manifest_image_paths_must_be_strings(dataset_dir, tmp_path, capsys):
+    # such a line once loaded, and every image prompt of it failed at request time
+    def corrupt(data):
+        data["images"]["original"] = 5
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: images 'original' must be a string, not number")
+
+
+@pytest.mark.parametrize("field", ["eq", "row", "col", "value"])
+def test_an_infinite_trace_number_gives_one_error_line(dataset_dir, tmp_path, capsys, field):
+    def corrupt(data):
+        data["trace"]["steps"][0][0][field] = float("inf")  # written as Infinity
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: cannot convert float infinity to integer")
+
+
+def test_a_manifest_byte_that_is_not_utf8_names_its_line(dataset_dir, tmp_path, capsys):
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, lambda data: None)
+    first, rest = Path(manifest).read_bytes().split(b"\n", 1)
+    Path(manifest).write_bytes(first + b"\n" + rest.replace(b'"id": "', b'"id": "\xff'))
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: ", "can't decode byte 0xff")
+
+
+@pytest.mark.parametrize("eq", [999, 999.0], ids=["int", "float"])
+def test_export_sft_names_the_line_of_an_unknown_trace_equation(dataset_dir, tmp_path, capsys, eq):
+    def corrupt(data):
+        data["trace"]["steps"][0][0]["eq"] = eq  # 999.0 == 999, so the stored trace agrees
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: example ", "equation 999,")
+
+
+def test_export_sft_names_the_line_of_an_id_it_cannot_write(dataset_dir, tmp_path, capsys):
+    # a JSON escape can spell a lone surrogate, which UTF-8 cannot encode
+    manifest = _manifest_with_bad_second_line(
+        dataset_dir, tmp_path, lambda data: data.update(id="\ud800" + data["id"])
+    )
+    out = tmp_path / "sft"
+    out.write_text("earlier export\n", encoding="utf-8")
+    assert main(["export-sft", "--manifest", manifest, "--out", str(out)]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: ", "surrogates not allowed")
+    assert out.read_text(encoding="utf-8") == "earlier export\n"
 
 
 @pytest.mark.parametrize("source", ["manifest", "run", "config", "report"])
@@ -688,6 +745,17 @@ def test_mistyped_run_record_is_rejected(dataset_dir, tmp_path, capsys, field, v
     argv = ["bench", "score", "--run", str(run), "--manifest", str(dataset_dir / "manifest.jsonl")]
     assert main(argv) == 1
     _one_error_line(capsys, f"{run} line 2: ", field)
+
+
+def test_a_run_record_byte_that_is_not_utf8_names_its_line(dataset_dir, tmp_path, capsys):
+    run = _gold_run(dataset_dir, tmp_path)
+    lines = run.read_bytes().split(b"\n")
+    # a surrogate encoded as if it were a character, which UTF-8 forbids
+    lines[1] = lines[1].replace(b'"example_id": "', b'"example_id": "\xed\xa0\x80')
+    run.write_bytes(b"\n".join(lines))
+    argv = ["bench", "score", "--run", str(run), "--manifest", str(dataset_dir / "manifest.jsonl")]
+    assert main(argv) == 1
+    _one_error_line(capsys, f"{run} line 2: ", "can't decode byte 0xed")
 
 
 def test_well_typed_run_records_load_as_before(dataset_dir, tmp_path):

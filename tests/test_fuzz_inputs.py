@@ -1,0 +1,137 @@
+"""Mutation fuzzing of the two line inputs: manifest lines and run records.
+
+Each case takes a valid fixture file, mutates one of its lines and runs
+``bench score`` (and, for a manifest, ``export-sft``) through ``cli.main``
+in process. A mutation swaps a value's type, deletes a key, puts in raw JSON
+that ``json.dumps`` never writes (deep nesting, ``NaN``, ``Infinity``,
+``1e400``, a 5000-digit number), inserts bytes that are not UTF-8, or
+truncates the line. Whatever it does, the command exits 0 or 1 without a
+traceback; on exit 1 it prints one ``error:`` line under 1 KB that names the
+file and line; and its ``--out`` file keeps what it held.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from mathgrid.cli import main
+
+_SETTINGS = settings(
+    derandomize=True,
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+_PLACEHOLDER = "\x00placeholder\x00"
+_RAW_JSON = [
+    "[" * 100_000 + "]" * 100_000,
+    "NaN",
+    "Infinity",
+    "-Infinity",
+    "1e400",
+    "7" * 5000,
+]
+_NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**6), 10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+)
+
+
+@st.composite
+def _mutated(draw, line: str) -> bytes:
+    """``line`` (one JSON document) after one mutation, with its newline."""
+    kind = draw(st.sampled_from(["swap", "delete", "raw", "bytes", "truncate"]))
+    if kind == "bytes":
+        data = line.encode("utf-8")
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:] + b"\n"
+    if kind == "truncate":
+        data = line.encode("utf-8")
+        return data[: draw(st.integers(0, len(data) - 1))] + b"\n"
+    # walk down from the whole line to the value to mutate
+    box = {"line": copy.deepcopy(json.loads(line))}
+    parent, key = box, "line"
+    while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+    if kind == "delete" and parent is not box:
+        del parent[key]
+    elif kind == "raw":
+        parent[key] = _PLACEHOLDER
+    else:
+        old = parent[key]
+        parent[key] = draw(_JSON_VALUES.filter(lambda value: type(value) is not type(old)))
+    text = json.dumps(box["line"], ensure_ascii=False)
+    text = text.replace(json.dumps(_PLACEHOLDER), draw(st.sampled_from(_RAW_JSON)))
+    return text.encode("utf-8") + b"\n"
+
+
+def _fixture_lines(dataset_dir) -> tuple[list[str], list[str]]:
+    """The first fixture example and one with deeper hops as manifest lines,
+    and a run record answering each with its gold answers."""
+    lines = (dataset_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    manifest = [lines[0], next(line for line in lines if max(json.loads(line)["hop_depths"]) > 1)]
+    run = []
+    for line in manifest:
+        example = json.loads(line)
+        record = {
+            "example_id": example["id"], "modality": "text", "style_id": None,
+            "fingerprint": f"fp-{example['id']}", "latency_ms": 5, "status": "ok",
+            "response_text": f"<answer>{' '.join(map(str, example['gold_answers']))}</answer>",
+        }
+        run.append(json.dumps(record))
+    return manifest, run
+
+
+def _check(capsys, argv: list[str], out, where: str) -> None:
+    out.write_text("held before\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1), code
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err.encode("utf-8")) < 1024, err[:200]
+        assert where in err, err[:200]
+        assert out.read_text(encoding="utf-8") == "held before\n"
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_a_mutated_manifest_line_loads_or_fails_on_one_line(dataset_dir, tmp_path, capsys, data):
+    (good, other), run = _fixture_lines(dataset_dir)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(good.encode("utf-8") + b"\n" + data.draw(_mutated(other)))
+    # the run answers only the first example, which every mutated manifest keeps
+    run_path = tmp_path / "run.jsonl"
+    run_path.write_text(run[0] + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    where = f"{manifest} line 2: "
+    _check(capsys, ["export-sft", "--manifest", str(manifest), "--out", str(out)], out, where)
+    argv = ["bench", "score", "--run", str(run_path), "--manifest", str(manifest), "--out", str(out)]
+    _check(capsys, argv, out, where)
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_a_mutated_run_record_scores_or_fails_on_one_line(dataset_dir, tmp_path, capsys, data):
+    manifest_lines, run = _fixture_lines(dataset_dir)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(line + "\n" for line in manifest_lines), encoding="utf-8")
+    victim = data.draw(st.sampled_from([0, 1]))
+    lines = [line.encode("utf-8") + b"\n" for line in run]
+    lines[victim] = data.draw(_mutated(run[victim]))
+    run_path = tmp_path / "run.jsonl"
+    run_path.write_bytes(b"".join(lines))
+    out = tmp_path / "report.json"
+    argv = ["bench", "score", "--run", str(run_path), "--manifest", str(manifest), "--out", str(out)]
+    _check(capsys, argv, out, f"{run_path} line {victim + 1}: ")

@@ -174,17 +174,17 @@ class TestWireFormat:
 
     @pytest.mark.parametrize("body", [[], "text", 5, None])
     def test_response_that_is_not_an_object_rejected(self, body):
-        with pytest.raises(ValueError, match="not an object"):
+        with pytest.raises(ValueError, match="must be a JSON object"):
             response_text(body)
 
 
     @pytest.mark.parametrize(
         "body, part",
         [
-            ({"choices": [5]}, "first choice is a JSON int, not an object"),
-            ({"choices": [{"message": "hi"}]}, "message is a JSON str, not an object"),
-            ({"choices": "abc"}, "choices is a JSON str, not an array"),
-            ({"choices": {"a": 1}}, "choices is a JSON dict, not an array"),
+            ({"choices": [5]}, "first choice must be a JSON object, not number"),
+            ({"choices": [{"message": "hi"}]}, "message must be a JSON object, not string"),
+            ({"choices": "abc"}, "choices must be a JSON array, not string"),
+            ({"choices": {"a": 1}}, "choices must be a JSON array, not object"),
         ],
         ids=["choice-int", "message-str", "choices-str", "choices-dict"],
     )
@@ -476,7 +476,7 @@ class TestRunBenchmark:
         assert len(records) == n
         assert all(r.status == "error" for r in records)
         assert {r.error for r in records} == {
-            "ValueError: response body is a JSON list, not an object"
+            "ValueError: response body must be a JSON object, not array"
         }
 
     def test_request_timeout_is_retried(self, dataset_dir, tmp_path):
