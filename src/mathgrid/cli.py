@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
 
 from .core import Difficulty, MathGridError, Operator, check_type, located
 from .evaluation import format_metrics_table
@@ -116,16 +115,15 @@ def _cmd_export_sft(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_json_file(path: str, read: Callable[[object], object]) -> object:
-    """``read`` of the JSON a file holds; an error either meets names the file."""
-    with located(path):
-        return read(parse_json(Path(path).read_text(encoding="utf-8")))
+def _read_json_file(path: str) -> object:
+    return parse_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
     data: dict = {}
     if args.config:
-        data = _read_json_file(args.config, lambda data: check_type(data, dict, "endpoint config"))
+        with located(args.config):
+            data = check_type(_read_json_file(args.config), dict, "endpoint config")
     if args.endpoint:
         data["base_url"] = args.endpoint
     if args.model:
@@ -166,7 +164,9 @@ def _cmd_bench_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
-    print(_read_json_file(args.report, format_metrics_table))
+    with located(args.report):
+        table = format_metrics_table(_read_json_file(args.report))
+    print(table)
     return 0
 
 
