@@ -53,6 +53,12 @@ def check_type(value: object, kind: type, what: str):
     raise ValueError(f"{what} must be {_SLOT_NAMES[kind]}, not {_JSON_NAMES[type(value)]}")
 
 
+def shown(value: object) -> str:
+    """``repr(value)`` for an error line, its middle elided past 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:30]}...{text[-27:]}"
+
+
 #: What ``located`` reports: the errors that reading a value of the wrong
 #: type or form gives.
 _INPUT_ERRORS = (AttributeError, KeyError, MathGridError, OverflowError, TypeError, ValueError)
@@ -269,15 +275,24 @@ class SolutionTrace:
         }
 
     @staticmethod
-    def from_json(data: dict) -> SolutionTrace:
-        steps = tuple(
-            tuple(
-                Resolution(int(r["eq"]), Coord(int(r["row"]), int(r["col"])), int(r["value"]))
-                for r in step
-            )
-            for step in data["steps"]
-        )
-        return SolutionTrace(steps)
+    def from_json(data: object) -> SolutionTrace:
+        """Exactly ``to_json``'s form, ints not bools or floats: ``to_json`` gives ``data`` back."""
+        if len(check_type(data, dict, "trace")) != 1:
+            raise ValueError("trace must hold the key 'steps' alone")
+        new, steps = tuple.__new__, []  # new: what NamedTuple constructors call, minus a frame
+        for step in check_type(data["steps"], list, "trace steps"):
+            resolutions = []
+            for r in check_type(step, list, "trace step"):
+                if type(r) is not dict or len(r) != 4:
+                    check_type(r, dict, "trace resolution")
+                    raise ValueError("trace resolution must hold eq, row, col and value alone")
+                eq, row, col, value = r["eq"], r["row"], r["col"], r["value"]
+                if not type(eq) is type(row) is type(col) is type(value) is int:
+                    for key in ("eq", "row", "col", "value"):
+                        check_type(r[key], int, f"trace {key}")
+                resolutions.append(new(Resolution, (eq, new(Coord, (row, col)), value)))
+            steps.append(tuple(resolutions))
+        return SolutionTrace(tuple(steps))
 
 
 class Difficulty(enum.Enum):
@@ -304,7 +319,9 @@ class DatasetExample:
     trace: SolutionTrace
 
     def __post_init__(self) -> None:
-        if [coord for coord, _, _ in self.trace.resolved] != target_order(self.grid):
+        cols, target = self.grid.cols, CellKind.TARGET  # target_order as plain pairs: cheaper
+        targets = [divmod(i, cols) for i, cell in enumerate(self.grid.cells) if cell.kind is target]
+        if [coord for coord, _, _ in self.trace.resolved] != targets:
             raise ValueError(f"example {self.id}: the trace does not resolve exactly its targets")
 
     @property

@@ -31,6 +31,8 @@ from .core import (
     Orientation,
     SolutionTrace,
     TARGET,
+    check_type,
+    shown,
     target_order,  # unused here; perfbench/tracing.py counts calls under this name
 )
 from .render.markdown import to_markdown
@@ -64,11 +66,11 @@ _MEMBERS = {kind: {m.value: m for m in kind} for kind in (Difficulty, Operator)}
 
 
 def _member(kind: type[enum.Enum], value: object) -> enum.Enum:
-    """``kind(value)``, looked up in a plain dict while that holds the value."""
+    """``kind(value)``, looked up in a plain dict; its ValueError elides a long value."""
     try:
         return _MEMBERS[kind][value]
-    except (KeyError, TypeError):  # not a value of ``kind``: let it raise its own error
-        return kind(value)
+    except (KeyError, TypeError):  # TypeError: not hashable
+        raise ValueError(f"{shown(value)} is not a valid {kind.__name__}") from None
 
 
 _DEFAULT_MAX_HOP = {Difficulty.EASY: 1, Difficulty.MEDIUM: 4, Difficulty.HARD: 6}
@@ -117,14 +119,18 @@ class GenParams:
         }
 
     @staticmethod
-    def from_json(data: dict) -> GenParams:
+    def from_json(data: object) -> GenParams:
+        check_type(data, dict, "gen_params")
+        for key in ("value_range", "equation_count"):
+            for n in check_type(data[key], list, f"gen_params {key}"):
+                check_type(n, int, f"gen_params {key} value")
         return GenParams(
             difficulty=_member(Difficulty, data["difficulty"]),
             operators=tuple(_member(Operator, symbol) for symbol in data["operators"]),
             value_range=tuple(data["value_range"]),
             equation_count=tuple(data["equation_count"]),
-            max_hop=data["max_hop"],
-            seed=data["seed"],
+            max_hop=check_type(data["max_hop"], int, "gen_params max_hop"),
+            seed=check_type(data["seed"], int, "gen_params seed"),
         )
 
 

@@ -22,9 +22,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 from urllib.parse import unquote, urlsplit
 
-from ..core import MathGridError, check_type, located
+from ..core import MathGridError, check_type, located, shown
 from ..evaluation import EvalReport, Prediction, build_report, evaluate_prediction
 from ..manifest import load_manifest, parse_json
 from .prompts import (
@@ -173,7 +174,7 @@ class RunRecord:
         style_id = data.get("style_id")
         status = data["status"]
         if status not in ("ok", "error"):
-            raise ValueError(f"status must be 'ok' or 'error', not {status!r}")
+            raise ValueError(f"status must be 'ok' or 'error', not {shown(status)}")
         return RunRecord(
             example_id=check_type(data["example_id"], str, "example_id"),
             modality=check_type(data["modality"], str, "modality"),
@@ -500,14 +501,16 @@ def _end_on_a_whole_line(run_path: Path) -> None:
 
 
 def load_run_records(run_path: Path | str) -> list[RunRecord]:
-    """Run records with resume duplicates collapsed to the latest attempt.
+    """Run records with resume duplicates collapsed to the latest attempt."""
+    latest = {record.fingerprint: record for _, record in read_run_records(run_path)}
+    return list(latest.values())
 
-    A last line with no newline that does not parse is a record torn
-    mid-write: it is dropped with a warning on stderr. Any other line that
-    is not a run record fails, naming the file and line.
-    """
+
+def read_run_records(run_path: Path | str) -> Iterator[tuple[int, RunRecord]]:
+    """Line number and record of each line in file order. A last line with no
+    newline that does not parse was torn mid-write and is dropped with a warning;
+    any other line that is not a run record fails, naming the file and line."""
     lines = Path(run_path).read_bytes().split(b"\n")
-    latest: dict[str, RunRecord] = {}
     with located(run_path) as where:
         for number, line in enumerate(lines, start=1):
             if not line.strip():
@@ -523,9 +526,7 @@ def load_run_records(run_path: Path | str) -> list[RunRecord]:
                     file=sys.stderr,
                 )
                 break
-            record = RunRecord.from_json(data)
-            latest[record.fingerprint] = record
-    return list(latest.values())
+            yield number, RunRecord.from_json(data)
 
 
 def score_run(run_path: Path | str, manifest_path: Path | str) -> EvalReport:
@@ -537,8 +538,7 @@ def score_run(run_path: Path | str, manifest_path: Path | str) -> EvalReport:
     """
     examples = {ex.id: ex for ex in load_manifest(manifest_path)}
     records = load_run_records(run_path)
-    seen_ids = [r.example_id for r in records]
-    if len(seen_ids) != len(set(seen_ids)):
+    if len({r.example_id for r in records}) != len(records):
         raise ManifestMismatch(
             "run file contains records from more than one configuration; "
             "score each run file separately"
@@ -547,8 +547,10 @@ def score_run(run_path: Path | str, manifest_path: Path | str) -> EvalReport:
     for record in sorted(records, key=lambda r: r.example_id):
         gold = examples.get(record.example_id)
         if gold is None:
+            lines = {r.fingerprint: n for n, r in read_run_records(run_path)}  # the latest
             raise ManifestMismatch(
-                f"run references {record.example_id!r}, absent from manifest"
+                f"{run_path} line {lines[record.fingerprint]}: run references "
+                f"{shown(record.example_id)}, absent from manifest"
             )
         text = record.response_text if record.status == "ok" else ""
         pred = Prediction.from_text(record.example_id, text)

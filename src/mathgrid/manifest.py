@@ -25,7 +25,7 @@ def parse_json(text: str | bytes) -> object:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
-def example_to_json(example: DatasetExample) -> dict:
+def _fields_but_trace(example: DatasetExample) -> dict:
     return {
         "id": example.id,
         "difficulty": example.difficulty.value,
@@ -35,13 +35,16 @@ def example_to_json(example: DatasetExample) -> dict:
         "hop_depths": list(example.hop_depths),
         "images": dict(example.images),
         "gen_params": example.gen_params.to_json(),
-        "trace": example.trace.to_json(),
     }
+
+
+def example_to_json(example: DatasetExample) -> dict:
+    return {**_fields_but_trace(example), "trace": example.trace.to_json()}
 
 
 def example_from_json(data: object) -> DatasetExample:
     """Rebuild an example from its trace and gen_params, and reject the line
-    when a stored field disagrees with what they give."""
+    when another stored field disagrees with what they give."""
     check_type(data, dict, "manifest line")
     markdown = check_type(data["markdown"], str, "markdown")
     images = check_type(data["images"], dict, "images")
@@ -55,7 +58,7 @@ def example_from_json(data: object) -> DatasetExample:
         gen_params=GenParams.from_json(data["gen_params"]),
         trace=SolutionTrace.from_json(data["trace"]),
     )
-    stale = [key for key, value in example_to_json(example).items() if data[key] != value]
+    stale = [key for key, value in _fields_but_trace(example).items() if data[key] != value]
     if stale:
         raise ValueError(
             f"example {example.id}: stored fields disagree with its trace and gen_params: "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import islice
 
 from ..core import Cell, CellKind, Grid, MathGridError, Operator, EMPTY, EQUALS, TARGET
 
@@ -36,8 +36,8 @@ _OP_ALIASES = {
     "/": Operator.DIV,
 }
 
-# Distinct raw tokens remembered by the parser; a whole dataset has a few hundred.
-_CELL_CACHE_SIZE = 4096
+_CELL_CACHE_SIZE = 4096  # distinct tokens the parser remembers; a dataset has a few hundred
+_TOKEN_CELLS: dict[str, Cell] = {}  # each token read that is a cell; grids share the frozen cells
 
 # OCR confusables that may stand in for the digit 1 inside numeric cells.
 _ONE_LOOKALIKES = str.maketrans({"l": "1", "I": "1", "|": "1", "∣": "1", "¦": "1"})
@@ -60,12 +60,8 @@ def to_markdown(grid: Grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=_CELL_CACHE_SIZE)
 def _read_cell(token: str) -> Cell | str:
-    """The cell a raw token stands for, or the reason it stands for none.
-
-    Cells are frozen, so every grid may share the cached instances.
-    """
+    """The cell a raw token stands for, or the reason it stands for none."""
     token = token.strip()
     if not token:
         return EMPTY
@@ -105,9 +101,14 @@ def _read_canonical(text: str) -> Grid | None:
     if step < 2 or rows != lines or pieces[step::step].count("\n") != rows:
         return None
     del pieces[::step]  # the leading "" and the line breaks
-    cells = tuple(map(_read_cell, pieces))
-    if str in map(type, cells):
-        return None
+    try:
+        cells = tuple(map(_TOKEN_CELLS.__getitem__, pieces))
+    except KeyError:  # a token new to the table, or one that is no cell
+        cells = tuple(map(_read_cell, pieces))
+        if str in map(type, cells):
+            return None
+        fresh = {token: cell for token, cell in zip(pieces, cells) if token not in _TOKEN_CELLS}
+        _TOKEN_CELLS.update(islice(fresh.items(), _CELL_CACHE_SIZE - len(_TOKEN_CELLS)))
     return Grid(rows, step - 1, cells)
 
 

@@ -117,6 +117,7 @@ def detect_equations(grid: Grid) -> list[Equation]:
         raise MalformedGrid(f"{what} at {divmod(first, cols)} belongs to no equation")
 
     equations = []
+    new = tuple.__new__  # what Coord(r, c) calls, without the constructor's frame
     for (orientation, (dr, dc)), found in zip(_AXES, (horizontal, vertical)):
         for i in found:
             r, c = divmod(i, cols)
@@ -124,12 +125,12 @@ def detect_equations(grid: Grid) -> list[Equation]:
                 Equation(
                     id=len(equations),
                     orientation=orientation,
-                    a=Coord(r - dr, c - dc),
-                    b=Coord(r + dr, c + dc),
-                    c=Coord(r + 3 * dr, c + 3 * dc),
+                    a=new(Coord, (r - dr, c - dc)),
+                    b=new(Coord, (r + dr, c + dc)),
+                    c=new(Coord, (r + 3 * dr, c + 3 * dc)),
                     op=cells[i].op,
-                    op_cell=Coord(r, c),
-                    eq_cell=Coord(r + 2 * dr, c + 2 * dc),
+                    op_cell=new(Coord, (r, c)),
+                    eq_cell=new(Coord, (r + 2 * dr, c + 2 * dc)),
                 )
             )
     return equations

@@ -613,7 +613,47 @@ def test_an_infinite_trace_number_gives_one_error_line(dataset_dir, tmp_path, ca
 
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
-    _one_error_line(capsys, f"{manifest} line 2: cannot convert float infinity to integer")
+    _one_error_line(capsys, f"{manifest} line 2: trace {field} must be an integer, not number")
+
+
+@pytest.mark.parametrize(
+    "field, swap, kind",
+    [("eq", lambda n: True, "boolean"), ("eq", lambda n: 1.0, "number"), ("value", float, "number")],
+    ids=["eq-true", "eq-1.0", "value-as-float"],
+)
+def test_a_trace_number_must_be_an_integer(dataset_dir, tmp_path, capsys, field, swap, kind):
+    # these loaded, as == takes true and 1.0 for 1: export-sft wrote equation 1's step
+    def corrupt(data):
+        resolution = data["trace"]["steps"][0][0]
+        resolution[field] = swap(resolution[field])
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: trace {field} must be an integer, not {kind}")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_hop", float("inf")),
+        ("value_range", [1, float("inf")]),
+        ("equation_count", [float("nan"), 3]),
+        ("value_range", [1.5, 250]),
+        ("max_hop", True),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+)
+def test_gen_params_numbers_must_be_integers(dataset_dir, tmp_path, capsys, key, value):
+    # these loaded: __post_init__ compares only, and == found the stored values equal
+    def corrupt(data):
+        data["gen_params"][key] = value
+        if key == "seed":
+            data["seed"] = value
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: gen_params {key}", "must be an integer, not ")
 
 
 def test_a_manifest_byte_that_is_not_utf8_names_its_line(dataset_dir, tmp_path, capsys):
@@ -627,11 +667,14 @@ def test_a_manifest_byte_that_is_not_utf8_names_its_line(dataset_dir, tmp_path, 
 @pytest.mark.parametrize("eq", [999, 999.0], ids=["int", "float"])
 def test_export_sft_names_the_line_of_an_unknown_trace_equation(dataset_dir, tmp_path, capsys, eq):
     def corrupt(data):
-        data["trace"]["steps"][0][0]["eq"] = eq  # 999.0 == 999, so the stored trace agrees
+        data["trace"]["steps"][0][0]["eq"] = eq
 
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
-    _one_error_line(capsys, f"{manifest} line 2: example ", "equation 999,")
+    if type(eq) is float:  # 999.0 == 999, but the trace takes integers only
+        _one_error_line(capsys, f"{manifest} line 2: trace eq must be an integer, not number")
+    else:
+        _one_error_line(capsys, f"{manifest} line 2: example ", "equation 999,")
 
 
 def test_export_sft_names_the_line_of_an_id_it_cannot_write(dataset_dir, tmp_path, capsys):
@@ -769,3 +812,26 @@ def test_well_typed_run_records_load_as_before(dataset_dir, tmp_path):
     records = {r.example_id: r for r in load_run_records(run)}
     loaded = records[record["example_id"]]
     assert (loaded.style_id, loaded.response_text, loaded.latency_ms) == (None, "", 12)
+
+
+@pytest.mark.parametrize("where", ["status", "example_id", "difficulty", "operator"])
+def test_a_long_outside_value_is_elided_in_its_error_line(dataset_dir, tmp_path, capsys, where):
+    long = "x" * 2000
+    manifest, run = dataset_dir / "manifest.jsonl", _gold_run(dataset_dir, tmp_path)
+    if where in ("status", "example_id"):
+        lines = run.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record[where] = long
+        lines[2] = json.dumps(record)
+        run.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        def corrupt(data):
+            if where == "difficulty":
+                data["gen_params"]["difficulty"] = long
+            else:
+                data["gen_params"]["operators"][0] = long
+
+        manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["bench", "score", "--run", str(run), "--manifest", str(manifest)]) == 1
+    line = f"{run} line 3: " if where in ("status", "example_id") else f"{manifest} line 2: "
+    _one_error_line(capsys, line, "'xxxxxxxxxxxxxxxxxxxxxxxxxxxxx...xxxxxxxxxxxxxxxxxxxxxxxxxx'")

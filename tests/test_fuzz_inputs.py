@@ -2,9 +2,11 @@
 
 Each case takes a valid fixture file, mutates one of its lines and runs
 ``bench score`` (and, for a manifest, ``export-sft``) through ``cli.main``
-in process. A mutation swaps a value's type, deletes a key, puts in raw JSON
+in process. A mutation picks any value in the line and swaps its type,
+deletes it, puts a 2000-character string in place of it (when it is not an
+object or array) or one more entry into it (when it is), or puts in raw JSON
 that ``json.dumps`` never writes (deep nesting, ``NaN``, ``Infinity``,
-``1e400``, a 5000-digit number), inserts bytes that are not UTF-8, or
+``1e400``, a 5000-digit number); or it inserts bytes that are not UTF-8, or
 truncates the line. Whatever it does, the command exits 0 or 1 without a
 traceback; on exit 1 it prints one ``error:`` line under 1 KB that names the
 file and line; and its ``--out`` file keeps what it held.
@@ -34,6 +36,7 @@ _RAW_JSON = [
     "1e400",
     "7" * 5000,
 ]
+_LONG_STRINGS = st.characters(exclude_categories=["Cs"]).map(lambda char: char * 2000)
 _NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
 _JSON_VALUES = st.one_of(
     st.none(),
@@ -43,13 +46,23 @@ _JSON_VALUES = st.one_of(
     st.text(max_size=6),
     st.lists(st.integers(0, 9), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+    _LONG_STRINGS,
 )
+
+
+def _places(parent, key):
+    """``(parent, key)`` of ``parent[key]`` and of every value inside it."""
+    yield parent, key
+    value = parent[key]
+    if isinstance(value, (dict, list)):
+        for inner in list(value) if isinstance(value, dict) else range(len(value)):
+            yield from _places(value, inner)
 
 
 @st.composite
 def _mutated(draw, line: str) -> bytes:
     """``line`` (one JSON document) after one mutation, with its newline."""
-    kind = draw(st.sampled_from(["swap", "delete", "raw", "bytes", "truncate"]))
+    kind = draw(st.sampled_from(["swap", "delete", "raw", "bytes", "truncate", "long", "add"]))
     if kind == "bytes":
         data = line.encode("utf-8")
         at = draw(st.integers(0, len(data)))
@@ -57,16 +70,22 @@ def _mutated(draw, line: str) -> bytes:
     if kind == "truncate":
         data = line.encode("utf-8")
         return data[: draw(st.integers(0, len(data) - 1))] + b"\n"
-    # walk down from the whole line to the value to mutate
     box = {"line": copy.deepcopy(json.loads(line))}
-    parent, key = box, "line"
-    while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
-        parent = parent[key]
-        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+    places = [
+        (parent, key) for parent, key in _places(box, "line")
+        if kind not in ("long", "add") or isinstance(parent[key], (dict, list)) == (kind == "add")
+    ]
+    parent, key = places[draw(st.integers(0, len(places) - 1))]
     if kind == "delete" and parent is not box:
         del parent[key]
     elif kind == "raw":
         parent[key] = _PLACEHOLDER
+    elif kind == "long":
+        parent[key] = draw(_LONG_STRINGS)
+    elif kind == "add" and isinstance(parent[key], dict):
+        parent[key][draw(st.text(max_size=3))] = draw(_JSON_VALUES)
+    elif kind == "add":
+        parent[key].append(draw(_JSON_VALUES))
     else:
         old = parent[key]
         parent[key] = draw(_JSON_VALUES.filter(lambda value: type(value) is not type(old)))

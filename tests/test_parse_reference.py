@@ -1,12 +1,12 @@
 """The cached-token parser agrees with the per-token parser it replaced.
 
-``parse_markdown`` reads each distinct raw token once, through a bounded
-cache that holds the token's cell or the reason it is not one, and reads a
-table in ``to_markdown``'s exact shape in one split of the whole text. The
-reference below parses every token afresh at its position, line by line,
-exactly as the package first did; on every table both must give an equal
-grid, or the same ``ParseError`` at the same line and cell with the same
-reason.
+``parse_markdown`` reads a table in ``to_markdown``'s exact shape in one
+split of the whole text, looking its tokens up in a bounded table from
+token to cell that it fills as new cell tokens come; it reads any other
+text row by row, token by token. The reference below parses every token
+afresh at its position, line by line, exactly as the package first did; on
+every table both must give an equal grid, or the same ``ParseError`` at
+the same line and cell with the same reason.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mathgrid.core import EMPTY, EQUALS, TARGET, Cell, Grid
+from mathgrid.render import markdown
 from mathgrid.render.markdown import (
     _CELL_CACHE_SIZE,
     _ONE_LOOKALIKES,
     _OP_ALIASES,
     ParseError,
-    _read_cell,
     parse_markdown,
 )
 
@@ -150,16 +150,24 @@ def test_bad_token_after_good_tokens_filled_the_cache():
 
 def test_repeated_bad_token_reports_its_first_position():
     text = "| 1 | + | 1 | = | 2 |\n| 4 |  zz | zz |\n| zz | 1 |\n"
-    for _ in range(2):  # the second parse reads the failure from the cache
+    for _ in range(2):  # a second parse fails the same way
         assert outcome(parse_markdown, text) == (
             "ParseError", 2, 2, "unrecognized cell content 'zz'"
         )
     assert_agrees(text)
 
 
-def test_token_cache_is_bounded():
-    maxsize = _read_cell.cache_info().maxsize
-    assert maxsize is not None and maxsize == _CELL_CACHE_SIZE
+def test_token_cache_is_bounded(monkeypatch):
+    table = {}
+    monkeypatch.setattr(markdown, "_TOKEN_CELLS", table)
+    for start in range(1, _CELL_CACHE_SIZE + 200, 100):
+        text = "".join(f"| {n} | + | 1 | = | ? |\n" for n in range(start, start + 100))
+        assert_agrees(text)
+    assert len(table) == _CELL_CACHE_SIZE
+    # tokens past the bound are read afresh, and a bad one still fails
+    assert_agrees("| 99999 | + | 1 | = | ? |\n")
+    assert_agrees("| 99999 | + | 1 | = | 0 |\n")
+    assert len(table) == _CELL_CACHE_SIZE
 
 
 # -- edges of the one-split read ------------------------------------------------
