@@ -120,21 +120,16 @@ def _read_json_file(path: str) -> object:
 
 
 def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
-    data: dict = {}
-    if args.config:
-        with located(args.config):
-            data = check_type(_read_json_file(args.config), dict, "endpoint config")
-    if args.endpoint:
-        data["base_url"] = args.endpoint
-    if args.model:
-        data["model_name"] = args.model
-    if args.concurrency is not None:
-        data["max_concurrency"] = args.concurrency
-    if args.auth_env:
-        data["auth_token_env"] = args.auth_env
-    if args.timeout is not None:
-        data["timeout_s"] = args.timeout
-    return EndpointConfig.from_json(data)
+    flags = dict(base_url=args.endpoint, model_name=args.model, auth_token_env=args.auth_env,
+                 max_concurrency=args.concurrency, timeout_s=args.timeout)
+    flags = {key: value for key, value in flags.items() if value not in (None, "")}
+    if not args.config:
+        return EndpointConfig.from_json(flags)
+    # the flags alone first, so that an error in one does not name the file
+    EndpointConfig.from_json({"base_url": "http://localhost", "model_name": "m", **flags})
+    with located(args.config):
+        data = check_type(_read_json_file(args.config), dict, "endpoint config")
+        return EndpointConfig.from_json({**data, **flags})
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:

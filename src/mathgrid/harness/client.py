@@ -10,17 +10,17 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import http.client
 import ipaddress
 import json
 import math
 import netrc
 import os
+import socket
 import ssl
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 from urllib.parse import unquote, urlsplit
@@ -81,36 +81,38 @@ class EndpointConfig:
         for name in ("base_url", "model_name", "path", "model_field"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
-                raise ConfigError(f"{name} must be a non-empty string, not {value!r}")
+                raise ConfigError(f"{name} must be a non-empty string, not {shown(value)}")
         if not _is_http_url(self.base_url):
             raise ConfigError(
-                f"base_url must be an http:// or https:// URL with a host, not {self.base_url!r}"
+                f"base_url must be an http:// or https:// URL with a host, not {shown(self.base_url)}"
             )
         if not self.path.startswith("/"):
-            raise ConfigError(f"path must start with '/', not {self.path!r}")
+            raise ConfigError(f"path must start with '/', not {shown(self.path)}")
         if self.auth_token_env is not None and not isinstance(self.auth_token_env, str):
             raise ConfigError(
-                f"auth_token_env must be a string or null, not {self.auth_token_env!r}"
+                f"auth_token_env must be a string or null, not {shown(self.auth_token_env)}"
             )
         for name, least in (("max_concurrency", 1), ("max_retries", 0)):
             value = getattr(self, name)
             if type(value) is not int or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
+                raise ConfigError(f"{name} must be an integer >= {least}, not {shown(value)}")
+        if self.max_concurrency > MAX_CONCURRENCY:  # each request in flight holds a thread
+            raise ConfigError(f"max_concurrency must be at most {MAX_CONCURRENCY}, not {self.max_concurrency}")
         if type(self.timeout_s) not in (int, float) or not self.timeout_s > 0:
-            raise ConfigError(f"timeout_s must be a number > 0, not {self.timeout_s!r}")
+            raise ConfigError(f"timeout_s must be a number > 0, not {shown(self.timeout_s)}")
         if type(self.backoff_s) not in (int, float) or not self.backoff_s >= 0:
-            raise ConfigError(f"backoff_s must be a number >= 0, not {self.backoff_s!r}")
+            raise ConfigError(f"backoff_s must be a number >= 0, not {shown(self.backoff_s)}")
         if not isinstance(self.sampling, dict):
-            raise ConfigError(f"sampling must be an object, not {self.sampling!r}")
+            raise ConfigError(f"sampling must be an object, not {shown(self.sampling)}")
         for key in (self.model_field, "messages"):
             if key in self.sampling:
-                raise ConfigError(f"sampling may not set {key!r}: the request builds it")
+                raise ConfigError(f"sampling may not set {shown(key)}: the request builds it")
         for key, value in self.sampling.items():
             try:
                 json.dumps(value, allow_nan=False)
             except (TypeError, ValueError):
                 raise ConfigError(
-                    f"sampling {key!r} must be JSON without NaN or Infinity, not {value!r}"
+                    f"sampling {shown(key)} must be JSON without NaN or Infinity, not {shown(value)}"
                 ) from None
 
     @property
@@ -127,10 +129,9 @@ class EndpointConfig:
 
     @staticmethod
     def from_json(data: dict) -> EndpointConfig:
-        known = {f for f in EndpointConfig.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(EndpointConfig.__dataclass_fields__)
         if unknown:
-            raise ConfigError(f"unknown endpoint config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown endpoint config keys: {shown(sorted(unknown))}")
         missing = {"base_url", "model_name"} - set(data)
         if missing:
             raise ConfigError(f"endpoint config needs {sorted(missing)}")
@@ -151,17 +152,9 @@ class RunRecord:
     error: str | None = None
 
     def to_json(self) -> dict:
-        data = {
-            "example_id": self.example_id,
-            "modality": self.modality,
-            "style_id": self.style_id,
-            "fingerprint": self.fingerprint,
-            "response_text": self.response_text,
-            "latency_ms": self.latency_ms,
-            "status": self.status,
-        }
-        if self.error is not None:
-            data["error"] = self.error
+        data = dict(vars(self))  # the fields in their order
+        if self.error is None:
+            del data["error"]
         return data
 
     @staticmethod
@@ -237,7 +230,9 @@ def response_text(data: object) -> str:
     content = message.get("content", first.get("text"))
     if isinstance(content, list):  # some dialects return part lists
         content = "".join(
-            p.get("text", "") for p in content if isinstance(p, dict)
+            check_type(p.get("text", ""), str, f"response content part {i} text")
+            for i, p in enumerate(content)
+            if isinstance(p, dict)
         )
     if not isinstance(content, str):
         raise ValueError("response carries no text content")
@@ -319,25 +314,25 @@ def _ssl_context() -> ssl.SSLContext:
     return ssl.create_default_context(cafile=bundle or None)
 
 
+def _head(start: str, fields: dict[str, object]) -> bytes:
+    """A request's head: its first line, then one line per header field."""
+    lines = [start, *(f"{name}: {value}" for name, value in fields.items())]
+    if any("\r" in line or "\n" in line for line in lines):
+        raise ValueError("a request header holds a line break")
+    return "\r\n".join([*lines, "", ""]).encode("latin-1")
+
+
 @dataclass(frozen=True)
 class _Route:
     """How every request of one run reaches the endpoint."""
 
     address: tuple[str, int]  # what the socket connects to: the endpoint or its proxy
     target: str  # the request line's target: the path, or the whole URL for a plain-HTTP proxy
+    host: str  # the Host header: the endpoint's host, and its port unless the scheme's default
     headers: dict[str, str]
-    tunnel: tuple[str, int, dict[str, str]] | None = None  # CONNECT to an https endpoint
+    hostname: str  # the endpoint's host, which its certificate must name
+    tunnel: bytes | None = None  # the CONNECT request to a proxy for an https endpoint
     context: ssl.SSLContext | None = None  # set for an https endpoint
-
-    def connect(self, timeout_s: float) -> http.client.HTTPConnection:
-        if self.context is None:
-            return http.client.HTTPConnection(*self.address, timeout=timeout_s)
-        connection = http.client.HTTPSConnection(
-            *self.address, timeout=timeout_s, context=self.context
-        )
-        if self.tunnel is not None:
-            connection.set_tunnel(*self.tunnel)
-        return connection
 
 
 def _resolve_route(config: EndpointConfig) -> _Route:
@@ -348,6 +343,8 @@ def _resolve_route(config: EndpointConfig) -> _Route:
     host, secure = url.hostname, url.scheme == "https"
     port = url.port or (443 if secure else 80)
     path = url.path + (f"?{url.query}" if url.query else "")
+    authority = f"[{host}]" if ":" in host else host
+    host_header = authority if port == (443 if secure else 80) else f"{authority}:{port}"
     # One connection per request, which the server is asked to close. A stdlib
     # HTTP server such as perfbench/endpoint.py writes headers and body
     # separately, so on a kept-alive connection each response waits for a
@@ -360,12 +357,13 @@ def _resolve_route(config: EndpointConfig) -> _Route:
     if credentials is not None:
         headers["Authorization"] = _basic_auth(*credentials)
     context = _ssl_context() if secure else None
+    direct = _Route((host, port), path, host_header, headers, host, context=context)
     no_proxy = _env("no_proxy")
     proxy = None
     if not (no_proxy and _bypasses_proxy(host, port, no_proxy)):
         proxy = _env(f"{url.scheme}_proxy") or _env("all_proxy")
     if not proxy:
-        return _Route((host, port), path, headers, context=context)
+        return direct
     via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
     if via.scheme != "http" or not via.hostname:
         raise ConfigError(
@@ -379,35 +377,126 @@ def _resolve_route(config: EndpointConfig) -> _Route:
         )
     address = (via.hostname, via.port or 80)
     if secure:
-        return _Route(address, path, headers, (host, port, proxy_headers), context)
+        target = f"{authority}:{port}"
+        tunnel = _head(f"CONNECT {target} HTTP/1.1", {"Host": target, **proxy_headers})
+        return replace(direct, address=address, tunnel=tunnel)
     absolute = url._replace(netloc=url.netloc.rpartition("@")[2]).geturl()
-    return _Route(address, absolute, {**headers, **proxy_headers})
+    return replace(direct, address=address, target=absolute, headers={**headers, **proxy_headers})
 
 
-def _send_once(route: _Route, headers: dict[str, str], body: bytes, timeout_s: float) -> str:
-    connection = route.connect(timeout_s)
+#: The most bytes of one response: the ``sampling`` pass-through can ask for bodies
+#: of a few MiB, such as logprobs for every token; past this, a sender is cut off.
+MAX_RESPONSE_BYTES = 64 << 20
+MAX_CONCURRENCY = 256  # the most requests a run keeps in flight
+
+
+class _Attempt:
+    """One request and its response over one socket. Each step waits at most
+    what is left of ``timeout_s`` from the start."""
+
+    def __init__(self, timeout_s: float):
+        self.timeout_s = timeout_s
+        self.deadline = time.monotonic() + timeout_s
+        self.sock: socket.socket | None = None
+        self.buffer = bytearray()  # the response so far
+        self.read = 0  # how much of it is parsed
+
+    def left(self) -> float:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError(f"no whole response within {shown(self.timeout_s)} s")
+        return left
+
+    def fill(self, needed: bool = True) -> bool:
+        """Receive more of the response; at its end, False, or a ConnectionError if ``needed``."""
+        self.sock.settimeout(self.left())
+        data = self.sock.recv(65536)
+        if needed and not data:
+            raise ConnectionError("the endpoint closed the connection mid-response")
+        self.buffer += data
+        if len(self.buffer) > MAX_RESPONSE_BYTES:
+            raise ValueError(f"response longer than {MAX_RESPONSE_BYTES} bytes")
+        return bool(data)
+
+    def take(self, size: int) -> bytes:
+        if size < 0:
+            raise ValueError(f"negative length {size}")
+        while len(self.buffer) < self.read + size:
+            self.fill()
+        self.read += size
+        return bytes(self.buffer[self.read - size : self.read])
+
+    def line(self) -> bytes:
+        while (end := self.buffer.find(b"\n", self.read)) < 0:
+            if len(self.buffer) - self.read > 65536:  # as http.client allows
+                raise ValueError("response line longer than 65536 bytes")
+            self.fill()
+        return self.take(end + 1 - self.read).rstrip(b"\r\n")
+
+    def send(self, data: bytes) -> tuple[int, str, dict[bytes, bytes]]:
+        """Send ``data``; the status, reason and header fields of the reply past any 1xx."""
+        self.sock.settimeout(self.left())
+        self.sock.sendall(data)
+        while True:
+            line = self.line()
+            version, _, rest = line.partition(b" ")
+            code, _, reason = rest.partition(b" ")
+            if not (version.startswith(b"HTTP/") and len(code) == 3 and code.isdigit()):
+                raise ValueError(f"malformed status line {shown(line)}")
+            pairs = (field.partition(b":") for field in iter(self.line, b""))
+            fields = {name.strip().lower(): value.strip() for name, _, value in pairs}
+            if not 100 <= int(code) < 200:
+                return int(code), reason.strip().decode("latin-1"), fields
+
+    def body(self, fields: dict[bytes, bytes]) -> bytes:
+        """The body: chunked, else as long as Content-Length says, else up to the close."""
+        if b"chunked" in fields.get(b"transfer-encoding", b"").lower():
+            chunks = []
+            while size := int(self.line().partition(b";")[0], 16):
+                chunks.append(self.take(size))
+                self.line()
+            return b"".join(chunks)
+        if b"content-length" in fields:
+            return self.take(int(fields[b"content-length"]))
+        while self.fill(needed=False):
+            pass
+        return bytes(self.buffer[self.read :])
+
+
+def _send_once(route: _Route, request: bytes, timeout_s: float) -> str:
+    attempt = _Attempt(timeout_s)
+    sock = attempt.sock = socket.create_connection(route.address, timeout=attempt.left())
     try:
-        connection.request("POST", route.target, body, headers)
-        response = connection.getresponse()
-        data = response.read()
+        if route.tunnel is not None:
+            status, reason, _ = attempt.send(route.tunnel)
+            if not 200 <= status < 300:
+                raise OSError(f"tunnel connection failed: {status} {shown(reason)}")
+        if route.context is not None:
+            sock.settimeout(attempt.left())
+            sock = attempt.sock = route.context.wrap_socket(sock, server_hostname=route.hostname)
+        status, reason, fields = attempt.send(request)
+        data = attempt.body(fields)
     finally:
-        connection.close()
-    if not 200 <= response.status < 300:
-        raise StatusError(response.status, response.reason, data)
+        sock.close()
+    if not 200 <= status < 300:
+        raise StatusError(status, reason, data)
     return response_text(parse_json(data))
 
 
 def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict) -> str:
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    headers = {**config.headers(), **route.headers}  # netrc Basic auth replaces a Bearer token
+    # the fields in http.client's order; netrc Basic auth replaces a Bearer token
+    fields = {"Host": route.host, "Accept-Encoding": "identity", "Content-Length": len(body),
+              **config.headers(), **route.headers}
+    request = _head(f"POST {route.target} HTTP/1.1", fields) + body
     attempt = 0
     while True:
         try:
-            return _send_once(route, headers, body, config.timeout_s)
+            return _send_once(route, request, config.timeout_s)
         except StatusError as exc:
             if not exc.transient or attempt >= config.max_retries:
                 raise
-        except (OSError, http.client.HTTPException, ValueError):
+        except (OSError, ValueError):
             if attempt >= config.max_retries:
                 raise
         time.sleep(config.backoff_s * (2**attempt))
@@ -462,14 +551,8 @@ def run_benchmark(
             text, status, error = "", "error", f"{type(exc).__name__}: {exc}"
         latency_ms = int((time.monotonic() - started) * 1000)
         return RunRecord(
-            example_id=example.id,
-            modality=modality.value,
-            style_id=style_id,
-            fingerprint=fingerprint,
-            response_text=text,
-            latency_ms=latency_ms,
-            status=status,
-            error=error,
+            example_id=example.id, modality=modality.value, style_id=style_id, fingerprint=fingerprint,
+            response_text=text, latency_ms=latency_ms, status=status, error=error,
         )
 
     if todo:

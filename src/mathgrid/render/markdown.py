@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from ..core import Cell, CellKind, Grid, MathGridError, Operator, EMPTY, EQUALS, TARGET
+from ..core import Cell, CellKind, Grid, MathGridError, Operator, EMPTY, EQUALS, TARGET, shown
 
 
 class ParseError(MathGridError):
@@ -73,13 +73,13 @@ def _read_cell(token: str) -> Cell | str:
         return Cell.operator(_OP_ALIASES[token])
     digits = token.translate(_ONE_LOOKALIKES)
     if not (digits.isascii() and digits.isdigit()):
-        return f"unrecognized cell content {token!r}"
+        return f"unrecognized cell content {shown(token)}"
     try:
         value = int(digits)
     except ValueError:  # more digits than int() converts
         return f"number of {len(digits)} digits is too long"
     if value < 1:
-        return f"non-positive number {token!r}"
+        return f"non-positive number {shown(token)}"
     return Cell.number(value)
 
 

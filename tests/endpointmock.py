@@ -3,7 +3,8 @@
 The handler reconstructs the puzzle grid from the request itself (markdown
 lines in text parts, or the base64 SVG image part), solves it, and answers
 in the required format. Behavior knobs cover error injection, hop-limited
-answering, latency before a response and a wait after it, a cookie set on
+answering, a body sent a byte at a time or larger than a client should
+take, latency before a response and a wait after it, a cookie set on
 every response, the HTTP version and TLS from a certificate and key;
 counters expose request totals and the maximum number of concurrently
 served requests, and the headers and client address of every request are
@@ -28,6 +29,8 @@ from mathgrid.render import parse_markdown, to_markdown
 from mathgrid.render.svg import extract_text_cells
 from mathgrid.solver import deduce
 
+TRICKLE_S = 0.02
+OVERSIZE_BYTES = 1 << 20
 _DATA_URL = re.compile(r"^data:(?P<media>[^;]+);base64,(?P<payload>.*)$", re.DOTALL)
 
 
@@ -63,7 +66,10 @@ class MockEndpoint:
         self,
         manifest_path=None,
         *,
-        mode: str = "gold",  # "hop1", or "list": a 200 whose body is the JSON list []
+        # "hop1"; "list": a 200 whose body is the JSON list []; "trickle": the
+        # gold answer a byte every TRICKLE_S; "oversize": the gold answer
+        # padded past OVERSIZE_BYTES
+        mode: str = "gold",
         fail_ids: set[str] | None = None,
         fail_first_n: int = 0,
         fail_status: int = 500,
@@ -184,7 +190,10 @@ class MockEndpoint:
         # response, so this one stops counting as in flight before it is written.
         with self._lock:
             self._inflight -= 1
-        self._respond(request, status, payload)
+        try:
+            self._respond(request, status, payload)
+        except ConnectionError:  # the client stopped reading: its deadline or byte cap
+            return
         time.sleep(self.close_delay_s)
 
     def _reply(self, request: BaseHTTPRequestHandler, request_index: int) -> tuple[int, dict | list]:
@@ -200,7 +209,10 @@ class MockEndpoint:
         example_id = self._md_to_id.get(to_markdown(grid).strip())
         if example_id is not None and example_id in self.fail_ids:
             return self.fail_status, {"error": f"scripted failure for {example_id}"}
-        return 200, {"choices": [{"message": {"content": self._answer_text(grid)}}]}
+        text = self._answer_text(grid)
+        if self.mode == "oversize":
+            text += " " * OVERSIZE_BYTES
+        return 200, {"choices": [{"message": {"content": text}}]}
 
     def _respond(self, request: BaseHTTPRequestHandler, status: int, payload: dict | list) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -212,7 +224,12 @@ class MockEndpoint:
             request.send_header("Location", "/moved")
         request.send_header("Content-Length", str(len(body)))
         request.end_headers()
-        request.wfile.write(body)
+        if self.mode != "trickle":
+            request.wfile.write(body)
+            return
+        for byte in range(len(body)):
+            request.wfile.write(body[byte : byte + 1])
+            time.sleep(TRICKLE_S)
 
 
 class TunnelProxy:

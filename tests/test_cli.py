@@ -103,6 +103,15 @@ def test_solve_rejects_a_number_too_long_to_read(tmp_path, capsys):
     _one_error_line(capsys, "line 1, cell 3: ", "too long")
 
 
+def test_solve_bounds_a_long_unreadable_cell(tmp_path, capsys):
+    grid_file = tmp_path / "long.md"
+    grid_file.write_text("| 1 | + | " + "9" * 2000 + "x | = | ? |\n", encoding="utf-8")
+    assert main(["solve", "--markdown", str(grid_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 1024, err
+    assert "line 1, cell 3: unrecognized cell content '999" in err
+
+
 def test_solve_lists_at_most_ten_unresolved_targets(tmp_path, capsys):
     grid_file = tmp_path / "wide.md"
     grid_file.write_text("| " + " | ".join(["?"] * 20_000) + " |\n", encoding="utf-8")
@@ -472,6 +481,52 @@ def test_wrongly_typed_endpoint_config_errors(dataset_dir, tmp_path, capsys, con
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "run.jsonl").exists()
+
+
+def _bench_run_argv(dataset_dir, tmp_path, *flags) -> list[str]:
+    return [
+        "bench", "run", "--manifest", str(dataset_dir / "manifest.jsonl"),
+        "--out", str(tmp_path / "run.jsonl"), *flags,
+    ]
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"base_url": "ftp://" + "x" * 2000}, "base_url must be an http:// or https:// URL"),
+        ({"path": "v1" * 1000}, "path must start with '/'"),
+        ({"sampling": {"k" * 2000: float("nan")}}, "must be JSON without NaN or Infinity"),
+        ({"max_concurrency": 100_000}, "max_concurrency must be at most 256, not 100000"),
+    ],
+    ids=["long-base-url", "long-path", "long-sampling-key", "max-concurrency-too-large"],
+)
+def test_a_bad_config_value_gives_one_short_line_naming_the_file(dataset_dir, tmp_path, capsys, config, named):
+    config_path = tmp_path / "endpoint.json"
+    config_path.write_text(json.dumps({"base_url": "http://127.0.0.1:9", "model_name": "m", **config}))
+    assert main(_bench_run_argv(dataset_dir, tmp_path, "--config", str(config_path))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ") and err.count("\n") == 1, err
+    assert len(err.encode()) < 1024 and named in err, err
+    assert not (tmp_path / "run.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--endpoint", "ftp://" + "x" * 2000], "base_url must be an http:// or https:// URL"),
+        (["--concurrency", "100000"], "max_concurrency must be at most 256, not 100000"),
+        (["--timeout", "-1"], "timeout_s must be a number > 0, not -1.0"),
+    ],
+    ids=["long-endpoint", "concurrency-too-large", "negative-timeout"],
+)
+def test_a_bad_flag_does_not_name_the_config_file(dataset_dir, tmp_path, capsys, flags, named):
+    config_path = tmp_path / "endpoint.json"
+    config_path.write_text(json.dumps({"base_url": "http://127.0.0.1:9", "model_name": "m"}))
+    argv = _bench_run_argv(dataset_dir, tmp_path, "--config", str(config_path), *flags)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 1024, err
+    assert named in err and str(config_path) not in err
 
 
 MANIFEST_KEYS = (

@@ -194,6 +194,14 @@ class TestWireFormat:
             response_text(body)
 
 
+    @pytest.mark.parametrize("text", [5, None, ["a"]], ids=["number", "null", "array"])
+    def test_a_text_part_that_is_not_a_string_rejected(self, text):
+        # a ValueError naming the part, not a TypeError: retried like any unusable body
+        body = {"choices": [{"message": {"content": [{"type": "text", "text": "a"}, {"type": "text", "text": text}]}}]}
+        with pytest.raises(ValueError, match="^response content part 1 text must be a string, not (number|null|array)$"):
+            response_text(body)
+
+
 class TestEndpointConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -202,6 +210,12 @@ class TestEndpointConfig:
             EndpointConfig(base_url="http://x", model_name="")
         with pytest.raises(ConfigError):
             EndpointConfig(base_url="http://x", model_name="m", max_concurrency=0)
+
+    def test_max_concurrency_is_capped(self):
+        # checked when the config is made, before any thread starts
+        assert EndpointConfig(base_url="http://x", model_name="m", max_concurrency=256).max_concurrency == 256
+        with pytest.raises(ConfigError, match="^max_concurrency must be at most 256, not 257$"):
+            EndpointConfig(base_url="http://x", model_name="m", max_concurrency=257)
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

@@ -8,13 +8,16 @@ import os
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from mathgrid import Difficulty, GenParams, generate
-from mathgrid.harness import EndpointConfig, Modality, run_benchmark
+from mathgrid.harness import EndpointConfig, Modality, client, run_benchmark
 from mathgrid.harness.client import load_run_records
-from mathgrid.manifest import write_manifest
+from mathgrid.manifest import load_manifest, write_manifest
+
+from endpointmock import MockEndpoint
 
 ANSWER = json.dumps({"choices": [{"message": {"content": "<answer>7</answer>"}}]}).encode()
 
@@ -90,14 +93,20 @@ def manifest(tmp_path):
 
 
 @pytest.fixture
-def clean_env(monkeypatch, tmp_path):
-    """No proxy, no netrc file and no token but those a test sets."""
+def proxy_env(monkeypatch):
+    """No proxy but one a test sets."""
     for name in list(os.environ):
         if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
             monkeypatch.delenv(name)
-    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
-    monkeypatch.delenv("FAKE_TOKEN_VAR", raising=False)
     return monkeypatch
+
+
+@pytest.fixture
+def clean_env(proxy_env, tmp_path):
+    """No proxy, no netrc file and no token but those a test sets."""
+    proxy_env.setenv("NETRC", str(tmp_path / "no-netrc"))
+    proxy_env.delenv("FAKE_TOKEN_VAR", raising=False)
+    return proxy_env
 
 
 def _run(manifest, base_url, **overrides):
@@ -192,3 +201,54 @@ class TestResponseBody:
             records = _run(manifest, f"http://127.0.0.1:{server.port}", max_retries=2)
         assert len(server.requests) == 3
         assert [r.status for r in records] == ["error"]
+
+
+class TestAttemptBounds:
+    """Each attempt ends within ``timeout_s`` of its start, and takes at most
+    MAX_RESPONSE_BYTES, however the endpoint sends."""
+
+    TIMEOUT_S = 0.3
+    SLACK_S = 0.2  # thread start-up, scheduling, and a slow machine
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """The duration of every attempt, as it ends."""
+        durations: list[float] = []
+        send_once = client._send_once
+
+        def timed(*args):
+            started = time.monotonic()
+            try:
+                return send_once(*args)
+            finally:
+                durations.append(time.monotonic() - started)
+
+        monkeypatch.setattr(client, "_send_once", timed)
+        return durations
+
+    def _run(self, dataset_dir, tmp_path, mode):
+        manifest = tmp_path / "manifest.jsonl"
+        write_manifest(load_manifest(dataset_dir / "manifest.jsonl")[:2], manifest)
+        config = EndpointConfig(
+            base_url="http://unused", model_name="m", max_concurrency=2,
+            timeout_s=self.TIMEOUT_S, max_retries=1, backoff_s=0.01,
+        )
+        with MockEndpoint(manifest, mode=mode) as server:
+            config = replace(config, base_url=server.base_url)
+            run_path = run_benchmark(manifest, config, Modality.TEXT_ONLY, None, tmp_path / "run.jsonl")
+            assert server.requests_total == 4  # two examples, each retried once
+        return load_run_records(run_path)
+
+    def test_a_trickled_body_ends_at_the_deadline(self, dataset_dir, tmp_path, proxy_env, attempts):
+        records = self._run(dataset_dir, tmp_path, "trickle")
+        assert len(attempts) == 4
+        assert max(attempts) < self.TIMEOUT_S + self.SLACK_S
+        assert [r.status for r in records] == ["error"] * 2
+        assert all(r.error.startswith("TimeoutError: ") for r in records)
+
+    def test_a_body_past_the_cap_is_cut_off(self, dataset_dir, tmp_path, proxy_env, attempts):
+        proxy_env.setattr(client, "MAX_RESPONSE_BYTES", 4096, raising=False)
+        records = self._run(dataset_dir, tmp_path, "oversize")
+        assert len(attempts) == 4
+        assert max(attempts) < self.TIMEOUT_S + self.SLACK_S
+        assert {r.error for r in records} == {"ValueError: response longer than 4096 bytes"}
