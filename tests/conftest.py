@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 
 import pytest
@@ -99,6 +100,15 @@ def mixed_corpus() -> list:
                 generate(GenParams(difficulty=difficulty, seed=mix_seed(99, i)))
             )
     return out
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Clear every proxy variable of the process; the test sets its own."""
+    for name in list(os.environ):
+        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name)
+    return monkeypatch
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -249,15 +248,6 @@ def _config(url, **overrides) -> EndpointConfig:
     )
     base.update(overrides)
     return EndpointConfig(**base)
-
-
-@pytest.fixture
-def proxy_env(monkeypatch):
-    """Clear every proxy variable of the process; the test sets its own."""
-    for name in list(os.environ):
-        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-            monkeypatch.delenv(name)
-    return monkeypatch
 
 
 class TestRunBenchmark:

@@ -4,11 +4,9 @@ server on a plain socket that sends exactly the bytes a test scripts."""
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -90,15 +88,6 @@ def manifest(tmp_path):
     path = tmp_path / "manifest.jsonl"
     write_manifest([example], path)
     return path
-
-
-@pytest.fixture
-def proxy_env(monkeypatch):
-    """No proxy but one a test sets."""
-    for name in list(os.environ):
-        if name.lower() in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
-            monkeypatch.delenv(name)
-    return monkeypatch
 
 
 @pytest.fixture
@@ -229,12 +218,11 @@ class TestAttemptBounds:
     def _run(self, dataset_dir, tmp_path, mode):
         manifest = tmp_path / "manifest.jsonl"
         write_manifest(load_manifest(dataset_dir / "manifest.jsonl")[:2], manifest)
-        config = EndpointConfig(
-            base_url="http://unused", model_name="m", max_concurrency=2,
-            timeout_s=self.TIMEOUT_S, max_retries=1, backoff_s=0.01,
-        )
         with MockEndpoint(manifest, mode=mode) as server:
-            config = replace(config, base_url=server.base_url)
+            config = EndpointConfig(
+                base_url=server.base_url, model_name="m", max_concurrency=2,
+                timeout_s=self.TIMEOUT_S, max_retries=1, backoff_s=0.01,
+            )
             run_path = run_benchmark(manifest, config, Modality.TEXT_ONLY, None, tmp_path / "run.jsonl")
             assert server.requests_total == 4  # two examples, each retried once
         return load_run_records(run_path)
