@@ -207,12 +207,12 @@ class Orientation(enum.Enum):
     VERTICAL = "vertical"
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     """One 5-cell arithmetic constraint ``a op b = c`` on the grid.
 
     The five cells (a, op_cell, b, eq_cell, c) are consecutive along the
-    orientation axis; ids follow detection scan order.
+    orientation axis. ``id`` is the equation's index in the list
+    ``detect_equations`` returns, which follows detection scan order.
     """
 
     id: int
@@ -319,9 +319,7 @@ class DatasetExample:
     trace: SolutionTrace
 
     def __post_init__(self) -> None:
-        cols, target = self.grid.cols, CellKind.TARGET  # target_order as plain pairs: cheaper
-        targets = [divmod(i, cols) for i, cell in enumerate(self.grid.cells) if cell.kind is target]
-        if [coord for coord, _, _ in self.trace.resolved] != targets:
+        if [coord for coord, _, _ in self.trace.resolved] != target_order(self.grid):
             raise ValueError(f"example {self.id}: the trace does not resolve exactly its targets")
 
     @property
@@ -355,10 +353,5 @@ def target_order(grid: Grid) -> list[Coord]:
     means for a grid: rows outer, columns inner. Answers are always listed
     in this order.
     """
-    cols = grid.cols
-    target = CellKind.TARGET
-    return [
-        Coord(i // cols, i % cols)
-        for i, cell in enumerate(grid.cells)
-        if cell.kind is target
-    ]
+    cols, target, new = grid.cols, CellKind.TARGET, tuple.__new__
+    return [new(Coord, divmod(i, cols)) for i, cell in enumerate(grid.cells) if cell.kind is target]

@@ -492,7 +492,7 @@ def _carve_chain(
             path.append(rng.choice(sorted(options)))
         if len(path) < length:
             continue
-        head = next(eq for eq in equations if eq.id == path[0])
+        head = equations[path[0]]
         private = [c for c in head.operands if len(cell_eqs[c]) == 1]
         if not private:
             continue

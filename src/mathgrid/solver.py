@@ -116,23 +116,16 @@ def detect_equations(grid: Grid) -> list[Equation]:
         what = "operator" if kinds[first] is _OPERATOR else "equals sign"
         raise MalformedGrid(f"{what} at {divmod(first, cols)} belongs to no equation")
 
-    equations = []
-    new = tuple.__new__  # what Coord(r, c) calls, without the constructor's frame
+    equations: list[Equation] = []
+    new = tuple.__new__  # what the NamedTuple constructors call, without their frame
     for (orientation, (dr, dc)), found in zip(_AXES, (horizontal, vertical)):
         for i in found:
-            r, c = divmod(i, cols)
-            equations.append(
-                Equation(
-                    id=len(equations),
-                    orientation=orientation,
-                    a=new(Coord, (r - dr, c - dc)),
-                    b=new(Coord, (r + dr, c + dc)),
-                    c=new(Coord, (r + 3 * dr, c + 3 * dc)),
-                    op=cells[i].op,
-                    op_cell=new(Coord, (r, c)),
-                    eq_cell=new(Coord, (r + 2 * dr, c + 2 * dc)),
-                )
-            )
+            row, col = divmod(i, cols)
+            a, op_cell, b, eq_cell, c = [
+                new(Coord, (row + k * dr, col + k * dc)) for k in (-1, 0, 1, 2, 3)
+            ]
+            fields = (len(equations), orientation, a, b, c, cells[i].op, op_cell, eq_cell)
+            equations.append(new(Equation, fields))
     return equations
 
 
@@ -186,21 +179,20 @@ def deduce(
     depends on values found within the same step. Returns the trace and a
     map from each resolved cell to its hop depth (``trace.hop_depths`` in
     target order). ``equations``, when given, must be ``detect_equations``
-    of a grid with the same topology, such as the answer grid.
+    of a grid with the same topology, such as the answer grid, in id order.
     """
-    if equations is None:
-        equations = detect_equations(grid)
+    open_eqs = detect_equations(grid) if equations is None else equations  # in id order
     known = _initial_knowns(grid)
-    open_eqs = {eq.id: eq for eq in equations}
     steps: list[tuple[Resolution, ...]] = []
 
     while True:
         pending: dict[Coord, Resolution] = {}
-        closed: list[int] = []
-        for eq in sorted(open_eqs.values(), key=lambda e: e.id):
+        still_open: list[Equation] = []
+        for eq in open_eqs:
             values = [known.get(coord) for coord in eq.operands]
             missing = [i for i, v in enumerate(values) if v is None]
             if len(missing) > 1:
+                still_open.append(eq)
                 continue
             if not missing:
                 a, b, c = values
@@ -208,7 +200,6 @@ def deduce(
                     raise Contradiction(
                         f"equation {eq.id}: {a} {eq.op.value} {b} != {c}"
                     )
-                closed.append(eq.id)
                 continue
             slot = (Slot.A, Slot.B, Slot.C)[missing[0]]
             knowns = [v for v in values if v is not None]
@@ -227,13 +218,11 @@ def deduce(
                 # same value from a higher-id equation: keep the first
             else:
                 pending[coord] = Resolution(eq.id, coord, value)
-            closed.append(eq.id)
 
-        for eq_id in closed:
-            del open_eqs[eq_id]
+        open_eqs = still_open
         if not pending:
             break
-        step = tuple(sorted(pending.values(), key=lambda r: r.eq_id))
+        step = tuple(pending.values())  # each cell's first equation, so in id order
         steps.append(step)
         for res in step:
             known[res.coord] = res.value
