@@ -54,8 +54,15 @@ def check_type(value: object, kind: type, what: str):
 
 
 def shown(value: object) -> str:
-    """``repr(value)`` for an error line, its middle elided past 60 characters."""
-    text = repr(value)
+    """``repr(value)`` for an error line, its middle elided past 60 characters.
+
+    An int too long for ``repr`` (CPython converts at most 4300 digits) is
+    shown by its size in bits.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit integer>"
     return text if len(text) <= 60 else f"{text[:30]}...{text[-27:]}"
 
 

@@ -21,6 +21,7 @@ from .core import (
     Orientation,
     Resolution,
     SolutionTrace,
+    shown,
     target_order,
 )
 
@@ -149,12 +150,12 @@ def solve_missing(op: Operator, unknown: Slot, known1: int, known2: int) -> int:
         result = known2 - known1
     else:
         if known1 == 0 or known2 % known1 != 0:
-            raise NoIntegerSolution(f"{known2} ÷ {known1} is not an integer")
+            raise NoIntegerSolution(f"{shown(known2)} ÷ {shown(known1)} is not an integer")
         result = known2 // known1
     if result < 1:
         raise NoIntegerSolution(
-            f"slot {unknown.value} of {op.value} with knowns {known1}, {known2} "
-            f"would be {result}, below 1"
+            f"slot {unknown.value} of {op.value} with knowns {shown(known1)}, {shown(known2)} "
+            f"would be {shown(result)}, below 1"
         )
     return result
 
@@ -198,7 +199,7 @@ def deduce(
                 a, b, c = values
                 if not eq.op.holds(a, b, c):
                     raise Contradiction(
-                        f"equation {eq.id}: {a} {eq.op.value} {b} != {c}"
+                        f"equation {eq.id}: {shown(a)} {eq.op.value} {shown(b)} != {shown(c)}"
                     )
                 continue
             slot = (Slot.A, Slot.B, Slot.C)[missing[0]]
@@ -212,8 +213,8 @@ def deduce(
             if earlier is not None:
                 if earlier.value != value:
                     raise Contradiction(
-                        f"cell {tuple(coord)} deduced as both {earlier.value} "
-                        f"(eq {earlier.eq_id}) and {value} (eq {eq.id})"
+                        f"cell {tuple(coord)} deduced as both {shown(earlier.value)} "
+                        f"(eq {earlier.eq_id}) and {shown(value)} (eq {eq.id})"
                     )
                 # same value from a higher-id equation: keep the first
             else:

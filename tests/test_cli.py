@@ -112,6 +112,44 @@ def test_solve_bounds_a_long_unreadable_cell(tmp_path, capsys):
     assert "line 1, cell 3: unrecognized cell content '999" in err
 
 
+_NINES = "9" * 4000
+
+
+def _crossing(op: str, first: str, second: str, bottom: str) -> str:
+    """``first op second = ?`` along the top row, and ``? - 1 = bottom`` down
+    its last column: two equations that each deduce the corner cell."""
+    rows = [
+        [first, op, second, "=", "?"],
+        ["", "", "", "", "-"],
+        ["", "", "", "", "1"],
+        ["", "", "", "", "="],
+        ["", "", "", "", bottom],
+    ]
+    return "".join("| " + " | ".join(row) + " |\n" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "grid, words",
+    [
+        (f"| {_NINES} | + | ? | = | 5 |\n", "would be -999999"),
+        (f"| {_NINES} | + | 1 | = | 5 |\n", " + 1 != 5"),
+        (f"| {_NINES} | × | {_NINES} | = | 5 |\n", " != 5"),
+        (f"| {_NINES} | ÷ | 7 | = | ? |\n", "÷ 7 is not an integer"),
+        (_crossing("+", _NINES, "1", "8" * 4000), "deduced as both 1000000"),
+        # the product has more digits than CPython turns into a string
+        (_crossing("×", _NINES, _NINES, "5"), "deduced as both "),
+    ],
+    ids=["below-one", "sum-unequal", "product-unequal", "not-an-integer", "both", "both-product"],
+)
+def test_solve_error_lines_elide_long_numbers(tmp_path, capsys, grid, words):
+    grid_file = tmp_path / "long.md"
+    grid_file.write_text(grid, encoding="utf-8")
+    assert main(["solve", "--markdown", str(grid_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 1024, err
+    assert words in err, err
+
+
 def test_solve_lists_at_most_ten_unresolved_targets(tmp_path, capsys):
     grid_file = tmp_path / "wide.md"
     grid_file.write_text("| " + " | ".join(["?"] * 20_000) + " |\n", encoding="utf-8")

@@ -15,6 +15,7 @@ from mathgrid.core import (
     Resolution,
     SolutionTrace,
     TARGET,
+    shown,
     target_order,
 )
 from mathgrid.solver import deduce
@@ -183,3 +184,10 @@ def test_replacing_a_traces_steps_recomputes_what_it_reads_off_them(appendix_gri
 
 def test_reference_grid_matches_cell_construction(appendix_grid):
     assert appendix_grid == reference_grid()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("digits", [61, 4300, 5000])
+def test_shown_bounds_an_int_of_any_size(sign, digits):
+    text = shown(sign * 10 ** (digits - 1))
+    assert len(text) <= 60 and "\n" not in text, text
