@@ -243,7 +243,7 @@ class StatusError(Exception):
     """The endpoint answered with a status other than 2xx."""
 
     def __init__(self, status: int, reason: str, body: bytes):
-        super().__init__(f"HTTP {status} {reason}: {body[:200].decode('utf-8', 'replace')}")
+        super().__init__(f"HTTP {status} {shown(reason)}: {body[:200].decode('utf-8', 'replace')}")
         # a redirect, or a 4xx other than 408/429, fails the same way again
         self.transient = status in (408, 429) or status >= 500
 
@@ -420,7 +420,7 @@ class _Attempt:
 
     def take(self, size: int) -> bytes:
         if size < 0:
-            raise ValueError(f"negative length {size}")
+            raise ValueError(f"negative length {shown(size)}")
         while len(self.buffer) < self.read + size:
             self.fill()
         self.read += size
@@ -452,15 +452,22 @@ class _Attempt:
         """The body: chunked, else as long as Content-Length says, else up to the close."""
         if b"chunked" in fields.get(b"transfer-encoding", b"").lower():
             chunks = []
-            while size := int(self.line().partition(b";")[0], 16):
+            while size := _size(self.line().partition(b";")[0], 16, "chunk size"):
                 chunks.append(self.take(size))
                 self.line()
             return b"".join(chunks)
         if b"content-length" in fields:
-            return self.take(int(fields[b"content-length"]))
+            return self.take(_size(fields[b"content-length"], 10, "Content-Length"))
         while self.fill(needed=False):
             pass
         return bytes(self.buffer[self.read :])
+
+
+def _size(text: bytes, base: int, what: str) -> int:
+    try:
+        return int(text, base)
+    except ValueError:  # whose message quotes 200 bytes of the text
+        raise ValueError(f"malformed {what} {shown(text)}") from None
 
 
 def _send_once(route: _Route, request: bytes, timeout_s: float) -> str:

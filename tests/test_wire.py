@@ -192,6 +192,26 @@ class TestResponseBody:
         assert [r.status for r in records] == ["error"]
 
 
+    @pytest.mark.parametrize(
+        "reply, words",
+        [
+            (_reply("HTTP/1.1 404 " + "N" * 60000 + "\n"), "StatusError: HTTP 404 'NNN"),
+            (_reply("HTTP/1.1 200 OK\nContent-Length: " + "x" * 5000 + "\n"),
+             "ValueError: malformed Content-Length b'xxx"),
+            (_reply("HTTP/1.1 200 OK\nContent-Length: -" + "9" * 4000 + "\n"),
+             "ValueError: negative length -999"),
+            (_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"z" * 5000 + b"\r\n"),
+             "ValueError: malformed chunk size b'zzz"),
+        ],
+        ids=["reason", "content-length", "negative-length", "chunk-size"],
+    )
+    def test_an_error_record_quotes_the_reply_briefly(self, manifest, clean_env, reply, words):
+        with RawServer(reply) as server:
+            (record,) = _run(manifest, f"http://127.0.0.1:{server.port}")
+        assert record.status == "error" and record.error.startswith(words), record.error[:300]
+        assert len(record.error.encode()) < 1024
+
+
 class TestAttemptBounds:
     """Each attempt ends within ``timeout_s`` of its start, and takes at most
     MAX_RESPONSE_BYTES, however the endpoint sends."""
