@@ -1,4 +1,5 @@
-"""Mutation fuzzing of the two line inputs: manifest lines and run records.
+"""Mutation fuzzing of the line inputs (manifest lines and run records) and
+of the markdown grid.
 
 Each case takes a valid fixture file, mutates one of its lines and runs
 ``bench score`` (and, for a manifest, ``export-sft``) through ``cli.main``
@@ -10,6 +11,10 @@ that ``json.dumps`` never writes (deep nesting, ``NaN``, ``Infinity``,
 truncates the line. Whatever it does, the command exits 0 or 1 without a
 traceback; on exit 1 it prints one ``error:`` line under 1 KB that names the
 file and line; and its ``--out`` file keeps what it held.
+
+A markdown grid is mutated the same ways, a cell standing for a value and
+a row for an object, and run through ``solve --markdown``: it exits 0 with
+one JSON line, or 1 with one ``error:`` line under 1 KB.
 """
 
 from __future__ import annotations
@@ -36,6 +41,14 @@ _RAW_JSON = [
     "1e400",
     "7" * 5000,
 ]
+# What a raw cell may hold: numbers as long as parse_markdown reads and
+# longer, and a run of pipes that splits the row into a thousand cells.
+_RAW_CELLS = ["9" * 4000, "9" * 4300, "7" * 5000, "0" * 4000, "|" * 1000]
+_CELL_TOKENS = st.one_of(
+    st.sampled_from(["", "?", "=", "+", "-", "×", "÷", "x", "*", "/", "0", "-3", "1.5", "l2", "NaN", "1e400"]),
+    st.integers(-(10**6), 10**6).map(str),
+    st.text(max_size=6),
+)
 _LONG_STRINGS = st.characters(exclude_categories=["Cs"]).map(lambda char: char * 2000)
 _NOT_UTF8 = [b"\xff", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"]
 _JSON_VALUES = st.one_of(
@@ -92,6 +105,33 @@ def _mutated(draw, line: str) -> bytes:
     text = json.dumps(box["line"], ensure_ascii=False)
     text = text.replace(json.dumps(_PLACEHOLDER), draw(st.sampled_from(_RAW_JSON)))
     return text.encode("utf-8") + b"\n"
+
+
+@st.composite
+def _mutated_grid(draw, markdown: str) -> bytes:
+    """``markdown`` (a table in ``to_markdown``'s shape) after one mutation."""
+    kind = draw(st.sampled_from(["swap", "delete", "raw", "bytes", "truncate", "long", "add"]))
+    data = markdown.encode("utf-8")
+    if kind == "bytes":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + draw(st.sampled_from(_NOT_UTF8)) + data[at:]
+    if kind == "truncate":
+        return data[: draw(st.integers(0, len(data) - 1))]
+    rows = [line[1:-1].split("|") for line in markdown.splitlines()]
+    row = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, len(rows[row]) - 1))
+    whole_row = draw(st.booleans())
+    if kind == "delete" and whole_row:
+        del rows[row]
+    elif kind == "delete":
+        del rows[row][col]
+    elif kind == "add" and whole_row:
+        rows.insert(row, draw(st.lists(_CELL_TOKENS, min_size=1, max_size=len(rows[row]) + 1)))
+    elif kind == "add":
+        rows[row].insert(col, draw(_CELL_TOKENS))
+    else:
+        rows[row][col] = draw({"swap": _CELL_TOKENS, "raw": st.sampled_from(_RAW_CELLS), "long": _LONG_STRINGS}[kind])
+    return "".join("|" + "|".join(cells) + "|\n" for cells in rows).encode("utf-8")
 
 
 def _fixture_lines(dataset_dir) -> tuple[list[str], list[str]]:
@@ -154,3 +194,21 @@ def test_a_mutated_run_record_scores_or_fails_on_one_line(dataset_dir, tmp_path,
     out = tmp_path / "report.json"
     argv = ["bench", "score", "--run", str(run_path), "--manifest", str(manifest), "--out", str(out)]
     _check(capsys, argv, out, f"{run_path} line {victim + 1}: ")
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_a_mutated_markdown_grid_solves_or_fails_on_one_line(dataset_dir, tmp_path, capsys, data):
+    manifest_lines, _ = _fixture_lines(dataset_dir)
+    markdown = json.loads(data.draw(st.sampled_from(manifest_lines)))["markdown"]
+    grid = tmp_path / "grid.md"
+    grid.write_bytes(data.draw(_mutated_grid(markdown)))
+    capsys.readouterr()
+    code = main(["solve", "--markdown", str(grid)])
+    out, err = capsys.readouterr()
+    assert code in (0, 1), code
+    if code == 0:
+        assert out.count("\n") == 1 and "answers" in json.loads(out), out[:200]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
+        assert len(err.encode("utf-8")) < 1024, err[:200]
