@@ -121,10 +121,9 @@ def detect_equations(grid: Grid) -> list[Equation]:
     new = tuple.__new__  # what the NamedTuple constructors call, without their frame
     for (orientation, (dr, dc)), found in zip(_AXES, (horizontal, vertical)):
         for i in found:
-            row, col = divmod(i, cols)
-            a, op_cell, b, eq_cell, c = [
-                new(Coord, (row + k * dr, col + k * dc)) for k in (-1, 0, 1, 2, 3)
-            ]
+            y, x = divmod(i, cols)
+            a, op_cell, b = new(Coord, (y - dr, x - dc)), new(Coord, (y, x)), new(Coord, (y + dr, x + dc))
+            eq_cell, c = new(Coord, (y + 2 * dr, x + 2 * dc)), new(Coord, (y + 3 * dr, x + 3 * dc))
             fields = (len(equations), orientation, a, b, c, cells[i].op, op_cell, eq_cell)
             equations.append(new(Equation, fields))
     return equations
