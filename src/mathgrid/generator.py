@@ -1,11 +1,14 @@
 """Procedural construction of cross-math puzzles with unique solutions.
 
 Layout building places intersecting 5-cell equations crossword-style on an
-unbounded plane, then crops. Blank punching turns number cells into targets
-so that iterated 2-of-3 deduction recovers all of them; deduction chains of
-controlled length realize the difficulty's hop-depth profile. Because every
-blank is forced by deduction, solutions are unique by construction (and the
-brute-force oracle re-checks that in tests).
+unbounded plane, then crops. The first equation lies across from (0, 0) and
+each later one crosses an operand of a placed one at its offset 0, 2 or 4, so
+every equation starts at an even row and an even column: the layout lattice.
+Blank punching turns number cells into targets so that iterated 2-of-3
+deduction recovers all of them; deduction chains of controlled length realize
+the difficulty's hop-depth profile. Because every blank is forced by
+deduction, solutions are unique by construction (and the brute-force oracle
+re-checks that in tests).
 """
 
 from __future__ import annotations
@@ -273,30 +276,16 @@ def _span_clear(
     board: _Board,
     start: tuple[int, int],
     orientation: Orientation,
-    shared: tuple[int, int] | None,
+    shared: tuple[int, int],
 ) -> bool:
-    """New cells must land on empty plane, not touching parallel content.
+    """Every cell of the new 5-cell run but the ``shared`` anchor is empty.
 
-    The two cells flanking the 5-cell run stay empty, and every new cell's
-    perpendicular neighbors must be empty; this is what rules out spurious
-    or merged patterns no matter what is placed later.
+    On the layout lattice that is all it takes to keep runs from touching
+    end to end or side by side: cells at an odd row and odd column stay
+    empty, so a filled cell flanking the run, or beside one of its
+    non-shared cells, belongs to a run through one of its non-shared cells.
     """
-    dr, dc = _AXIS[orientation]
-    before = (start[0] - dr, start[1] - dc)
-    after = (start[0] + 5 * dr, start[1] + 5 * dc)
-    if before in board.cells or after in board.cells:
-        return False
-    for pos in _span(start, orientation):
-        if pos == shared:
-            if pos not in board.cells:
-                return False
-            continue
-        if pos in board.cells:
-            return False
-        for perp in ((pos[0] + dc, pos[1] + dr), (pos[0] - dc, pos[1] - dr)):
-            if perp in board.cells:
-                return False
-    return True
+    return all(pos == shared or pos not in board.cells for pos in _span(start, orientation))
 
 
 def _place(
@@ -349,9 +338,7 @@ def _try_layout(
     for _ in range(n_eq - 1):
         placed = False
         for _attempt in range(40):
-            anchors = list(board.anchors.items())
-            if not anchors:
-                return None
+            anchors = list(board.anchors.items())  # each equation uses one and adds two
             # spread crossings around: hub equations starve the blank punch
             quiet = [a for a in anchors if board.crossings[a[1]] <= 1]
             if quiet and rng.random() < 0.8:
