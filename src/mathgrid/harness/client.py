@@ -22,6 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from threading import TIMEOUT_MAX
 from typing import Iterator
 from urllib.parse import unquote, urlsplit
 
@@ -86,8 +87,8 @@ class EndpointConfig:
             raise ConfigError(
                 f"base_url must be an http:// or https:// URL with a host, not {shown(self.base_url)}"
             )
-        if not self.path.startswith("/"):
-            raise ConfigError(f"path must start with '/', not {shown(self.path)}")
+        if not (self.path.startswith("/") and all("!" <= ch <= "~" for ch in self.path)):
+            raise ConfigError(f"path must start with '/' and be visible ASCII, not {shown(self.path)}")
         if self.auth_token_env is not None and not isinstance(self.auth_token_env, str):
             raise ConfigError(
                 f"auth_token_env must be a string or null, not {shown(self.auth_token_env)}"
@@ -102,6 +103,9 @@ class EndpointConfig:
             raise ConfigError(f"timeout_s must be a number > 0, not {shown(self.timeout_s)}")
         if type(self.backoff_s) not in (int, float) or not self.backoff_s >= 0:
             raise ConfigError(f"backoff_s must be a number >= 0, not {shown(self.backoff_s)}")
+        for name, value in (("timeout_s", self.timeout_s), ("backoff_s", self.backoff_s)):
+            if value > TIMEOUT_MAX:  # the longest socket timeout or sleep
+                raise ConfigError(f"{name} must be at most {TIMEOUT_MAX:.0f}, not {shown(value)}")
         if not isinstance(self.sampling, dict):
             raise ConfigError(f"sampling must be an object, not {shown(self.sampling)}")
         for key in (self.model_field, "messages"):
@@ -496,7 +500,7 @@ def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict) -> 
     fields = {"Host": route.host, "Accept-Encoding": "identity", "Content-Length": len(body),
               **config.headers(), **route.headers}
     request = _head(f"POST {route.target} HTTP/1.1", fields) + body
-    attempt = 0
+    attempt, delay = 0, config.backoff_s
     while True:
         try:
             return _send_once(route, request, config.timeout_s)
@@ -506,8 +510,8 @@ def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict) -> 
         except (OSError, ValueError):
             if attempt >= config.max_retries:
                 raise
-        time.sleep(config.backoff_s * (2**attempt))
-        attempt += 1
+        time.sleep(delay)
+        attempt, delay = attempt + 1, min(2 * delay, TIMEOUT_MAX)
 
 
 def run_benchmark(

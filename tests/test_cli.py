@@ -535,8 +535,20 @@ def _bench_run_argv(dataset_dir, tmp_path, *flags) -> list[str]:
         ({"path": "v1" * 1000}, "path must start with '/'"),
         ({"sampling": {"k" * 2000: float("nan")}}, "must be JSON without NaN or Infinity"),
         ({"max_concurrency": 100_000}, "max_concurrency must be at most 256, not 100000"),
+        ({"timeout_s": 1e10}, "timeout_s must be at most 9223372036, not 10000000000.0"),
+        ({"timeout_s": float("inf")}, "timeout_s must be at most 9223372036, not inf"),
+        ({"backoff_s": 1e300}, "backoff_s must be at most 9223372036, not 1e+300"),
+        ({"path": "/v1/chat completions"}, "path must start with '/' and be visible ASCII"),
+        ({"path": "/v1/\u20ac"}, "path must start with '/' and be visible ASCII"),
+        ({"path": "/v1/chat\tcompletions"}, "path must start with '/' and be visible ASCII"),
+        ({"path": "/v1/chat\rcompletions"}, "path must start with '/' and be visible ASCII"),
+        ({"path": "/v1/chat\ncompletions"}, "path must start with '/' and be visible ASCII"),
     ],
-    ids=["long-base-url", "long-path", "long-sampling-key", "max-concurrency-too-large"],
+    ids=[
+        "long-base-url", "long-path", "long-sampling-key", "max-concurrency-too-large",
+        "timeout-too-large", "timeout-infinite", "backoff-too-large",
+        "path-with-space", "path-not-ascii", "path-with-tab", "path-with-cr", "path-with-lf",
+    ],
 )
 def test_a_bad_config_value_gives_one_short_line_naming_the_file(dataset_dir, tmp_path, capsys, config, named):
     config_path = tmp_path / "endpoint.json"
@@ -554,8 +566,10 @@ def test_a_bad_config_value_gives_one_short_line_naming_the_file(dataset_dir, tm
         (["--endpoint", "ftp://" + "x" * 2000], "base_url must be an http:// or https:// URL"),
         (["--concurrency", "100000"], "max_concurrency must be at most 256, not 100000"),
         (["--timeout", "-1"], "timeout_s must be a number > 0, not -1.0"),
+        (["--timeout", "1e10"], "timeout_s must be at most 9223372036, not 10000000000.0"),
+        (["--timeout", "inf"], "timeout_s must be at most 9223372036, not inf"),
     ],
-    ids=["long-endpoint", "concurrency-too-large", "negative-timeout"],
+    ids=["long-endpoint", "concurrency-too-large", "negative-timeout", "timeout-too-large", "timeout-infinite"],
 )
 def test_a_bad_flag_does_not_name_the_config_file(dataset_dir, tmp_path, capsys, flags, named):
     config_path = tmp_path / "endpoint.json"
