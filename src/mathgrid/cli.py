@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import Difficulty, MathGridError, Operator, check_type, located
+from .core import Difficulty, Grid, MathGridError, Operator, SolutionTrace, check_type, located, shown
 from .evaluation import format_metrics_table
 from .generator import GenParams, generate_batch, write_example_images
 from .harness.client import EndpointConfig, Modality, run_benchmark, score_run
@@ -37,6 +37,15 @@ def _parse_pair(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}") from exc
+
+
+def _solved(grid: Grid) -> SolutionTrace:
+    """``deduce``'s trace; a ValueError names a cell whose answer ``str`` cannot convert."""
+    trace, _ = deduce(grid)
+    for coord, value, _ in trace.resolved:
+        if (text := shown(value)).startswith("<"):  # the int's size in bits: repr failed
+            raise ValueError(f"cell {tuple(coord)} solves to {text}, too many digits to print")
+    return trace
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -72,7 +81,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
             raise MathGridError(f"--markdown renders one style, got {args.styles!r}")
         grid = parse_markdown(Path(args.markdown).read_text(encoding="utf-8"))
         view = RenderView(args.view or "query")
-        answers = deduce(grid)[0].answers if view is RenderView.SOLUTION else None
+        answers = _solved(grid).answers if view is RenderView.SOLUTION else None
         out = Path(args.out)
         out.write_bytes(render_image(grid, styles[0], view, args.seed or 0, answers=answers))
         print(f"wrote {out}")
@@ -94,8 +103,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.markdown
         else sys.stdin.read()
     )
-    grid = parse_markdown(text)
-    trace, _ = deduce(grid)
+    trace = _solved(parse_markdown(text))
     print(
         json.dumps(
             {

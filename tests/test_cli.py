@@ -150,6 +150,25 @@ def test_solve_error_lines_elide_long_numbers(tmp_path, capsys, grid, words):
     assert words in err, err
 
 
+@pytest.mark.parametrize("command", ["solve", "render"])
+@pytest.mark.parametrize(
+    "first, second, bits",
+    [(_NINES, _NINES, 26576), ("7" * 2200, "8" * 2200, 14616)],
+    ids=["4000-digit-factors", "2200-digit-factors"],
+)
+def test_an_answer_too_long_to_print_names_its_cell(tmp_path, capsys, command, first, second, bits):
+    grid_file = tmp_path / "long.md"
+    grid_file.write_text(f"| {first} | × | {second} | = | ? |\n", encoding="utf-8")
+    out = tmp_path / "long.svg"
+    argv = [command, "--markdown", str(grid_file)]
+    if command == "render":
+        argv += ["--view", "solution", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cell (0, 4) solves to <{bits}-bit integer>, too many digits to print\n", err
+    assert not out.exists()
+
+
 def test_solve_lists_at_most_ten_unresolved_targets(tmp_path, capsys):
     grid_file = tmp_path / "wide.md"
     grid_file.write_text("| " + " | ".join(["?"] * 20_000) + " |\n", encoding="utf-8")
