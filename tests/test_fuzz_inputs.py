@@ -15,6 +15,14 @@ file and line; and its ``--out`` file keeps what it held.
 A markdown grid is mutated the same ways, a cell standing for a value and
 a row for an object, and run through ``solve --markdown``: it exits 0 with
 one JSON line, or 1 with one ``error:`` line under 1 KB.
+
+An endpoint config file is mutated as a line is and run through ``bench run
+--config`` against the mock endpoint: it exits 1 with one ``error:`` line
+under 1 KB that names the file and writes no run file, or it exits 0, and
+then no request failed before it was sent (no record's error is an
+``OverflowError`` or a ``UnicodeEncodeError``). A chat-completion response
+body is mutated as a line is too: ``response_text(parse_json(body))`` gives
+a string or raises a ValueError under 1 KB.
 """
 
 from __future__ import annotations
@@ -22,9 +30,14 @@ from __future__ import annotations
 import copy
 import json
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mathgrid.cli import main
+from mathgrid.harness.client import load_run_records, response_text
+from mathgrid.manifest import parse_json
+
+from endpointmock import MockEndpoint
 
 _SETTINGS = settings(
     derandomize=True,
@@ -212,3 +225,64 @@ def test_a_mutated_markdown_grid_solves_or_fails_on_one_line(dataset_dir, tmp_pa
     else:
         assert err.startswith("error: ") and err.count("\n") == 1, err[:200]
         assert len(err.encode("utf-8")) < 1024, err[:200]
+
+
+# Every config key but auth_token_env, whose mutations would read the
+# environment; the base URL stands in for the mock endpoint's.
+_BASE_URL = "http://127.0.0.1:1"
+_CONFIG = json.dumps({
+    "base_url": _BASE_URL, "model_name": "m", "max_concurrency": 2, "timeout_s": 5.0,
+    "max_retries": 1, "path": "/v1/chat/completions", "model_field": "model",
+    "sampling": {"temperature": 0.0}, "backoff_s": 0.001,
+})
+
+
+@pytest.fixture
+def endpoint():
+    with MockEndpoint() as server:
+        yield server
+
+
+@_SETTINGS
+@given(config=_mutated(_CONFIG))
+@example(config=_CONFIG.replace("5.0", "Infinity").encode() + b"\n")
+@example(config=_CONFIG.replace("5.0", "1e10").encode() + b"\n")
+def test_a_mutated_endpoint_config_loads_and_sends_or_fails_on_one_line(
+    dataset_dir, tmp_path, capsys, endpoint, config
+):
+    manifest_lines, _ = _fixture_lines(dataset_dir)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(line + "\n" for line in manifest_lines), encoding="utf-8")
+    config_path = tmp_path / "endpoint.json"
+    config_path.write_bytes(config.replace(_BASE_URL.encode(), endpoint.base_url.encode()))
+    run_path = tmp_path / "run.jsonl"
+    run_path.unlink(missing_ok=True)
+    capsys.readouterr()
+    argv = ["bench", "run", "--manifest", str(manifest), "--out", str(run_path), "--config", str(config_path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1), code
+    if code == 1:
+        assert err.startswith(f"error: {config_path}: ") and err.count("\n") == 1, err[:200]
+        assert len(err.encode("utf-8")) < 1024, err[:200]
+        assert not run_path.exists()
+    else:
+        errors = [record.error for record in load_run_records(run_path) if record.error]
+        assert not [e for e in errors if e.startswith(("OverflowError", "UnicodeEncodeError"))], errors
+
+
+_BODIES = [
+    json.dumps({"choices": [{"message": {"role": "assistant", "content": "<answer>7</answer>"}}]}),
+    json.dumps({"choices": [{"message": {"content": [{"type": "text", "text": "<answer>7</answer>"}]}}]}),
+    json.dumps({"choices": [{"text": "<answer>7</answer>", "finish_reason": "stop"}], "usage": {"total": 9}}),
+]
+
+
+@_SETTINGS
+@given(data=st.data())
+def test_a_mutated_response_body_gives_text_or_a_short_value_error(data):
+    body = data.draw(_mutated(data.draw(st.sampled_from(_BODIES))))
+    try:
+        assert type(response_text(parse_json(body))) is str
+    except ValueError as exc:
+        assert len(str(exc).encode("utf-8")) < 1024, str(exc)[:200]
