@@ -15,6 +15,7 @@ from mathgrid.harness import EndpointConfig, Modality, build_prompt, run_benchma
 from mathgrid.harness.client import (
     ConfigError,
     ManifestMismatch,
+    _bypasses_proxy,
     build_chat_payload,
     bundle_to_messages,
     load_run_records,
@@ -742,6 +743,20 @@ class TestTransport:
             counts = server.requests_total, proxy.requests_total
         assert counts == ((n, 0) if direct else (0, n))
         assert all(r.status == "ok" for r in load_run_records(run_path))
+
+    @pytest.mark.parametrize(
+        "host, no_proxy, bypassed",
+        [
+            ("api.example.com", "example.com", True),
+            ("api.example.com", ".example.com", True),
+            ("badexample.com", "example.com", False),
+            ("127.0.0.1", "127.0.0.1/33", False),
+            ("127.0.0.1", "not-a-range/8,127.0.0.0/8", True),
+        ],
+        ids=["subdomain", "dotted-subdomain", "suffix-only", "bad-range", "bad-range-then-good"],
+    )
+    def test_no_proxy_names_subdomains_and_skips_an_unparsable_range(self, host, no_proxy, bypassed):
+        assert _bypasses_proxy(host, 80, no_proxy) is bypassed
 
     @pytest.mark.parametrize("basic", ["netrc", "url", None])
     def test_basic_auth_replaces_the_bearer_token(self, dataset_dir, tmp_path, monkeypatch, basic):

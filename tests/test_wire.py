@@ -26,10 +26,13 @@ def _reply(head: str, body: bytes = ANSWER) -> bytes:
 
 class RawServer:
     """Serves one connection at a time on 127.0.0.1: keeps the bytes of each
-    request, sends ``reply`` as it stands, then holds the connection open for
-    ``hold_s`` (cut short when the server stops) before closing it."""
+    request, sends ``reply`` as it stands (a list of pieces PIECE_GAP_S
+    apart), then holds the connection open for ``hold_s`` (cut short when the
+    server stops) before closing it."""
 
-    def __init__(self, reply: bytes, hold_s: float = 0.0):
+    PIECE_GAP_S = 0.05
+
+    def __init__(self, reply: bytes | list[bytes], hold_s: float = 0.0):
         self.reply = reply
         self.hold_s = hold_s
         self.requests: list[bytes] = []
@@ -61,18 +64,24 @@ class RawServer:
             with connection:
                 connection.settimeout(5)
                 self.requests.append(_read_request(connection))
-                connection.sendall(self.reply)
+                pieces = [self.reply] if isinstance(self.reply, bytes) else self.reply
+                try:
+                    for index, piece in enumerate(pieces):
+                        self._stop.wait(self.PIECE_GAP_S if index else 0)
+                        connection.sendall(piece)
+                except OSError:  # the client stopped reading
+                    continue
                 self._stop.wait(self.hold_s)
 
 
 def _read_request(connection: socket.socket) -> bytes:
-    """The head and the ``Content-Length`` bytes of body of one request."""
+    """The head and the ``Content-Length`` bytes of body, if any, of one request."""
     data = b""
     while b"\r\n\r\n" not in data:
         data += connection.recv(65536)
     head, _, body = data.partition(b"\r\n\r\n")
     fields = dict(line.split(b": ", 1) for line in head.split(b"\r\n")[1:])
-    length = int({k.lower(): v for k, v in fields.items()}[b"content-length"])
+    length = int({k.lower(): v for k, v in fields.items()}.get(b"content-length", 0))
     while len(body) < length:
         body += connection.recv(65536)
     return head + b"\r\n\r\n" + body
@@ -145,6 +154,23 @@ class TestRequestHead:
         ).encode("latin-1")
 
 
+    def test_a_token_with_a_line_break_sends_nothing(self, manifest, clean_env):
+        clean_env.setenv("FAKE_TOKEN_VAR", "sek\r\nX-Injected: 1")
+        with RawServer(_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER))) as server:
+            (record,) = _run(manifest, f"http://127.0.0.1:{server.port}", auth_token_env="FAKE_TOKEN_VAR")
+        assert server.requests == []
+        assert record.error == "ValueError: a request header holds a line break"
+
+    def test_a_refused_tunnel_is_an_error_record(self, manifest, clean_env):
+        with RawServer(_reply("HTTP/1.1 403 Forbidden\nContent-Length: 0\n", b"")) as proxy:
+            clean_env.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+            (record,) = _run(manifest, "https://mathgrid-endpoint.invalid")
+        assert [request.split(b"\r\n")[0] for request in proxy.requests] == [
+            b"CONNECT mathgrid-endpoint.invalid:443 HTTP/1.1"
+        ]
+        assert record.error == "OSError: tunnel connection failed: 403 'Forbidden'"
+
+
 def _chunked(body: bytes) -> bytes:
     cut = len(body) // 3
     pieces = [body[:cut], body[cut:]]
@@ -169,8 +195,9 @@ class TestResponseBody:
             _reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", _chunked(ANSWER)),
             _reply("HTTP/1.1 200 OK\nContent-Type: application/json\n"),
             _reply("HTTP/1.1 100 Continue\n", b"") + _reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER)),
+            [_reply("HTTP/1.1 200 OK\nContent-Type: application/json\n", b""), ANSWER],
         ],
-        ids=["chunked", "until-close", "after-100-continue"],
+        ids=["chunked", "until-close", "after-100-continue", "until-close-after-the-head"],
     )
     def test_answer_read(self, manifest, clean_env, reply):
         with RawServer(reply) as server:
@@ -202,8 +229,13 @@ class TestResponseBody:
              "ValueError: negative length -999"),
             (_reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", b"z" * 5000 + b"\r\n"),
              "ValueError: malformed chunk size b'zzz"),
+            (_reply("HTTP/1.1 200 " + "O" * 200_000 + "\n"), "ValueError: response line longer than 65536 bytes"),
+            (_reply("HTTP/1.1 200 OK\nX-Long: " + "a" * 200_000 + "\n"),
+             "ValueError: response line longer than 65536 bytes"),
+            (_reply("HTTP/1.1 200 OK\n", json.dumps({"choices": [{"message": "\u20ac" * 2000}]}).encode()),
+             "ValueError: response message must be a JSON object, not string"),
         ],
-        ids=["reason", "content-length", "negative-length", "chunk-size"],
+        ids=["reason", "content-length", "negative-length", "chunk-size", "status-line", "header-line", "mutated-body"],
     )
     def test_an_error_record_quotes_the_reply_briefly(self, manifest, clean_env, reply, words):
         with RawServer(reply) as server:
