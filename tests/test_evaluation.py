@@ -5,7 +5,7 @@ import operator
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mathgrid.evaluation import (
     KHOP_BUCKETS,
@@ -361,3 +361,22 @@ def test_one_pass_report_equals_the_multi_pass_reference(examples):
     got, want = build_report(results).to_json(), reference_report_json(results)
     assert got == want
     assert json.dumps(got) == json.dumps(want)  # same key order, same float bits
+
+
+# Answer tokens as a model may write them: numbers, any short text, a number
+# too long for int(), and spellings parse_token must refuse.
+_TOKENS = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.text(max_size=8),
+    st.sampled_from(["7" * 5000, "1e400", "NaN", "(6)", "1,234", "\u0663", "93.", "</answer>"]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.text(max_size=40), st.lists(_TOKENS, max_size=6), st.text(max_size=40))
+def test_any_response_text_scores(before, tokens, after):
+    gold = FakeGold("a", (6, 93, 45, 8), (1, 2, 3, 4))
+    for text in (before, before + "<answer>" + " ".join(tokens) + "</answer>" + after):
+        result = evaluate_prediction(Prediction.from_text("a", text), gold)
+        assert [score.hop for score in result.scores] == [1, 2, 3, 4]
+        assert result.all_correct == (Prediction.from_text("a", text).parsed == (6, 93, 45, 8))

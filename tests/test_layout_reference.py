@@ -12,21 +12,12 @@ the lattice.
 
 from __future__ import annotations
 
-import itertools
-
 from mathgrid import generator
 from mathgrid.core import Difficulty, Orientation
 from mathgrid.generator import _AXIS, _Board, _span, GenParams, generate_batch
 from mathgrid.solver import detect_equations
 
-# The golden digests' configuration grid: difficulty × value range × equation count.
-GRID = list(
-    itertools.product(
-        ("easy", "medium", "hard"),
-        ((50, 250), (1, 12), (1, 100), (5, 1000)),
-        ((2, 4), (5, 15), (12, 20)),
-    )
-)
+from test_golden import GRID
 
 # -- reference implementation -----------------------------------------------
 
@@ -64,11 +55,12 @@ def reference_span_clear(
 # ---------------------------------------------------------------------------
 
 
-def _params(difficulty: str, value_range, equation_count, seed: int) -> GenParams:
+def _params(difficulty: str, value_range: str, equation_count: str, seed: int) -> GenParams:
+    """The golden grid's configuration, as ``generate`` reads it from its flags."""
     return GenParams(
         difficulty=Difficulty(difficulty),
-        value_range=value_range,
-        equation_count=equation_count,
+        value_range=tuple(map(int, value_range.split(":"))),
+        equation_count=tuple(map(int, equation_count.split(":"))),
         seed=seed,
     )
 
@@ -88,7 +80,7 @@ def test_span_clear_agrees_with_the_reference_on_every_call(monkeypatch):
 
     monkeypatch.setattr(generator, "_span_clear", compared)
     for difficulty, value_range, equation_count in GRID:
-        generate_batch(_params(difficulty, value_range, equation_count, 20261019), 8)
+        generate_batch(_params(difficulty, value_range, equation_count, 20261019), 10)
     assert disagreements == []
     assert rejections >= 1000, (calls, rejections)
 
