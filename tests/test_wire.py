@@ -153,7 +153,6 @@ class TestRequestHead:
             "\r\n"
         ).encode("latin-1")
 
-
     def test_a_token_with_a_line_break_sends_nothing(self, manifest, clean_env):
         clean_env.setenv("FAKE_TOKEN_VAR", "sek\r\nX-Injected: 1")
         with RawServer(_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER))) as server:
@@ -242,6 +241,15 @@ class TestResponseBody:
             (record,) = _run(manifest, f"http://127.0.0.1:{server.port}")
         assert record.status == "error" and record.error.startswith(words), record.error[:300]
         assert len(record.error.encode()) < 1024
+
+    def test_each_backoff_sleep_stops_doubling_at_the_longest_sleep(self, manifest, clean_env, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(client.time, "sleep", sleeps.append)
+        with RawServer(_reply("HTTP/1.1 503 Busy\nContent-Length: 0\n", b"")) as server:
+            (record,) = _run(manifest, f"http://127.0.0.1:{server.port}", max_retries=3,
+                             backoff_s=threading.TIMEOUT_MAX / 2)
+        assert record.error.startswith("StatusError: HTTP 503 'Busy'")
+        assert sleeps == [threading.TIMEOUT_MAX / 2, threading.TIMEOUT_MAX, threading.TIMEOUT_MAX]
 
 
 class TestAttemptBounds:
