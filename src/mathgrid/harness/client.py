@@ -20,7 +20,7 @@ import ssl
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from threading import TIMEOUT_MAX
 from typing import Iterator
@@ -46,23 +46,28 @@ class ManifestMismatch(MathGridError):
     """Run records reference examples not present in the manifest."""
 
 
+def _visible(text: str, banned: str) -> bool:
+    """Whether ``text`` is visible ASCII (``!`` to ``~``) holding none of ``banned``."""
+    return all("!" <= ch <= "~" and ch not in banned for ch in text)
+
+
 def _is_http_url(text: str) -> bool:
-    """An http or https URL with a host, a valid port if any, and no query or fragment."""
+    """An http or https URL in visible ASCII with a host, a valid port if any, and no ``?`` or ``#``."""
     url = urlsplit(text)
     try:
         url.port
     except ValueError:
         return False
-    return url.scheme in ("http", "https") and bool(url.hostname) and not (url.query or url.fragment)
+    return url.scheme in ("http", "https") and bool(url.hostname) and _visible(text, "?#")
 
 
 @dataclass(frozen=True)
 class EndpointConfig:
     """Where and how to send chat-completion requests.
 
-    The auth token is read from the environment variable named by
-    ``auth_token_env`` at request time and never stored. ``sampling`` is
-    passed through into the request body untouched (temperature, top_p,
+    The auth token is read once per run from the environment variable
+    named by ``auth_token_env``, and never written to a record. ``sampling``
+    is passed through into the request body untouched (temperature, top_p,
     max_tokens, ...), but may not set the model field or the messages;
     endpoint-dialect differences are covered by ``path`` and ``model_field``.
     """
@@ -85,10 +90,13 @@ class EndpointConfig:
                 raise ConfigError(f"{name} must be a non-empty string, not {shown(value)}")
         if not _is_http_url(self.base_url):
             raise ConfigError(
-                f"base_url must be an http:// or https:// URL with a host, not {shown(self.base_url)}"
+                "base_url must be an http:// or https:// URL with a host, in visible ASCII "
+                f"with no '?' or '#', not {shown(self.base_url)}"
             )
-        if not (self.path.startswith("/") and all("!" <= ch <= "~" for ch in self.path)):
-            raise ConfigError(f"path must start with '/' and be visible ASCII, not {shown(self.path)}")
+        if not (self.path.startswith("/") and _visible(self.path, "#")):
+            raise ConfigError(
+                f"path must start with '/' and be visible ASCII, with no '#', not {shown(self.path)}"
+            )
         if self.auth_token_env is not None and not isinstance(self.auth_token_env, str):
             raise ConfigError(
                 f"auth_token_env must be a string or null, not {shown(self.auth_token_env)}"
@@ -118,18 +126,6 @@ class EndpointConfig:
                 raise ConfigError(
                     f"sampling {shown(key)} must be JSON without NaN or Infinity, not {shown(value)}"
                 ) from None
-
-    @property
-    def url(self) -> str:
-        return self.base_url.rstrip("/") + self.path
-
-    def headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.auth_token_env:
-            token = os.environ.get(self.auth_token_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        return headers
 
     @staticmethod
     def from_json(data: dict) -> EndpointConfig:
@@ -318,12 +314,10 @@ def _ssl_context() -> ssl.SSLContext:
     return ssl.create_default_context(cafile=bundle or None)
 
 
-def _head(start: str, fields: dict[str, object]) -> bytes:
+def _head(start: str, fields: dict[str, str]) -> bytes:
     """A request's head: its first line, then one line per header field."""
-    lines = [start, *(f"{name}: {value}" for name, value in fields.items())]
-    if any("\r" in line or "\n" in line for line in lines):
-        raise ValueError("a request header holds a line break")
-    return "\r\n".join([*lines, "", ""]).encode("latin-1")
+    lines = [start, *(f"{name}: {value}" for name, value in fields.items()), "", ""]
+    return "\r\n".join(lines).encode("latin-1")
 
 
 @dataclass(frozen=True)
@@ -331,61 +325,66 @@ class _Route:
     """How every request of one run reaches the endpoint."""
 
     address: tuple[str, int]  # what the socket connects to: the endpoint or its proxy
-    target: str  # the request line's target: the path, or the whole URL for a plain-HTTP proxy
-    host: str  # the Host header: the endpoint's host, and its port unless the scheme's default
-    headers: dict[str, str]
+    head: tuple[bytes, bytes]  # the POST head, before and after its Content-Length value
     hostname: str  # the endpoint's host, which its certificate must name
     tunnel: bytes | None = None  # the CONNECT request to a proxy for an https endpoint
     context: ssl.SSLContext | None = None  # set for an https endpoint
 
 
 def _resolve_route(config: EndpointConfig) -> _Route:
-    """Read once, for ``config.url``, what the environment says about
-    reaching it: the proxy (``NO_PROXY`` honoured) and its credentials,
-    netrc auth, and the CA bundle for an https endpoint."""
-    url = urlsplit(config.url)
+    """Read once what the environment says about reaching ``config``'s
+    endpoint: the Bearer token, the proxy (``NO_PROXY`` honoured) and its
+    credentials, netrc auth, and the CA bundle for an https endpoint."""
+    url = urlsplit(config.base_url)
     host, secure = url.hostname, url.scheme == "https"
     port = url.port or (443 if secure else 80)
-    path = url.path + (f"?{url.query}" if url.query else "")
+    target = url.path.rstrip("/") + config.path
     authority = f"[{host}]" if ":" in host else host
-    host_header = authority if port == (443 if secure else 80) else f"{authority}:{port}"
+    # the fields in http.client's order; netrc Basic auth replaces a Bearer token
+    fields = {"Host": authority if port == (443 if secure else 80) else f"{authority}:{port}",
+              "Accept-Encoding": "identity", "Content-Length": "", "Content-Type": "application/json"}
+    token = os.environ.get(config.auth_token_env, "") if config.auth_token_env else ""
+    if token:
+        if "\r" in token or "\n" in token or max(token) > "\xff":
+            raise ConfigError(f"the token in {shown(config.auth_token_env)} must be Latin-1 on one line")
+        fields["Authorization"] = f"Bearer {token}"
     # One connection per request, which the server is asked to close. A stdlib
     # HTTP server such as perfbench/endpoint.py writes headers and body
     # separately, so on a kept-alive connection each response waits for a
     # delayed ACK: 22 ms per request there, against 1.4 ms with a new
     # connection each time.
-    headers = {"User-Agent": "mathgrid", "Connection": "close"}
+    fields.update({"User-Agent": "mathgrid", "Connection": "close"})
     credentials = _netrc_credentials(host)
     if credentials is None and url.username:
         credentials = unquote(url.username), unquote(url.password or "")
     if credentials is not None:
-        headers["Authorization"] = _basic_auth(*credentials)
+        fields["Authorization"] = _basic_auth(*credentials)
     context = _ssl_context() if secure else None
-    direct = _Route((host, port), path, host_header, headers, host, context=context)
     no_proxy = _env("no_proxy")
     proxy = None
     if not (no_proxy and _bypasses_proxy(host, port, no_proxy)):
         proxy = _env(f"{url.scheme}_proxy") or _env("all_proxy")
-    if not proxy:
-        return direct
-    via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-    if via.scheme != "http" or not via.hostname:
-        raise ConfigError(
-            f"the proxy for {url.scheme} must be an http:// URL with a host, "
-            f"not {via.scheme}://{via.hostname or ''}"
-        )
-    proxy_headers = {}
-    if via.username:
-        proxy_headers["Proxy-Authorization"] = _basic_auth(
-            unquote(via.username), unquote(via.password or "")
-        )
-    address = (via.hostname, via.port or 80)
-    if secure:
-        target = f"{authority}:{port}"
-        tunnel = _head(f"CONNECT {target} HTTP/1.1", {"Host": target, **proxy_headers})
-        return replace(direct, address=address, tunnel=tunnel)
-    absolute = url._replace(netloc=url.netloc.rpartition("@")[2]).geturl()
-    return replace(direct, address=address, target=absolute, headers={**headers, **proxy_headers})
+    address, tunnel = (host, port), None
+    if proxy:
+        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        if via.scheme != "http" or not via.hostname:
+            raise ConfigError(
+                f"the proxy for {url.scheme} must be an http:// URL with a host, "
+                f"not {via.scheme}://{via.hostname or ''}"
+            )
+        address = (via.hostname, via.port or 80)
+        proxy_auth = {}
+        if via.username:
+            proxy_auth["Proxy-Authorization"] = _basic_auth(unquote(via.username), unquote(via.password or ""))
+        if secure:
+            connect = f"{authority}:{port}"
+            tunnel = _head(f"CONNECT {connect} HTTP/1.1", {"Host": connect, **proxy_auth})
+        else:
+            target = f"http://{url.netloc.rpartition('@')[2]}{target}"
+            fields.update(proxy_auth)
+    # neither the target nor the host holds a space, so this splits at the Content-Length field
+    before, name, after = _head(f"POST {target} HTTP/1.1", fields).partition(b"Content-Length: ")
+    return _Route(address, (before + name, after), host, tunnel, context)
 
 
 #: The most bytes of one response: the ``sampling`` pass-through can ask for bodies
@@ -496,10 +495,7 @@ def _send_once(route: _Route, request: bytes, timeout_s: float) -> str:
 
 def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict) -> str:
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
-    # the fields in http.client's order; netrc Basic auth replaces a Bearer token
-    fields = {"Host": route.host, "Accept-Encoding": "identity", "Content-Length": len(body),
-              **config.headers(), **route.headers}
-    request = _head(f"POST {route.target} HTTP/1.1", fields) + body
+    request = b"%s%d%s%s" % (route.head[0], len(body), route.head[1], body)
     attempt, delay = 0, config.backoff_s
     while True:
         try:
@@ -529,8 +525,8 @@ def run_benchmark(
     the one ``score_run`` scores. A record torn mid-write at the end of the
     file is cut off before new ones are appended. Image paths resolve
     against the manifest's directory. Text prompts use no style, so their
-    records carry none. The proxy, netrc and CA-bundle environment is read
-    once, before any request; a change to it during the run has no effect.
+    records carry none. The token, proxy, netrc and CA-bundle environment is
+    read once, before any request; a change to it during the run has no effect.
     """
     route = _resolve_route(endpoint)
     manifest_path = Path(manifest_path)

@@ -7,8 +7,8 @@ answering, a body sent a byte at a time or larger than a client should
 take, latency before a response and a wait after it, a cookie set on
 every response, the HTTP version and TLS from a certificate and key;
 counters expose request totals and the maximum number of concurrently
-served requests, and the headers and client address of every request are
-kept. ``TunnelProxy`` is an HTTP proxy that serves only ``CONNECT``.
+served requests, and the path, headers and client address of every
+request are kept. ``TunnelProxy`` is an HTTP proxy that serves only ``CONNECT``.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ class MockEndpoint:
         self.protocol_version = protocol_version
         self.tls = tls
         self.requests_total = 0
+        self.request_paths: list[str] = []
         self.request_headers: list[dict[str, str]] = []
         self.request_peers: list[tuple[str, int]] = []
         self.max_inflight = 0
@@ -178,6 +179,7 @@ class MockEndpoint:
         with self._lock:
             self.requests_total += 1
             request_index = self.requests_total
+            self.request_paths.append(request.path)
             self.request_headers.append(dict(request.headers.items()))
             self.request_peers.append(request.client_address)
             self._inflight += 1

@@ -562,11 +562,21 @@ def _bench_run_argv(dataset_dir, tmp_path, *flags) -> list[str]:
         ({"path": "/v1/chat\tcompletions"}, "path must start with '/' and be visible ASCII"),
         ({"path": "/v1/chat\rcompletions"}, "path must start with '/' and be visible ASCII"),
         ({"path": "/v1/chat\ncompletions"}, "path must start with '/' and be visible ASCII"),
+        ({"path": "/v1/chat#frag"}, "path must start with '/' and be visible ASCII"),
+        ({"base_url": "http://\u20ac.example:1"}, "base_url must be an http:// or https:// URL"),
+        ({"base_url": "http://127.0.0.1:1/\u00fc"}, "base_url must be an http:// or https:// URL"),
+        ({"base_url": "http://127.0.0.1:1/a b"}, "base_url must be an http:// or https:// URL"),
+        ({"base_url": "http://127.0.0.1:1/a\tb"}, "base_url must be an http:// or https:// URL"),
+        ({"base_url": "http://127.0.0.1:1/a\nb"}, "base_url must be an http:// or https:// URL"),
+        ({"base_url": "http://127.0.0.1:1/#"}, "base_url must be an http:// or https:// URL"),
+        ({"base_url": "http://127.0.0.1:1/?"}, "base_url must be an http:// or https:// URL"),
     ],
     ids=[
         "long-base-url", "long-path", "long-sampling-key", "max-concurrency-too-large",
         "timeout-too-large", "timeout-infinite", "backoff-too-large",
         "path-with-space", "path-not-ascii", "path-with-tab", "path-with-cr", "path-with-lf",
+        "path-with-fragment", "base-url-host-not-ascii", "base-url-path-not-ascii", "base-url-with-space",
+        "base-url-with-tab", "base-url-with-lf", "base-url-with-fragment-mark", "base-url-with-query-mark",
     ],
 )
 def test_a_bad_config_value_gives_one_short_line_naming_the_file(dataset_dir, tmp_path, capsys, config, named):

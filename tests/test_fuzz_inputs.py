@@ -17,10 +17,13 @@ a row for an object, and run through ``solve --markdown``: it exits 0 with
 one JSON line, or 1 with one ``error:`` line under 1 KB.
 
 An endpoint config file is mutated as a line is and run through ``bench run
---config`` against the mock endpoint: it exits 1 with one ``error:`` line
-under 1 KB that names the file and writes no run file, or it exits 0, and
-then no request failed before it was sent (no record's error is an
-``OverflowError`` or a ``UnicodeEncodeError``). A chat-completion response
+--config`` against the mock endpoint, mutated too by putting a character
+that is not ASCII, a space, ``?`` or ``#`` into its ``base_url`` or ``path``:
+it exits 1 with one ``error:`` line under 1 KB that names the file and
+writes no run file, or it exits 0, and then no request failed before it was
+sent (no record's error is an ``OverflowError`` or a ``UnicodeEncodeError``)
+and each request the mock got went to ``path`` under ``base_url``'s own
+path, as they stand. A chat-completion response
 body is mutated as a line is too: ``response_text(parse_json(body))`` gives
 a string or raises a ValueError under 1 KB.
 """
@@ -34,7 +37,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mathgrid.cli import main
-from mathgrid.harness.client import load_run_records, response_text
+from mathgrid.harness.client import EndpointConfig, load_run_records, response_text
 from mathgrid.manifest import parse_json
 
 from endpointmock import MockEndpoint
@@ -235,6 +238,20 @@ _CONFIG = json.dumps({
     "max_retries": 1, "path": "/v1/chat/completions", "model_field": "model",
     "sampling": {"temperature": 0.0}, "backoff_s": 0.001,
 })
+_URL_INSERTS = ["\u00fc", "\u20ac", " ", "?", "#"]
+
+
+@st.composite
+def _mutated_config(draw) -> bytes:
+    """``_CONFIG`` after one mutation: ``_mutated``'s, or one of ``_URL_INSERTS``
+    put into ``base_url`` or ``path``."""
+    if draw(st.booleans()):
+        return draw(_mutated(_CONFIG))
+    config = json.loads(_CONFIG)
+    key = draw(st.sampled_from(["base_url", "path"]))
+    at = draw(st.integers(0, len(config[key])))
+    config[key] = config[key][:at] + draw(st.sampled_from(_URL_INSERTS)) + config[key][at:]
+    return json.dumps(config, ensure_ascii=False).encode("utf-8") + b"\n"
 
 
 @pytest.fixture
@@ -244,7 +261,7 @@ def endpoint():
 
 
 @_SETTINGS
-@given(config=_mutated(_CONFIG))
+@given(config=_mutated_config())
 @example(config=_CONFIG.replace("5.0", "Infinity").encode() + b"\n")
 @example(config=_CONFIG.replace("5.0", "1e10").encode() + b"\n")
 def test_a_mutated_endpoint_config_loads_and_sends_or_fails_on_one_line(
@@ -259,6 +276,7 @@ def test_a_mutated_endpoint_config_loads_and_sends_or_fails_on_one_line(
     run_path.unlink(missing_ok=True)
     capsys.readouterr()
     argv = ["bench", "run", "--manifest", str(manifest), "--out", str(run_path), "--config", str(config_path)]
+    seen = len(endpoint.request_paths)
     code = main(argv)
     err = capsys.readouterr().err
     assert code in (0, 1), code
@@ -269,6 +287,10 @@ def test_a_mutated_endpoint_config_loads_and_sends_or_fails_on_one_line(
     else:
         errors = [record.error for record in load_run_records(run_path) if record.error]
         assert not [e for e in errors if e.startswith(("OverflowError", "UnicodeEncodeError"))], errors
+        loaded = EndpointConfig.from_json(json.loads(config_path.read_bytes()))
+        if loaded.base_url.startswith(endpoint.base_url):
+            target = loaded.base_url[len(endpoint.base_url):].rstrip("/") + loaded.path
+            assert set(endpoint.request_paths[seen:]) <= {target}, (target, endpoint.request_paths[seen:])
 
 
 _BODIES = [

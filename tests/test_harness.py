@@ -11,7 +11,7 @@ import pytest
 
 from mathgrid import Difficulty, GenParams, generate
 from mathgrid.evaluation import EmptyReport
-from mathgrid.harness import EndpointConfig, Modality, build_prompt, run_benchmark, score_run
+from mathgrid.harness import EndpointConfig, Modality, build_prompt, client, run_benchmark, score_run
 from mathgrid.harness.client import (
     ConfigError,
     ManifestMismatch,
@@ -220,15 +220,6 @@ class TestEndpointConfig:
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             EndpointConfig.from_json({"base_url": "http://x", "model_name": "m", "nope": 1})
-
-    def test_auth_header_from_env(self, monkeypatch):
-        config = EndpointConfig(
-            base_url="http://x", model_name="m", auth_token_env="FAKE_TOKEN_VAR"
-        )
-        monkeypatch.delenv("FAKE_TOKEN_VAR", raising=False)
-        assert "Authorization" not in config.headers()
-        monkeypatch.setenv("FAKE_TOKEN_VAR", "sekret")
-        assert config.headers()["Authorization"] == "Bearer sekret"
 
     def test_fingerprint_distinguishes_runs(self):
         f1 = request_fingerprint("a", Modality.TEXT_ONLY, None, "m1")
@@ -673,6 +664,24 @@ class TestTransport:
         else:  # the system trust store does not hold the throwaway certificate
             assert all(r.status == "error" and "CERTIFICATE_VERIFY_FAILED" in r.error for r in records)
 
+    def test_https_verifies_against_a_hashed_ca_directory(self, dataset_dir, tmp_path, proxy_env, tls_files):
+        manifest = dataset_dir / "manifest.jsonl"
+        digest = subprocess.run(
+            [shutil.which("openssl"), "x509", "-hash", "-noout", "-in", tls_files[0]],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+        certs = tmp_path / "certs"
+        certs.mkdir()
+        shutil.copy(tls_files[0], certs / f"{digest}.0")
+        proxy_env.delenv("CURL_CA_BUNDLE", raising=False)
+        proxy_env.setenv("REQUESTS_CA_BUNDLE", str(certs))
+        with MockEndpoint(manifest, tls=tls_files) as server:
+            run_path = run_benchmark(
+                manifest, _config(server.base_url, max_retries=0), Modality.TEXT_ONLY, None,
+                tmp_path / "run.jsonl",
+            )
+        assert score_run(run_path, manifest).micro == 1.0
+
     def test_https_goes_through_a_proxy_tunnel(self, dataset_dir, tmp_path, proxy_env, tls_files):
         manifest = dataset_dir / "manifest.jsonl"
         proxy_env.setenv("REQUESTS_CA_BUNDLE", tls_files[0])
@@ -777,6 +786,47 @@ class TestTransport:
         expected = "Basic dTpw" if basic else "Bearer sekret"
         assert len(headers) == len(load_manifest(manifest))
         assert all(h.get("Authorization") == expected for h in headers)
+
+    @pytest.mark.parametrize("netrc_text", ["junk\n", "machine elsewhere.example login u password p\n"],
+                             ids=["unparsable", "other-host"])
+    def test_a_netrc_without_credentials_for_the_host_keeps_the_bearer_token(
+        self, dataset_dir, tmp_path, proxy_env, netrc_text
+    ):
+        manifest = dataset_dir / "manifest.jsonl"
+        netrc_path = tmp_path / "netrc"
+        netrc_path.write_text(netrc_text, encoding="utf-8")
+        proxy_env.setenv("NETRC", str(netrc_path))
+        proxy_env.setenv("FAKE_TOKEN_VAR", "sekret")
+        with MockEndpoint(manifest) as server:
+            run_benchmark(
+                manifest, _config(server.base_url, auth_token_env="FAKE_TOKEN_VAR"),
+                Modality.TEXT_ONLY, None, tmp_path / "run.jsonl",
+            )
+            headers = server.request_headers
+        assert len(headers) == len(load_manifest(manifest))
+        assert all(h.get("Authorization") == "Bearer sekret" for h in headers)
+
+    def test_the_token_is_read_once_per_run(self, dataset_dir, tmp_path, proxy_env):
+        manifest = dataset_dir / "manifest.jsonl"
+        proxy_env.setenv("NETRC", str(tmp_path / "no-netrc"))
+        proxy_env.setenv("FAKE_TOKEN_VAR", "first")
+        send_once = client._send_once
+
+        def send_then_change_the_token(*args):
+            try:
+                return send_once(*args)
+            finally:
+                proxy_env.setenv("FAKE_TOKEN_VAR", "second")
+
+        proxy_env.setattr(client, "_send_once", send_then_change_the_token)
+        with MockEndpoint(manifest) as server:
+            run_benchmark(
+                manifest, _config(server.base_url, max_concurrency=1, auth_token_env="FAKE_TOKEN_VAR"),
+                Modality.TEXT_ONLY, None, tmp_path / "run.jsonl",
+            )
+            headers = server.request_headers
+        assert len(headers) == len(load_manifest(manifest)) > 1
+        assert all(h.get("Authorization") == "Bearer first" for h in headers)
 
     def test_user_agent_sent_and_a_redirect_not_followed(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"

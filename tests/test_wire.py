@@ -11,8 +11,9 @@ import time
 import pytest
 
 from mathgrid import Difficulty, GenParams, generate
+from mathgrid.cli import main
 from mathgrid.harness import EndpointConfig, Modality, client, run_benchmark
-from mathgrid.harness.client import load_run_records
+from mathgrid.harness.client import ConfigError, load_run_records
 from mathgrid.manifest import load_manifest, write_manifest
 
 from endpointmock import MockEndpoint
@@ -156,9 +157,31 @@ class TestRequestHead:
     def test_a_token_with_a_line_break_sends_nothing(self, manifest, clean_env):
         clean_env.setenv("FAKE_TOKEN_VAR", "sek\r\nX-Injected: 1")
         with RawServer(_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER))) as server:
-            (record,) = _run(manifest, f"http://127.0.0.1:{server.port}", auth_token_env="FAKE_TOKEN_VAR")
+            with pytest.raises(ConfigError, match="^the token in 'FAKE_TOKEN_VAR' must be Latin-1 on one line$"):
+                _run(manifest, f"http://127.0.0.1:{server.port}", auth_token_env="FAKE_TOKEN_VAR")
         assert server.requests == []
-        assert record.error == "ValueError: a request header holds a line break"
+        assert not (manifest.parent / "run.jsonl").exists()
+
+    def test_a_token_that_is_not_latin_1_fails_once_naming_its_variable(self, manifest, clean_env, capsys):
+        clean_env.setenv("FAKE_TOKEN_VAR", "sek\u20acret")
+        with RawServer(_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER))) as server:
+            argv = ["bench", "run", "--manifest", str(manifest), "--out", str(manifest.parent / "run.jsonl"),
+                    "--endpoint", f"http://127.0.0.1:{server.port}", "--model", "m", "--auth-env", "FAKE_TOKEN_VAR"]
+            assert main(argv) == 1
+        assert server.requests == []
+        assert capsys.readouterr().err == "error: the token in 'FAKE_TOKEN_VAR' must be Latin-1 on one line\n"
+        assert not (manifest.parent / "run.jsonl").exists()
+
+    def test_a_latin_1_token_and_a_query_in_path_reach_the_wire_as_they_stand(self, manifest, clean_env):
+        clean_env.setenv("FAKE_TOKEN_VAR", "sek\xe9ret")
+        with RawServer(_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER))) as server:
+            records = _run(manifest, f"http://127.0.0.1:{server.port}/api/", path="/v1/chat?api-version=1",
+                           auth_token_env="FAKE_TOKEN_VAR")
+        assert [r.status for r in records] == ["ok"]
+        [request] = server.requests
+        lines = request.split(b"\r\n")
+        assert lines[0] == b"POST /api/v1/chat?api-version=1 HTTP/1.1"
+        assert b"Authorization: Bearer sek\xe9ret" in lines
 
     def test_a_refused_tunnel_is_an_error_record(self, manifest, clean_env):
         with RawServer(_reply("HTTP/1.1 403 Forbidden\nContent-Length: 0\n", b"")) as proxy:
