@@ -790,13 +790,13 @@ class TestTransport:
     @pytest.mark.parametrize("netrc_text", ["junk\n", "machine elsewhere.example login u password p\n"],
                              ids=["unparsable", "other-host"])
     def test_a_netrc_without_credentials_for_the_host_keeps_the_bearer_token(
-        self, dataset_dir, tmp_path, proxy_env, netrc_text
+        self, dataset_dir, tmp_path, monkeypatch, netrc_text
     ):
         manifest = dataset_dir / "manifest.jsonl"
         netrc_path = tmp_path / "netrc"
         netrc_path.write_text(netrc_text, encoding="utf-8")
-        proxy_env.setenv("NETRC", str(netrc_path))
-        proxy_env.setenv("FAKE_TOKEN_VAR", "sekret")
+        monkeypatch.setenv("NETRC", str(netrc_path))
+        monkeypatch.setenv("FAKE_TOKEN_VAR", "sekret")
         with MockEndpoint(manifest) as server:
             run_benchmark(
                 manifest, _config(server.base_url, auth_token_env="FAKE_TOKEN_VAR"),
@@ -806,19 +806,19 @@ class TestTransport:
         assert len(headers) == len(load_manifest(manifest))
         assert all(h.get("Authorization") == "Bearer sekret" for h in headers)
 
-    def test_the_token_is_read_once_per_run(self, dataset_dir, tmp_path, proxy_env):
+    def test_the_token_is_read_once_per_run(self, dataset_dir, tmp_path, monkeypatch):
         manifest = dataset_dir / "manifest.jsonl"
-        proxy_env.setenv("NETRC", str(tmp_path / "no-netrc"))
-        proxy_env.setenv("FAKE_TOKEN_VAR", "first")
+        monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
+        monkeypatch.setenv("FAKE_TOKEN_VAR", "first")
         send_once = client._send_once
 
         def send_then_change_the_token(*args):
             try:
                 return send_once(*args)
             finally:
-                proxy_env.setenv("FAKE_TOKEN_VAR", "second")
+                monkeypatch.setenv("FAKE_TOKEN_VAR", "second")
 
-        proxy_env.setattr(client, "_send_once", send_then_change_the_token)
+        monkeypatch.setattr(client, "_send_once", send_then_change_the_token)
         with MockEndpoint(manifest) as server:
             run_benchmark(
                 manifest, _config(server.base_url, max_concurrency=1, auth_token_env="FAKE_TOKEN_VAR"),
