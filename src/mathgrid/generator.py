@@ -400,38 +400,32 @@ def _plan_chains(
     level up to the chain's length.
 
     A chain of length L makes L-1 equations carry two blanks, so the
-    profile's two-blank weight caps the total chain mass.
+    profile's two-blank weight caps the total chain mass. The plan is empty
+    exactly when the profile wants no blank past hop 1 or the puzzle has no
+    room for one: fewer than two equations, or ``max_hop`` below 2.
     """
     hist = profile.target_hop_histogram
     deep_mass = sum(hist.get(k, 0.0) for k in (2, 3, 4))
     if deep_mass == 0 or n_eq < 2 or max_hop < 2:
         return []
     two_blank_cap = int(n_eq * profile.blanks_per_equation_weights.get(2, 0.0) * 1.4) + 1
-    contrib = defaultdict(int)
     plan: list[int] = []
-    budget = n_eq
-    two_blank_used = 0
     for level in (4, 3, 2):
         if level > max_hop:
             continue
-        deficit = hist.get(level, 0.0) * n_eq - contrib[level]
+        # each planned chain at least this long already puts a blank on this level
+        deficit = hist.get(level, 0.0) * n_eq - sum(length >= level for length in plan)
         count = int(deficit) + (1 if rng.random() < deficit - int(deficit) else 0)
         for _ in range(count):
             if level < 4:
                 length = level
             else:  # mostly plain 4-chains; longer ones inflate the 4+ bucket
                 length = min(4 + (1 if rng.random() < 0.25 else 0), max_hop)
-            length = min(length, budget, two_blank_cap - two_blank_used + 1)
+            length = min(length, n_eq - sum(plan), two_blank_cap - (sum(plan) - len(plan)) + 1)
             if length < 2:
                 break
             plan.append(length)
-            budget -= length
-            two_blank_used += length - 1
-            for j in range(2, length + 1):
-                contrib[min(j, 4)] += 1
-    if not plan:
-        plan = [min(2, max_hop, n_eq)] if min(max_hop, n_eq) >= 2 else []
-    return sorted(plan, reverse=True)
+    return sorted(plan, reverse=True) or [2]
 
 
 def _build_eq_graph(
@@ -454,71 +448,63 @@ def _carve_chain(
     equations: list[Equation],
     cell_eqs: dict[Coord, list[int]],
     neighbors: dict[int, dict[int, Coord]],
-    eq_blanks: dict[int, set[Coord]],
+    blanks: set[Coord],
     rng: random.Random,
-) -> list[Coord] | None:
-    """Pick a path of blank-free equations and blank its junction cells.
+) -> bool:
+    """Pick a path of blank-free equations and add its cells to ``blanks``:
+    a private cell of the head and the junction of each consecutive pair.
 
     The tail equation of the path resolves first; each junction then enables
-    the next equation, and a private cell of the head resolves last, at a
-    hop depth equal to the path length.
+    the next equation, and the head's private cell resolves last, at a hop
+    depth equal to the path length. ``blanks`` is left alone on failure.
     """
-    eligible = [eq.id for eq in equations if not eq_blanks[eq.id]]
+    eligible = [eq.id for eq in equations if blanks.isdisjoint(eq.operands)]
     for _ in range(30):
         if not eligible:
-            return None
+            return False
         path = [rng.choice(eligible)]
         while len(path) < length:
             options = [
                 nxt
                 for nxt in neighbors[path[-1]]
-                if nxt not in path and not eq_blanks[nxt]
+                if nxt not in path and blanks.isdisjoint(equations[nxt].operands)
             ]
             if not options:
                 break
             path.append(rng.choice(sorted(options)))
         if len(path) < length:
             continue
-        head = equations[path[0]]
-        private = [c for c in head.operands if len(cell_eqs[c]) == 1]
+        private = [c for c in equations[path[0]].operands if len(cell_eqs[c]) == 1]
         if not private:
             continue
-        blanks = [rng.choice(sorted(private))]
-        for i in range(length - 1):
-            blanks.append(neighbors[path[i]][path[i + 1]])
-        # path[i] owns its private-or-incoming junction plus the outgoing one
-        for i, eq_id in enumerate(path):
-            eq_blanks[eq_id].add(blanks[i])
-            if i + 1 < len(blanks):
-                eq_blanks[eq_id].add(blanks[i + 1])
-        return blanks
-    return None
+        blanks.add(rng.choice(sorted(private)))
+        blanks.update(neighbors[a][b] for a, b in zip(path, path[1:]))
+        return True
+    return False
 
 
 def _cover_remaining(
     equations: list[Equation],
     cell_eqs: dict[Coord, list[int]],
-    eq_blanks: dict[int, set[Coord]],
+    blanks: set[Coord],
     rng: random.Random,
 ) -> bool:
-    """Give every blank-free equation exactly one blank (possibly shared)."""
-    order = rng.sample(equations, len(equations))
-    for eq in order:
-        if eq_blanks[eq.id]:
+    """Add to ``blanks`` one cell of every blank-free equation (possibly
+    shared with another blank-free one), so each resolves at hop 1."""
+    for eq in rng.sample(equations, len(equations)):
+        if not blanks.isdisjoint(eq.operands):
             continue
         candidates = [
             c
             for c in eq.operands
-            if all(not eq_blanks[other] for other in cell_eqs[c])
+            if all(blanks.isdisjoint(equations[other].operands) for other in cell_eqs[c])
         ]
         if not candidates:
             return False
         # prefer non-shared cells so the blank count tracks the equation count
         private = [c for c in candidates if len(cell_eqs[c]) == 1]
         pool = private if private and rng.random() < 0.95 else candidates
-        chosen = rng.choice(pool)
-        for other in cell_eqs[chosen]:
-            eq_blanks[other].add(chosen)
+        blanks.add(rng.choice(pool))
     return True
 
 
@@ -538,38 +524,29 @@ def punch_blanks(
     Chains are carved first to hit the profile's deep-hop proportions
     (best effort), then every remaining equation receives one blank that
     resolves immediately. A full deduction check gates every candidate set;
-    the accepted query is returned with that check's trace.
+    the accepted query is returned with that check's trace. When the chain
+    plan is not empty, the query must also need a hop past 1.
     """
     cell_eqs, neighbors = _build_eq_graph(equations)
-    wants_depth = any(profile.target_hop_histogram.get(k, 0) > 0 for k in (2, 3, 4))
-    can_deepen = len(equations) >= 2 and max_hop >= 2
-
     for attempt in range(_PUNCH_RETRIES):
         plan = _plan_chains(profile, len(equations), max_hop, rng)
+        deep = bool(plan)
         if attempt > _PUNCH_RETRIES // 2:
             plan = plan[: len(plan) // 2] or plan[:1]
-        if attempt > (3 * _PUNCH_RETRIES) // 4 and can_deepen and wants_depth:
+        if attempt > (3 * _PUNCH_RETRIES) // 4 and deep:
             plan = [2]
-        eq_blanks: dict[int, set[Coord]] = defaultdict(set)
-        carved_all = True
-        for length in plan:
-            if _carve_chain(length, equations, cell_eqs, neighbors, eq_blanks, rng) is None:
-                carved_all = False
-                break
-        if not carved_all:
+        blanks: set[Coord] = set()
+        if not all(_carve_chain(n, equations, cell_eqs, neighbors, blanks, rng) for n in plan):
             continue
-        if not _cover_remaining(equations, cell_eqs, eq_blanks, rng):
+        if not _cover_remaining(equations, cell_eqs, blanks, rng):
             continue
-        blanks = set().union(*eq_blanks.values()) if eq_blanks else set()
         query = answer_grid.with_cells(dict.fromkeys(blanks, TARGET))
         try:
             trace, _ = deduce(query, equations)  # blanking cannot change the equations
         except (Unsolvable, Contradiction):
             continue
         realized_max = len(trace.steps)
-        if realized_max > max_hop:
-            continue
-        if wants_depth and can_deepen and realized_max < 2:
+        if realized_max > max_hop or deep and realized_max < 2:
             continue
         return query, trace
     raise ProfileInfeasible(
