@@ -640,6 +640,8 @@ def generate_batch(
 ) -> list[DatasetExample]:
     """Generate ``count`` examples with per-example seeds derived from
     ``params.seed``; safe to parallelize since every call is independent."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, not {count}")
     examples = []
     for index in range(count):
         example_seed = mix_seed(params.seed, index + 1)

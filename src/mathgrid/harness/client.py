@@ -15,6 +15,7 @@ import json
 import math
 import netrc
 import os
+import re
 import socket
 import ssl
 import sys
@@ -53,10 +54,10 @@ def _visible(text: str, banned: str) -> bool:
 
 def _is_http_url(text: str) -> bool:
     """An http or https URL in visible ASCII with a host, a valid port if any, and no ``?`` or ``#``."""
-    url = urlsplit(text)
     try:
+        url = urlsplit(text)
         url.port
-    except ValueError:
+    except ValueError:  # unbalanced brackets, a bracketed host that is no IP address, or a bad port
         return False
     return url.scheme in ("http", "https") and bool(url.hostname) and _visible(text, "?#")
 
@@ -307,11 +308,16 @@ def _netrc_credentials(host: str) -> tuple[str, str] | None:
 
 def _ssl_context() -> ssl.SSLContext:
     """Verify against ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` when one is
-    set (a file or a hashed directory), else against the system trust store."""
-    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-    if bundle and os.path.isdir(bundle):
-        return ssl.create_default_context(capath=bundle)
-    return ssl.create_default_context(cafile=bundle or None)
+    set (a file or a hashed directory), else against the system trust store.
+    A bundle that does not load is a ``ConfigError`` naming the variable."""
+    name = "REQUESTS_CA_BUNDLE" if os.environ.get("REQUESTS_CA_BUNDLE") else "CURL_CA_BUNDLE"
+    bundle = os.environ.get(name)
+    try:
+        if bundle and os.path.isdir(bundle):
+            return ssl.create_default_context(capath=bundle)
+        return ssl.create_default_context(cafile=bundle or None)
+    except OSError:  # ssl.SSLError included: a missing or unreadable file, or one with no PEM certificate
+        raise ConfigError(f"{name} must name a PEM file or a hashed directory, not {shown(bundle)}") from None
 
 
 def _head(start: str, fields: dict[str, str]) -> bytes:
@@ -366,13 +372,19 @@ def _resolve_route(config: EndpointConfig) -> _Route:
         proxy = _env(f"{url.scheme}_proxy") or _env("all_proxy")
     address, tunnel = (host, port), None
     if proxy:
-        via = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        if via.scheme != "http" or not via.hostname:
+        proxy = proxy if "://" in proxy else f"http://{proxy}"
+        try:
+            via = urlsplit(proxy)
+            address = (via.hostname, via.port or 80)
+        except ValueError:  # unbalanced brackets, a bracketed host that is no IP address, or a bad port
+            via = None
+        if via is None or via.scheme != "http" or not via.hostname:
+            # what urlsplit reads as the host and port: the text after any userinfo
+            scheme, _, rest = proxy.partition("://")
             raise ConfigError(
-                f"the proxy for {url.scheme} must be an http:// URL with a host, "
-                f"not {via.scheme}://{via.hostname or ''}"
+                f"the proxy for {url.scheme} must be an http:// URL with a host and a valid port, "
+                f"not {shown(scheme + '://' + re.split('[/?#]', rest)[0].rpartition('@')[2])}"
             )
-        address = (via.hostname, via.port or 80)
         proxy_auth = {}
         if via.username:
             proxy_auth["Proxy-Authorization"] = _basic_auth(unquote(via.username), unquote(via.password or ""))

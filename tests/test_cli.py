@@ -79,6 +79,16 @@ def test_generate_is_reproducible(tmp_path):
     assert manifest_a == manifest_b
 
 
+@pytest.mark.parametrize("count", [-3, 0])
+def test_generate_refuses_a_count_below_one_before_writing(tmp_path, capsys, count):
+    out = tmp_path / "ds"
+    for flags in ([], ["--no-images"]):
+        argv = ["generate", "--difficulty", "easy", "--count", str(count), "--out", str(out), *flags]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: count must be at least 1, not {count}\n"
+        assert not out.exists()
+
+
 def test_solve_prints_answers(tmp_path, capsys):
     grid_file = tmp_path / "puzzle.md"
     grid_file.write_text(REFERENCE_MARKDOWN, encoding="utf-8")
@@ -570,6 +580,7 @@ def _bench_run_argv(dataset_dir, tmp_path, *flags) -> list[str]:
         ({"base_url": "http://127.0.0.1:1/a\nb"}, "base_url must be an http:// or https:// URL"),
         ({"base_url": "http://127.0.0.1:1/#"}, "base_url must be an http:// or https:// URL"),
         ({"base_url": "http://127.0.0.1:1/?"}, "base_url must be an http:// or https:// URL"),
+        ({"base_url": "http://[::1"}, "base_url must be an http:// or https:// URL"),
     ],
     ids=[
         "long-base-url", "long-path", "long-sampling-key", "max-concurrency-too-large",
@@ -577,6 +588,7 @@ def _bench_run_argv(dataset_dir, tmp_path, *flags) -> list[str]:
         "path-with-space", "path-not-ascii", "path-with-tab", "path-with-cr", "path-with-lf",
         "path-with-fragment", "base-url-host-not-ascii", "base-url-path-not-ascii", "base-url-with-space",
         "base-url-with-tab", "base-url-with-lf", "base-url-with-fragment-mark", "base-url-with-query-mark",
+        "base-url-with-unclosed-bracket",
     ],
 )
 def test_a_bad_config_value_gives_one_short_line_naming_the_file(dataset_dir, tmp_path, capsys, config, named):
@@ -597,8 +609,18 @@ def test_a_bad_config_value_gives_one_short_line_naming_the_file(dataset_dir, tm
         (["--timeout", "-1"], "timeout_s must be a number > 0, not -1.0"),
         (["--timeout", "1e10"], "timeout_s must be at most 9223372036, not 10000000000.0"),
         (["--timeout", "inf"], "timeout_s must be at most 9223372036, not inf"),
+        (["--endpoint", "http://[::1"], "base_url must be an http:// or https:// URL"),
+        pytest.param(
+            ["--endpoint", "http://[zz]:80/"], "base_url must be an http:// or https:// URL",
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11, 4), reason="urlsplit checks a bracketed host from Python 3.11.4"
+            ),
+        ),
     ],
-    ids=["long-endpoint", "concurrency-too-large", "negative-timeout", "timeout-too-large", "timeout-infinite"],
+    ids=[
+        "long-endpoint", "concurrency-too-large", "negative-timeout", "timeout-too-large", "timeout-infinite",
+        "endpoint-with-unclosed-bracket", "endpoint-bracketing-no-ip-address",
+    ],
 )
 def test_a_bad_flag_does_not_name_the_config_file(dataset_dir, tmp_path, capsys, flags, named):
     config_path = tmp_path / "endpoint.json"
