@@ -376,7 +376,7 @@ def _resolve_route(config: EndpointConfig) -> _Route:
         try:
             via = urlsplit(proxy)
             address = (via.hostname, via.port or 80)
-        except ValueError:  # unbalanced brackets, a bracketed host that is no IP address, or a bad port
+        except ValueError:  # as in _is_http_url
             via = None
         if via is None or via.scheme != "http" or not via.hostname:
             # what urlsplit reads as the host and port: the text after any userinfo

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 
@@ -237,7 +238,7 @@ def test_punch_blanks_agrees_with_the_reference_on_every_call(monkeypatch):
     configs += [(*config, max_hop) for config in GRID if config[0] != "easy" for max_hop in (2, 3)]
     for difficulty, value_range, equation_count, max_hop in configs:
         params = _params(difficulty, value_range, equation_count, 20261020)
-        generate_batch(GenParams(**{**vars(params), "max_hop": max_hop}), 10)
+        generate_batch(replace(params, max_hop=max_hop), 10)
     assert disagreements == []
     assert calls >= 840
     assert no_depth >= 100, (calls, no_depth)
