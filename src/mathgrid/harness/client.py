@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import TIMEOUT_MAX
-from typing import Iterator
 from urllib.parse import unquote, urlsplit
 
 from ..core import MathGridError, check_type, located, shown
@@ -549,8 +548,13 @@ def run_benchmark(
     examples = load_manifest(manifest_path)
     done = set()
     if out_path.exists():
-        done = {r.fingerprint for r in load_run_records(out_path) if r.status == "ok"}
-        _end_on_a_whole_line(out_path)
+        latest, end = _read_run(out_path)
+        done = {fingerprint for fingerprint, (_, r) in latest.items() if r.status == "ok"}
+        if end < (size := out_path.stat().st_size):  # a last line torn mid-write, or only whitespace
+            os.truncate(out_path, end)
+        elif end > size:  # a whole last record that lacks its newline
+            with out_path.open("ab") as fh:
+                fh.write(b"\n")
 
     todo = []
     for example in examples:
@@ -585,50 +589,38 @@ def run_benchmark(
     return out_path
 
 
-def _end_on_a_whole_line(run_path: Path) -> None:
-    """Let appended records start on a line of their own: cut off a last
-    line that was torn mid-write, or end a whole one that lacks its newline."""
-    data = run_path.read_bytes()
-    if not data or data.endswith(b"\n"):
-        return
-    start = data.rfind(b"\n") + 1
-    try:
-        parse_json(data[start:].decode("utf-8"))
-    except ValueError:
-        with run_path.open("r+b") as fh:
-            fh.truncate(start)
-    else:
-        with run_path.open("ab") as fh:
-            fh.write(b"\n")
-
-
 def load_run_records(run_path: Path | str) -> list[RunRecord]:
     """Run records with resume duplicates collapsed to the latest attempt."""
-    latest = {record.fingerprint: record for _, record in read_run_records(run_path)}
-    return list(latest.values())
+    return [record for _, record in _read_run(run_path)[0].values()]
 
 
-def read_run_records(run_path: Path | str) -> Iterator[tuple[int, RunRecord]]:
-    """Line number and record of each line in file order. A last line with no
-    newline that does not parse was torn mid-write and is dropped with a warning;
-    any other line that is not a run record fails, naming the file and line."""
-    lines = Path(run_path).read_bytes().split(b"\n")
+def _read_run(run_path: Path | str) -> tuple[dict[str, tuple[int, RunRecord]], int]:
+    """Each fingerprint's latest record with its line number, and the size that
+    ends the file on a whole line: a last line that is blank or torn cut off, a
+    whole one given its newline. A last line with no newline that does not parse
+    was torn mid-write and is dropped with a warning; any other line that is not
+    a run record fails, naming the file and line."""
+    data = Path(run_path).read_bytes()
+    lines = data.split(b"\n")
+    latest: dict[str, tuple[int, RunRecord]] = {}
+    end = len(data) - len(lines[-1])  # where a last line without its newline starts
     with located(run_path) as where:
         for number, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             where.line = number
             try:
-                data = parse_json(line.decode("utf-8"))  # strict, unlike json.loads(bytes)
+                value = parse_json(line.decode("utf-8"))  # strict, unlike json.loads(bytes)
             except ValueError:
                 if number < len(lines):
                     raise
-                print(
-                    f"warning: {run_path} line {number}: dropped a record torn mid-write",
-                    file=sys.stderr,
-                )
+                print(f"warning: {run_path} line {number}: dropped a record torn mid-write", file=sys.stderr)
                 break
-            yield number, RunRecord.from_json(data)
+            record = RunRecord.from_json(value)
+            latest[record.fingerprint] = number, record
+            if number == len(lines):
+                end = len(data) + 1
+    return latest, end
 
 
 def score_run(run_path: Path | str, manifest_path: Path | str) -> EvalReport:
@@ -649,9 +641,9 @@ def score_run(run_path: Path | str, manifest_path: Path | str) -> EvalReport:
     for record in sorted(records, key=lambda r: r.example_id):
         gold = examples.get(record.example_id)
         if gold is None:
-            lines = {r.fingerprint: n for n, r in read_run_records(run_path)}  # the latest
+            line, _ = _read_run(run_path)[0][record.fingerprint]
             raise ManifestMismatch(
-                f"{run_path} line {lines[record.fingerprint]}: run references "
+                f"{run_path} line {line}: run references "
                 f"{shown(record.example_id)}, absent from manifest"
             )
         text = record.response_text if record.status == "ok" else ""

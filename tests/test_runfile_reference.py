@@ -90,7 +90,7 @@ def reference_resume(run_path: Path) -> set[str]:
 
 def live_lines(run_path: Path) -> list[tuple[str, int]]:
     """Each fingerprint and the line of its latest record, by the live reader."""
-    return list({record.fingerprint: number for number, record in client.read_run_records(run_path)}.items())
+    return [(fingerprint, number) for fingerprint, (number, _) in client._read_run(run_path)[0].items()]
 
 
 # -- run files ------------------------------------------------------------------
@@ -268,3 +268,15 @@ def test_a_stray_record_is_named_by_its_latest_line(tmp_path, manifest):
     with pytest.raises(ManifestMismatch) as caught:
         client.score_run(run_path, manifest)
     assert str(caught.value) == f"{run_path} line 4: run references 'ghost', absent from manifest"
+
+
+def test_a_resume_reads_the_run_file_once(tmp_path, resume, monkeypatch):
+    run_path = tmp_path / "run.jsonl"
+    whole = _record(0, "ok", "<answer>1</answer>")
+    run_path.write_bytes(whole + b"\n" + whole[:-7])  # a torn tail, which the resume cuts off
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+    resume(run_path)
+    assert reads.count(run_path) == 1
+    assert run_path.read_bytes() == whole + b"\n"
