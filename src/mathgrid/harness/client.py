@@ -51,14 +51,24 @@ def _visible(text: str, banned: str) -> bool:
     return all("!" <= ch <= "~" and ch not in banned for ch in text)
 
 
-def _is_http_url(text: str) -> bool:
-    """An http or https URL in visible ASCII with a host, a valid port if any, and no ``?`` or ``#``."""
+def _http_url(text: str, schemes: tuple[str, ...]):
+    """``urlsplit(text)`` when it has one of ``schemes``, a host and a valid port if any, else None.
+    A bracketed host must be an IPv6 address, which urlsplit checks itself only from Python 3.11.4."""
     try:
         url = urlsplit(text)
         url.port
-    except ValueError:  # unbalanced brackets, a bracketed host that is no IP address, or a bad port
-        return False
-    return url.scheme in ("http", "https") and bool(url.hostname) and _visible(text, "?#")
+        if "[" in url.netloc:
+            ipaddress.IPv6Address(url.hostname)
+    except ValueError:  # unbalanced brackets, a bad port, or a bracketed host that is no IPv6 address
+        return None
+    return url if url.scheme in schemes and url.hostname else None
+
+
+def _without_userinfo(url: str) -> str:
+    """``url`` for an error line: any ``user:password@`` before its host cut out."""
+    start = url.find("://") + 3 if "://" in url else 0
+    authority = re.split("[/?#]", url[start:])[0]
+    return url[:start] + url[start + authority.rfind("@") + 1 :]
 
 
 @dataclass(frozen=True)
@@ -88,10 +98,10 @@ class EndpointConfig:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"{name} must be a non-empty string, not {shown(value)}")
-        if not _is_http_url(self.base_url):
+        if not (_http_url(self.base_url, ("http", "https")) and _visible(self.base_url, "?#")):
             raise ConfigError(
                 "base_url must be an http:// or https:// URL with a host, in visible ASCII "
-                f"with no '?' or '#', not {shown(self.base_url)}"
+                f"with no '?' or '#', not {shown(_without_userinfo(self.base_url))}"
             )
         if not (self.path.startswith("/") and _visible(self.path, "#")):
             raise ConfigError(
@@ -164,7 +174,7 @@ class RunRecord:
         latency_ms = check_type(data.get("latency_ms", 0), float, "latency_ms")
         if type(latency_ms) is float and not math.isfinite(latency_ms):
             raise ValueError(f"latency_ms must be a finite number, not {latency_ms!r}")
-        style_id = data.get("style_id")
+        style_id, error = data.get("style_id"), data.get("error")
         status = data["status"]
         if status not in ("ok", "error"):
             raise ValueError(f"status must be 'ok' or 'error', not {shown(status)}")
@@ -176,7 +186,7 @@ class RunRecord:
             response_text=check_type(data.get("response_text", ""), str, "response_text"),
             latency_ms=int(latency_ms),
             status=status,
-            error=data.get("error"),
+            error=error if error is None else check_type(error, str, "error"),
         )
 
 
@@ -372,18 +382,13 @@ def _resolve_route(config: EndpointConfig) -> _Route:
     address, tunnel = (host, port), None
     if proxy:
         proxy = proxy if "://" in proxy else f"http://{proxy}"
-        try:
-            via = urlsplit(proxy)
-            address = (via.hostname, via.port or 80)
-        except ValueError:  # as in _is_http_url
-            via = None
-        if via is None or via.scheme != "http" or not via.hostname:
-            # what urlsplit reads as the host and port: the text after any userinfo
-            scheme, _, rest = proxy.partition("://")
+        via = _http_url(proxy, ("http",))
+        if via is None:
             raise ConfigError(
                 f"the proxy for {url.scheme} must be an http:// URL with a host and a valid port, "
-                f"not {shown(scheme + '://' + re.split('[/?#]', rest)[0].rpartition('@')[2])}"
+                f"not {shown(_without_userinfo(proxy))}"
             )
+        address = (via.hostname, via.port or 80)
         proxy_auth = {}
         if via.username:
             proxy_auth["Proxy-Authorization"] = _basic_auth(unquote(via.username), unquote(via.password or ""))

@@ -399,7 +399,11 @@ class TestRunBenchmark:
         assert score_run(run_path, manifest).macro == 1.0
 
     @pytest.mark.parametrize(
-        "bad", ['{"example_id": "x", "sta', '["not", "a", "record"]', '{"status": "ok"}']
+        "bad",
+        [
+            '{"example_id": "x", "sta', '["not", "a", "record"]', '{"status": "ok"}',
+            '{"example_id": "x", "modality": "text", "fingerprint": "f", "status": "error", "error": {"x": [1, 2]}}',
+        ],
     )
     def test_bad_run_line_fails_with_file_and_line(self, dataset_dir, tmp_path, bad):
         manifest = dataset_dir / "manifest.jsonl"
@@ -743,6 +747,27 @@ class TestTransport:
             f"not {proxy.replace('u:secret@', '')!r}"
         )
         assert not (tmp_path / "run.jsonl").exists()
+
+    @pytest.mark.parametrize("proxy", ["http://[zz]:8080", "http://u:secret@[1.2.3.4]:8080"])
+    def test_a_proxy_bracketing_no_ipv6_address_is_refused(self, dataset_dir, tmp_path, proxy_env, proxy):
+        # Python before 3.11.4 splits http://[zz]:8080 into the host zz and port 8080
+        proxy_env.setenv("HTTP_PROXY", proxy)
+        with pytest.raises(ConfigError) as caught:
+            run_benchmark(
+                dataset_dir / "manifest.jsonl", _config("http://127.0.0.1:9"), Modality.TEXT_ONLY, None,
+                tmp_path / "run.jsonl",
+            )
+        assert str(caught.value) == (
+            "the proxy for http must be an http:// URL with a host and a valid port, "
+            f"not {proxy.replace('u:secret@', '')!r}"
+        )
+        assert not (tmp_path / "run.jsonl").exists()
+
+    @pytest.mark.parametrize("host", ["[zz]", "[1.2.3.4]", "[v1.fe]"])
+    def test_a_base_url_bracketing_no_ipv6_address_is_refused(self, host):
+        with pytest.raises(ConfigError, match="^base_url must be an http:// or https:// URL"):
+            EndpointConfig(base_url=f"http://{host}:80/", model_name="m")
+        assert EndpointConfig(base_url="http://[::1]:80/", model_name="m").base_url == "http://[::1]:80/"
 
     @pytest.mark.parametrize(
         "bundle, content",
