@@ -15,7 +15,6 @@ import json
 import math
 import netrc
 import os
-import re
 import socket
 import ssl
 import sys
@@ -65,10 +64,10 @@ def _http_url(text: str, schemes: tuple[str, ...]):
 
 
 def _without_userinfo(url: str) -> str:
-    """``url`` for an error line: any ``user:password@`` before its host cut out."""
-    start = url.find("://") + 3 if "://" in url else 0
-    authority = re.split("[/?#]", url[start:])[0]
-    return url[:start] + url[start + authority.rfind("@") + 1 :]
+    """``url`` for an error line: what lies between its ``://`` and its last ``@`` cut
+    out, so that no credentials show, even ones holding a ``/``, ``?`` or ``#``."""
+    scheme, sep, rest = url.partition("://")
+    return scheme + sep + rest.rpartition("@")[2] if sep else url.rpartition("@")[2]
 
 
 @dataclass(frozen=True)
