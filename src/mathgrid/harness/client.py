@@ -604,10 +604,10 @@ def _read_run(run_path: Path | str) -> tuple[dict[str, tuple[int, RunRecord]], i
     whole one given its newline. A last line with no newline that does not parse
     was torn mid-write and is dropped with a warning; any other line that is not
     a run record fails, naming the file and line."""
-    data = Path(run_path).read_bytes()
-    lines = data.split(b"\n")
+    lines = Path(run_path).read_bytes().split(b"\n")
+    size = sum(map(len, lines)) + len(lines) - 1  # keeping the bytes too would hold the file twice
     latest: dict[str, tuple[int, RunRecord]] = {}
-    end = len(data) - len(lines[-1])  # where a last line without its newline starts
+    end = size - len(lines[-1])  # where a last line without its newline starts
     with located(run_path) as where:
         for number, line in enumerate(lines, start=1):
             if not line.strip():
@@ -623,7 +623,7 @@ def _read_run(run_path: Path | str) -> tuple[dict[str, tuple[int, RunRecord]], i
             record = RunRecord.from_json(value)
             latest[record.fingerprint] = number, record
             if number == len(lines):
-                end = len(data) + 1
+                end = size + 1
     return latest, end
 
 
