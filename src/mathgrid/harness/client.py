@@ -343,6 +343,7 @@ class _Route:
     hostname: str  # the endpoint's host, which its certificate must name
     tunnel: bytes | None = None  # the CONNECT request to a proxy for an https endpoint
     context: ssl.SSLContext | None = None  # set for an https endpoint
+    keep_alive: bool = False  # whether a connection may carry more than one request
 
 
 def _resolve_route(config: EndpointConfig) -> _Route:
@@ -362,12 +363,15 @@ def _resolve_route(config: EndpointConfig) -> _Route:
         if "\r" in token or "\n" in token or max(token) > "\xff":
             raise ConfigError(f"the token in {shown(config.auth_token_env)} must be Latin-1 on one line")
         fields["Authorization"] = f"Bearer {token}"
-    # One connection per request, which the server is asked to close. A stdlib
-    # HTTP server such as perfbench/endpoint.py writes headers and body
-    # separately, so on a kept-alive connection each response waits for a
-    # delayed ACK: 22 ms per request there, against 1.4 ms with a new
-    # connection each time.
-    fields.update({"User-Agent": "mathgrid", "Connection": "close"})
+    # Each worker keeps its connection for the run. A server that writes a reply's
+    # head and body apart, as http.server and perfbench/endpoint.py do, would
+    # send the body only after the client's delayed ACK, 22 ms per request there;
+    # TCP_QUICKACK before each receive takes that away. Where it does not exist,
+    # each request gets a connection of its own, which the server is asked to close.
+    keep_alive = hasattr(socket, "TCP_QUICKACK")
+    fields["User-Agent"] = "mathgrid"
+    if not keep_alive:
+        fields["Connection"] = "close"
     credentials = _netrc_credentials(host)
     if credentials is None and url.username:
         credentials = unquote(url.username), unquote(url.password or "")
@@ -399,7 +403,7 @@ def _resolve_route(config: EndpointConfig) -> _Route:
             fields.update(proxy_auth)
     # neither the target nor the host holds a space, so this splits at the Content-Length field
     before, name, after = _head(f"POST {target} HTTP/1.1", fields).partition(b"Content-Length: ")
-    return _Route(address, (before + name, after), host, tunnel, context)
+    return _Route(address, (before + name, after), host, tunnel, context, keep_alive)
 
 
 #: The most bytes of one response: the ``sampling`` pass-through can ask for bodies
@@ -412,12 +416,14 @@ class _Attempt:
     """One request and its response over one socket. Each step waits at most
     what is left of ``timeout_s`` from the start."""
 
-    def __init__(self, timeout_s: float):
+    def __init__(self, timeout_s: float, keep_alive: bool):
         self.timeout_s = timeout_s
         self.deadline = time.monotonic() + timeout_s
         self.sock: socket.socket | None = None
         self.buffer = bytearray()  # the response so far
         self.read = 0  # how much of it is parsed
+        self.keep_alive = keep_alive
+        self.reusable = False  # whether the reply leaves the connection open for another request
 
     def left(self) -> float:
         left = self.deadline - time.monotonic()
@@ -428,6 +434,8 @@ class _Attempt:
     def fill(self, needed: bool = True) -> bool:
         """Receive more of the response; at its end, False, or a ConnectionError if ``needed``."""
         self.sock.settimeout(self.left())
+        if self.keep_alive:  # the kernel drops out of quick-ACK mode by itself, so set it each time
+            self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
         data = self.sock.recv(65536)
         if needed and not data:
             raise ConnectionError("the endpoint closed the connection mid-response")
@@ -464,6 +472,10 @@ class _Attempt:
             pairs = (field.partition(b":") for field in iter(self.line, b""))
             fields = {name.strip().lower(): value.strip() for name, _, value in pairs}
             if not 100 <= int(code) < 200:
+                self.reusable = (
+                    self.keep_alive and version == b"HTTP/1.1"
+                    and b"close" not in fields.get(b"connection", b"").lower()
+                )
                 return int(code), reason.strip().decode("latin-1"), fields
 
     def body(self, fields: dict[bytes, bytes]) -> bytes:
@@ -473,12 +485,15 @@ class _Attempt:
             while size := _size(self.line().partition(b";")[0], 16, "chunk size"):
                 chunks.append(self.take(size))
                 self.line()
+            while self.line():  # the trailer, up to its blank line
+                pass
             return b"".join(chunks)
         if b"content-length" in fields:
             return self.take(_size(fields[b"content-length"], 10, "Content-Length"))
+        self.reusable = False
         while self.fill(needed=False):
             pass
-        return bytes(self.buffer[self.read :])
+        return self.take(len(self.buffer) - self.read)
 
 
 def _size(text: bytes, base: int, what: str) -> int:
@@ -488,10 +503,11 @@ def _size(text: bytes, base: int, what: str) -> int:
         raise ValueError(f"malformed {what} {shown(text)}") from None
 
 
-def _send_once(route: _Route, request: bytes, timeout_s: float) -> str:
-    attempt = _Attempt(timeout_s)
+def _connect(route: _Route, attempt: _Attempt) -> socket.socket:
+    """A new connection to the endpoint, through the proxy's tunnel and with TLS as the route says."""
     sock = attempt.sock = socket.create_connection(route.address, timeout=attempt.left())
     try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if route.tunnel is not None:
             status, reason, _ = attempt.send(route.tunnel)
             if not 200 <= status < 300:
@@ -499,22 +515,51 @@ def _send_once(route: _Route, request: bytes, timeout_s: float) -> str:
         if route.context is not None:
             sock.settimeout(attempt.left())
             sock = attempt.sock = route.context.wrap_socket(sock, server_hostname=route.hostname)
-        status, reason, fields = attempt.send(request)
-        data = attempt.body(fields)
-    finally:
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
+def _send_once(route: _Route, request: bytes, timeout_s: float, idle: list[socket.socket]) -> str:
+    """One attempt, over a connection taken from ``idle`` if there is one, else
+    a new one, which goes back to ``idle`` if the whole reply was read and
+    leaves it open. A request that a kept connection fails before any byte of
+    the reply arrives, as one the server dropped while it idled does, is sent
+    once more on a new connection, within the same deadline."""
+    attempt = _Attempt(timeout_s, route.keep_alive)
+    try:
+        kept = idle.pop()
+    except IndexError:
+        kept = None
+    while True:
+        sock = kept if kept is not None else _connect(route, attempt)
+        attempt.sock = sock
+        try:
+            status, reason, fields = attempt.send(request)
+            data = attempt.body(fields)
+            break
+        except BaseException as exc:
+            sock.close()
+            if kept is None or attempt.buffer or not isinstance(exc, OSError):
+                raise
+            kept = None
+    if attempt.reusable and attempt.read == len(attempt.buffer):
+        idle.append(sock)
+    else:
         sock.close()
     if not 200 <= status < 300:
         raise StatusError(status, reason, data)
     return response_text(parse_json(data))
 
 
-def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict) -> str:
+def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict, idle: list[socket.socket]) -> str:
     body = json.dumps(payload, allow_nan=False).encode("utf-8")
     request = b"%s%d%s%s" % (route.head[0], len(body), route.head[1], body)
     attempt, delay = 0, config.backoff_s
     while True:
         try:
-            return _send_once(route, request, config.timeout_s)
+            return _send_once(route, request, config.timeout_s, idle)
         except StatusError as exc:
             if not exc.transient or attempt >= config.max_retries:
                 raise
@@ -572,7 +617,7 @@ def run_benchmark(
         started = time.monotonic()
         try:
             parts = build_prompt(example, modality, style_id, manifest_path.parent)
-            text = _send_with_retries(route, endpoint, build_chat_payload(parts, endpoint))
+            text = _send_with_retries(route, endpoint, build_chat_payload(parts, endpoint), idle)
             status, error = "ok", None
         except Exception as exc:  # noqa: BLE001 - isolate per-record failures
             text, status, error = "", "error", f"{type(exc).__name__}: {exc}"
@@ -583,13 +628,18 @@ def run_benchmark(
         )
 
     if todo:
-        with out_path.open("a", encoding="utf-8") as sink:
-            with ThreadPoolExecutor(max_workers=endpoint.max_concurrency) as pool:
-                futures = [pool.submit(one, ex, fp) for ex, fp in todo]
-                for future in as_completed(futures):
-                    record = future.result()
-                    sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-                    sink.flush()
+        idle: list[socket.socket] = []  # open connections no request holds: at most one per worker
+        try:
+            with out_path.open("a", encoding="utf-8") as sink:
+                with ThreadPoolExecutor(max_workers=endpoint.max_concurrency) as pool:
+                    futures = [pool.submit(one, ex, fp) for ex, fp in todo]
+                    for future in as_completed(futures):
+                        record = future.result()
+                        sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+                        sink.flush()
+        finally:
+            for sock in idle:
+                sock.close()
     return out_path
 
 
@@ -598,12 +648,12 @@ def load_run_records(run_path: Path | str) -> list[RunRecord]:
     return [record for _, record in _read_run(run_path)[0].values()]
 
 
-def _read_run(run_path: Path | str) -> tuple[dict[str, tuple[int, RunRecord]], int]:
+def _read_run(run_path: Path | str, warn: bool = True) -> tuple[dict[str, tuple[int, RunRecord]], int]:
     """Each fingerprint's latest record with its line number, and the size that
     ends the file on a whole line: a last line that is blank or torn cut off, a
     whole one given its newline. A last line with no newline that does not parse
-    was torn mid-write and is dropped with a warning; any other line that is not
-    a run record fails, naming the file and line."""
+    was torn mid-write and is dropped, with a warning if ``warn``; any other line
+    that is not a run record fails, naming the file and line."""
     lines = Path(run_path).read_bytes().split(b"\n")
     size = sum(map(len, lines)) + len(lines) - 1  # keeping the bytes too would hold the file twice
     latest: dict[str, tuple[int, RunRecord]] = {}
@@ -618,7 +668,8 @@ def _read_run(run_path: Path | str) -> tuple[dict[str, tuple[int, RunRecord]], i
             except ValueError:
                 if number < len(lines):
                     raise
-                print(f"warning: {run_path} line {number}: dropped a record torn mid-write", file=sys.stderr)
+                if warn:
+                    print(f"warning: {run_path} line {number}: dropped a record torn mid-write", file=sys.stderr)
                 break
             record = RunRecord.from_json(value)
             latest[record.fingerprint] = number, record
@@ -645,7 +696,7 @@ def score_run(run_path: Path | str, manifest_path: Path | str) -> EvalReport:
     for record in sorted(records, key=lambda r: r.example_id):
         gold = examples.get(record.example_id)
         if gold is None:
-            line, _ = _read_run(run_path)[0][record.fingerprint]
+            line, _ = _read_run(run_path, warn=False)[0][record.fingerprint]  # load_run_records warned
             raise ManifestMismatch(
                 f"{run_path} line {line}: run references "
                 f"{shown(record.example_id)}, absent from manifest"

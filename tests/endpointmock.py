@@ -4,8 +4,7 @@ The handler reconstructs the puzzle grid from the request itself (markdown
 lines in text parts, or the base64 SVG image part), solves it, and answers
 in the required format. Behavior knobs cover error injection, hop-limited
 answering, a body sent a byte at a time or larger than a client should
-take, latency before a response and a wait after it, a cookie set on
-every response, the HTTP version and TLS from a certificate and key;
+take, latency before a response, a cookie set on every response, the HTTP version and TLS from a certificate and key;
 counters expose request totals and the maximum number of concurrently
 served requests, and the path, headers and client address of every
 request are kept. ``TunnelProxy`` is an HTTP proxy that serves only ``CONNECT``.
@@ -67,14 +66,13 @@ class MockEndpoint:
         manifest_path=None,
         *,
         # "hop1"; "list": a 200 whose body is the JSON list []; "trickle": the
-        # gold answer a byte every TRICKLE_S; "oversize": the gold answer
-        # padded past OVERSIZE_BYTES
+        # body of a 200, the gold answer, a byte every TRICKLE_S; "oversize":
+        # the gold answer padded past OVERSIZE_BYTES
         mode: str = "gold",
         fail_ids: set[str] | None = None,
         fail_first_n: int = 0,
         fail_status: int = 500,
         latency_s: float = 0.0,
-        close_delay_s: float = 0.0,
         set_cookie: str | None = None,
         protocol_version: str = "HTTP/1.0",
         tls: tuple[str, str] | None = None,  # certificate and key files: serve https
@@ -84,7 +82,6 @@ class MockEndpoint:
         self.fail_first_n = fail_first_n
         self.fail_status = fail_status
         self.latency_s = latency_s
-        self.close_delay_s = close_delay_s  # wait after responding, before a close
         self.set_cookie = set_cookie
         self.protocol_version = protocol_version
         self.tls = tls
@@ -195,8 +192,7 @@ class MockEndpoint:
         try:
             self._respond(request, status, payload)
         except ConnectionError:  # the client stopped reading: its deadline or byte cap
-            return
-        time.sleep(self.close_delay_s)
+            pass
 
     def _reply(self, request: BaseHTTPRequestHandler, request_index: int) -> tuple[int, dict | list]:
         if self.latency_s:
@@ -226,7 +222,7 @@ class MockEndpoint:
             request.send_header("Location", "/moved")
         request.send_header("Content-Length", str(len(body)))
         request.end_headers()
-        if self.mode != "trickle":
+        if self.mode != "trickle" or status != 200:
             request.wfile.write(body)
             return
         for byte in range(len(body)):

@@ -4,6 +4,7 @@ import base64
 import json
 import re
 import shutil
+import socket
 import subprocess
 import sys
 
@@ -538,11 +539,30 @@ class TestRunBenchmark:
         assert not [h for h in headers if "cookie" in {k.lower() for k in h}]
         assert all(r.status == "ok" for r in load_run_records(run_path))
 
-    def test_each_request_gets_its_own_connection(self, dataset_dir, tmp_path):
-        # an HTTP/1.1 server that closes each connection late and without
-        # saying so: a reused connection would fail, and nothing retries here
+    @pytest.mark.skipif(
+        not hasattr(socket, "TCP_QUICKACK"), reason="only a platform with TCP_QUICKACK keeps connections"
+    )
+    def test_one_worker_keeps_one_connection_for_the_run(self, dataset_dir, tmp_path):
         manifest = dataset_dir / "manifest.jsonl"
-        with MockEndpoint(manifest, close_delay_s=0.05, protocol_version="HTTP/1.1") as server:
+        with MockEndpoint(manifest, protocol_version="HTTP/1.1") as server:
+            run_path = run_benchmark(
+                manifest,
+                _config(server.base_url, max_concurrency=1, max_retries=0),
+                Modality.IMAGE_TEXT,
+                "original",
+                tmp_path / "run.jsonl",
+            )
+            peers = server.request_peers
+        assert all(r.status == "ok" for r in load_run_records(run_path))
+        assert len(peers) == len(load_manifest(manifest)) and len(set(peers)) == 1
+        assert not [h for h in server.request_headers if "Connection" in h]
+
+    def test_each_request_gets_its_own_connection(self, dataset_dir, tmp_path, monkeypatch):
+        # without TCP_QUICKACK a kept connection would wait on the delayed ACK
+        # of every reply whose head and body come apart, as this server's do
+        monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+        manifest = dataset_dir / "manifest.jsonl"
+        with MockEndpoint(manifest, protocol_version="HTTP/1.1") as server:
             run_path = run_benchmark(
                 manifest,
                 _config(server.base_url, max_concurrency=1, max_retries=0),

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mathgrid import Difficulty, GenParams, generate
+from mathgrid.cli import main
 from mathgrid.core import located
 from mathgrid.harness import client
 from mathgrid.harness.client import EndpointConfig, ManifestMismatch, RunRecord, request_fingerprint
@@ -268,6 +269,20 @@ def test_a_stray_record_is_named_by_its_latest_line(tmp_path, manifest):
     with pytest.raises(ManifestMismatch) as caught:
         client.score_run(run_path, manifest)
     assert str(caught.value) == f"{run_path} line 4: run references 'ghost', absent from manifest"
+
+
+def test_bench_score_warns_once_of_a_torn_line_before_a_stray_record(tmp_path, manifest, capsys):
+    run_path = tmp_path / "run.jsonl"
+    stray = json.dumps({
+        "example_id": "ghost", "modality": "text", "style_id": None, "fingerprint": "fp-ghost",
+        "response_text": "<answer>1</answer>", "latency_ms": 1, "status": "ok",
+    }).encode()
+    run_path.write_bytes(stray + b"\n" + stray[:-7])
+    assert main(["bench", "score", "--run", str(run_path), "--manifest", str(manifest)]) == 1
+    assert capsys.readouterr().err == (
+        f"warning: {run_path} line 2: dropped a record torn mid-write\n"
+        f"error: {run_path} line 1: run references 'ghost', absent from manifest\n"
+    )
 
 
 def test_a_resume_reads_the_run_file_once(tmp_path, resume, monkeypatch):

@@ -3,10 +3,12 @@ server on a plain socket that sends exactly the bytes a test scripts."""
 
 from __future__ import annotations
 
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -27,16 +29,22 @@ def _reply(head: str, body: bytes = ANSWER) -> bytes:
 
 class RawServer:
     """Serves one connection at a time on 127.0.0.1: keeps the bytes of each
-    request, sends ``reply`` as it stands (a list of pieces PIECE_GAP_S
-    apart), then holds the connection open for ``hold_s`` (cut short when the
-    server stops) before closing it."""
+    request and the client address that sent it, sends ``reply`` as it stands
+    (a list of pieces PIECE_GAP_S apart), then holds the connection open for
+    ``hold_s`` (cut short when the server stops). ``then`` says what follows:
+    "close" the connection; "serve" the next request on it; or "half-close",
+    shut down the sending side, so that the client sees the reply end, and read
+    the next request on it, which gets no reply. A request gets the ``reply``
+    and ``then`` that hold when the whole request has arrived."""
 
     PIECE_GAP_S = 0.05
 
-    def __init__(self, reply: bytes | list[bytes], hold_s: float = 0.0):
+    def __init__(self, reply: bytes | list[bytes], hold_s: float = 0.0, then: str = "close"):
         self.reply = reply
         self.hold_s = hold_s
+        self.then = then
         self.requests: list[bytes] = []
+        self.peers: list[tuple[str, int]] = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.01)
         self._stop = threading.Event()
@@ -59,27 +67,42 @@ class RawServer:
     def _serve(self) -> None:
         while not self._stop.is_set():
             try:
-                connection, _ = self._listener.accept()
+                connection, peer = self._listener.accept()
             except TimeoutError:
                 continue
             with connection:
                 connection.settimeout(5)
-                self.requests.append(_read_request(connection))
-                pieces = [self.reply] if isinstance(self.reply, bytes) else self.reply
-                try:
-                    for index, piece in enumerate(pieces):
-                        self._stop.wait(self.PIECE_GAP_S if index else 0)
-                        connection.sendall(piece)
-                except OSError:  # the client stopped reading
-                    continue
-                self._stop.wait(self.hold_s)
+                while (request := _read_request(connection)) is not None:
+                    self.requests.append(request)
+                    self.peers.append(peer)
+                    pieces = [self.reply] if isinstance(self.reply, bytes) else self.reply
+                    then = self.then
+                    try:
+                        for index, piece in enumerate(pieces):
+                            self._stop.wait(self.PIECE_GAP_S if index else 0)
+                            connection.sendall(piece)
+                        if then == "half-close":
+                            connection.shutdown(socket.SHUT_WR)
+                    except OSError:  # the client stopped reading
+                        break
+                    self._stop.wait(self.hold_s)
+                    if then == "close":
+                        break
 
 
-def _read_request(connection: socket.socket) -> bytes:
-    """The head and the ``Content-Length`` bytes of body, if any, of one request."""
+def _read_request(connection: socket.socket) -> bytes | None:
+    """The head and the ``Content-Length`` bytes of body, if any, of one
+    request; None if the client closes the connection, or sends nothing for
+    5 s, before a whole head."""
     data = b""
     while b"\r\n\r\n" not in data:
-        data += connection.recv(65536)
+        try:
+            chunk = connection.recv(65536)
+        except OSError:
+            return None
+        if not chunk:
+            return None
+        data += chunk
     head, _, body = data.partition(b"\r\n\r\n")
     fields = dict(line.split(b": ", 1) for line in head.split(b"\r\n")[1:])
     length = int({k.lower(): v for k, v in fields.items()}.get(b"content-length", 0))
@@ -88,16 +111,28 @@ def _read_request(connection: socket.socket) -> bytes:
     return head + b"\r\n\r\n" + body
 
 
+def _manifest(tmp_path, count):
+    examples = [
+        generate(
+            GenParams(difficulty=Difficulty.EASY, equation_count=(3, 4), seed=5 + index),
+            out_dir=tmp_path,
+            example_id=f"wire_{index}",
+        )
+        for index in range(count)
+    ]
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(examples, path)
+    return path
+
+
 @pytest.fixture
 def manifest(tmp_path):
-    example = generate(
-        GenParams(difficulty=Difficulty.EASY, equation_count=(3, 4), seed=5),
-        out_dir=tmp_path,
-        example_id="wire_0",
-    )
-    path = tmp_path / "manifest.jsonl"
-    write_manifest([example], path)
-    return path
+    return _manifest(tmp_path, 1)
+
+
+@pytest.fixture
+def manifest3(tmp_path):
+    return _manifest(tmp_path, 3)
 
 
 @pytest.fixture
@@ -142,6 +177,8 @@ class TestRequestHead:
         head, _, body = request.partition(b"\r\n\r\n")
         json.loads(body)
         auth = "" if token is None else f"Authorization: Bearer {token}\r\n"
+        # a platform without TCP_QUICKACK keeps no connection, so asks for each to be closed
+        close = "" if hasattr(socket, "TCP_QUICKACK") else "Connection: close\r\n"
         assert head + b"\r\n\r\n" == (
             f"POST {target} HTTP/1.1\r\n"
             f"Host: {host}\r\n"
@@ -150,7 +187,7 @@ class TestRequestHead:
             "Content-Type: application/json\r\n"
             f"{auth}"
             "User-Agent: mathgrid\r\n"
-            "Connection: close\r\n"
+            f"{close}"
             "\r\n"
         ).encode("latin-1")
 
@@ -275,6 +312,120 @@ class TestResponseBody:
         assert sleeps == [threading.TIMEOUT_MAX / 2, threading.TIMEOUT_MAX, threading.TIMEOUT_MAX]
 
 
+keeps_connections = pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="only a platform with TCP_QUICKACK keeps connections"
+)
+
+
+class TestConnectionReuse:
+    """A worker sends its next request on the same connection only when the
+    whole reply was read and leaves it open."""
+
+    @keeps_connections
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            _reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER)),
+            _reply("HTTP/1.1 200 OK\nTransfer-Encoding: chunked\n", _chunked(ANSWER)),
+        ],
+        ids=["content-length", "chunked-with-a-trailer"],
+    )
+    def test_a_reply_that_leaves_the_connection_open_keeps_it(self, manifest3, clean_env, reply):
+        with RawServer(reply, then="serve") as server:
+            records = _run(manifest3, f"http://127.0.0.1:{server.port}")
+        assert [(r.status, r.response_text) for r in records] == [("ok", "<answer>7</answer>")] * 3
+        assert len(server.requests) == 3 and len(set(server.peers)) == 1
+
+    @pytest.mark.parametrize(
+        "reply, then",
+        [
+            (_reply("HTTP/1.0 200 OK\nContent-Length: %d\n" % len(ANSWER)), "serve"),
+            (_reply("HTTP/1.1 200 OK\nConnection: close\nContent-Length: %d\n" % len(ANSWER)), "serve"),
+            (_reply("HTTP/1.1 200 OK\nContent-Type: application/json\n"), "half-close"),
+            (_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER)) + b"\r\n", "serve"),
+        ],
+        ids=["http-1.0", "connection-close", "until-close", "bytes-past-the-body"],
+    )
+    def test_a_reply_that_ends_the_connection_gets_a_new_one(self, manifest3, clean_env, reply, then):
+        # the server would go on reading requests on each connection
+        with RawServer(reply, then=then) as server:
+            records = _run(manifest3, f"http://127.0.0.1:{server.port}")
+        assert [r.status for r in records] == ["ok"] * 3
+        assert len(server.requests) == len(set(server.peers)) == 3
+
+    @keeps_connections
+    def test_a_connection_dropped_unannounced_is_replaced_within_the_attempt(
+        self, manifest3, clean_env, monkeypatch
+    ):
+        # each reply leaves the connection open, and then the server closes it:
+        # the next request fails on it before any byte of a reply arrives, and
+        # goes once more on a new connection, with no retry (max_retries=0)
+        sent = []
+        send = client._Attempt.send
+
+        def counted(attempt, data):
+            sent.append(data)
+            return send(attempt, data)
+
+        monkeypatch.setattr(client._Attempt, "send", counted)
+        with RawServer(_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER))) as server:
+            records = _run(manifest3, f"http://127.0.0.1:{server.port}")
+        assert [r.status for r in records] == ["ok"] * 3
+        assert len(server.requests) == len(set(server.peers)) == 3
+        assert len(sent) == 5  # the second and third requests went twice
+
+    @keeps_connections
+    def test_a_reply_cut_short_on_a_kept_connection_is_not_sent_again(self, manifest3, clean_env, monkeypatch):
+        # after the first reply the server cuts each reply short and closes:
+        # those requests reached it, so none goes again (max_retries=0)
+        send = client._Attempt.send
+
+        def send_then_cut_replies_short(attempt, data):
+            try:
+                return send(attempt, data)
+            finally:
+                server.reply = _reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER), ANSWER[:5])
+                server.then = "half-close"
+
+        monkeypatch.setattr(client._Attempt, "send", send_then_cut_replies_short)
+        with RawServer(_reply("HTTP/1.1 200 OK\nContent-Length: %d\n" % len(ANSWER)), then="serve") as server:
+            records = _run(manifest3, f"http://127.0.0.1:{server.port}")
+        assert [(r.status, r.error) for r in records] == [("ok", None)] + [
+            ("error", "ConnectionError: the endpoint closed the connection mid-response")
+        ] * 2
+        assert len(server.requests) == 3 and len(set(server.peers)) == 2
+
+    def test_a_run_that_raises_part_way_closes_every_connection(self, dataset_dir, tmp_path, proxy_env, monkeypatch):
+        opened = []
+        create_connection = socket.create_connection
+
+        def kept(*args, **kwargs):
+            opened.append(create_connection(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", kept)
+        written = []
+        to_json = client.RunRecord.to_json
+
+        def fail_on_the_third(record):
+            written.append(record)
+            if len(written) == 3:
+                raise RuntimeError("the disk is full")
+            return to_json(record)
+
+        monkeypatch.setattr(client.RunRecord, "to_json", fail_on_the_third)
+        manifest = dataset_dir / "manifest.jsonl"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with MockEndpoint(manifest, protocol_version="HTTP/1.1") as server:
+                config = EndpointConfig(base_url=server.base_url, model_name="m", max_concurrency=2, max_retries=0)
+                with pytest.raises(RuntimeError, match="^the disk is full$"):
+                    run_benchmark(manifest, config, Modality.TEXT_ONLY, None, tmp_path / "run.jsonl")
+            gc.collect()
+        assert opened and all(sock.fileno() == -1 for sock in opened)
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 class TestAttemptBounds:
     """Each attempt ends within ``timeout_s`` of its start, and takes at most
     MAX_RESPONSE_BYTES, however the endpoint sends."""
@@ -298,16 +449,20 @@ class TestAttemptBounds:
         monkeypatch.setattr(client, "_send_once", timed)
         return durations
 
-    def _run(self, dataset_dir, tmp_path, mode):
+    def _run(self, dataset_dir, tmp_path, mode, kept=False):
+        """With ``kept``, each first attempt gets a 503 from an HTTP/1.1 server,
+        so that each retry goes over a kept connection."""
         manifest = tmp_path / "manifest.jsonl"
         write_manifest(load_manifest(dataset_dir / "manifest.jsonl")[:2], manifest)
-        with MockEndpoint(manifest, mode=mode) as server:
+        options = dict(fail_first_n=2, fail_status=503, protocol_version="HTTP/1.1") if kept else {}
+        with MockEndpoint(manifest, mode=mode, **options) as server:
             config = EndpointConfig(
                 base_url=server.base_url, model_name="m", max_concurrency=2,
                 timeout_s=self.TIMEOUT_S, max_retries=1, backoff_s=0.01,
             )
             run_path = run_benchmark(manifest, config, Modality.TEXT_ONLY, None, tmp_path / "run.jsonl")
             assert server.requests_total == 4  # two examples, each retried once
+            assert len(set(server.request_peers)) == (2 if kept else 4)
         return load_run_records(run_path)
 
     def test_a_trickled_body_ends_at_the_deadline(self, dataset_dir, tmp_path, proxy_env, attempts):
@@ -320,6 +475,23 @@ class TestAttemptBounds:
     def test_a_body_past_the_cap_is_cut_off(self, dataset_dir, tmp_path, proxy_env, attempts):
         proxy_env.setattr(client, "MAX_RESPONSE_BYTES", 4096, raising=False)
         records = self._run(dataset_dir, tmp_path, "oversize")
+        assert len(attempts) == 4
+        assert max(attempts) < self.TIMEOUT_S + self.SLACK_S
+        assert {r.error for r in records} == {"ValueError: response longer than 4096 bytes"}
+
+    @keeps_connections
+    def test_a_trickled_body_ends_at_the_deadline_on_a_kept_connection(
+        self, dataset_dir, tmp_path, proxy_env, attempts
+    ):
+        records = self._run(dataset_dir, tmp_path, "trickle", kept=True)
+        assert len(attempts) == 4
+        assert max(attempts) < self.TIMEOUT_S + self.SLACK_S
+        assert all(r.error.startswith("TimeoutError: ") for r in records)
+
+    @keeps_connections
+    def test_a_body_past_the_cap_is_cut_off_on_a_kept_connection(self, dataset_dir, tmp_path, proxy_env, attempts):
+        proxy_env.setattr(client, "MAX_RESPONSE_BYTES", 4096, raising=False)
+        records = self._run(dataset_dir, tmp_path, "oversize", kept=True)
         assert len(attempts) == 4
         assert max(attempts) < self.TIMEOUT_S + self.SLACK_S
         assert {r.error for r in records} == {"ValueError: response longer than 4096 bytes"}
