@@ -720,6 +720,22 @@ class TestTransport:
         assert all(h.get("Proxy-Authorization") == "Basic dTpw" for h in proxy.request_headers)
         assert score_run(run_path, manifest).micro == 1.0
 
+    @pytest.mark.skipif(
+        not hasattr(socket, "TCP_QUICKACK"), reason="only a platform with TCP_QUICKACK keeps connections"
+    )
+    def test_one_https_worker_keeps_one_tunnel_for_the_run(self, dataset_dir, tmp_path, proxy_env, tls_files):
+        manifest = dataset_dir / "manifest.jsonl"
+        proxy_env.setenv("REQUESTS_CA_BUNDLE", tls_files[0])
+        with MockEndpoint(manifest, tls=tls_files, protocol_version="HTTP/1.1") as server, TunnelProxy() as proxy:
+            proxy_env.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy.port}")
+            run_path = run_benchmark(
+                manifest, _config(server.base_url, max_concurrency=1, max_retries=0), Modality.TEXT_ONLY, None,
+                tmp_path / "run.jsonl",
+            )
+            assert server.requests_total == len(load_manifest(manifest))
+        assert proxy.targets == [f"127.0.0.1:{server.port}"]
+        assert score_run(run_path, manifest).micro == 1.0
+
     def test_proxy_credentials_become_proxy_authorization(self, dataset_dir, tmp_path, proxy_env):
         manifest = dataset_dir / "manifest.jsonl"
         with MockEndpoint(manifest) as proxy:
