@@ -422,7 +422,7 @@ class _Attempt:
         self.sock: socket.socket | None = None
         self.buffer = bytearray()  # the response so far
         self.read = 0  # how much of it is parsed
-        self.keep_alive = keep_alive
+        self.keep_alive = keep_alive  # ACK each receive at once, and let a reply keep the connection
         self.reusable = False  # whether the reply leaves the connection open for another request
 
     def left(self) -> float:
@@ -472,10 +472,8 @@ class _Attempt:
             pairs = (field.partition(b":") for field in iter(self.line, b""))
             fields = {name.strip().lower(): value.strip() for name, _, value in pairs}
             if not 100 <= int(code) < 200:
-                self.reusable = (
-                    self.keep_alive and version == b"HTTP/1.1"
-                    and b"close" not in fields.get(b"connection", b"").lower()
-                )
+                close = b"close" in fields.get(b"connection", b"").lower()
+                self.reusable = self.keep_alive and version == b"HTTP/1.1" and not close
                 return int(code), reason.strip().decode("latin-1"), fields
 
     def body(self, fields: dict[bytes, bytes]) -> bytes:
@@ -522,11 +520,10 @@ def _connect(route: _Route, attempt: _Attempt) -> socket.socket:
 
 
 def _send_once(route: _Route, request: bytes, timeout_s: float, idle: list[socket.socket]) -> str:
-    """One attempt, over a connection taken from ``idle`` if there is one, else
-    a new one, which goes back to ``idle`` if the whole reply was read and
-    leaves it open. A request that a kept connection fails before any byte of
-    the reply arrives, as one the server dropped while it idled does, is sent
-    once more on a new connection, within the same deadline."""
+    """One attempt, over a connection from ``idle`` if there is one, else a new one,
+    which goes back to ``idle`` if the reply leaves it open. A kept connection that
+    fails before any byte of the reply, as one the server dropped while it idled
+    does, is replaced by a new one once, within the same deadline."""
     attempt = _Attempt(timeout_s, route.keep_alive)
     try:
         kept = idle.pop()
