@@ -19,10 +19,9 @@ import socket
 import ssl
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from threading import TIMEOUT_MAX
+from threading import TIMEOUT_MAX, Condition, Lock, Thread
 from urllib.parse import unquote, urlsplit
 
 from ..core import MathGridError, check_type, located, shown
@@ -106,6 +105,8 @@ class EndpointConfig:
             raise ConfigError(
                 f"path must start with '/' and be visible ASCII, with no '#', not {shown(self.path)}"
             )
+        if self.model_field == "messages":  # the body would carry the messages alone
+            raise ConfigError("model_field may not be 'messages': the request builds that key itself")
         if self.auth_token_env is not None and not isinstance(self.auth_token_env, str):
             raise ConfigError(
                 f"auth_token_env must be a string or null, not {shown(self.auth_token_env)}"
@@ -199,32 +200,26 @@ def request_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def bundle_to_messages(parts: tuple[TextPart | ImagePart, ...]) -> list[dict]:
-    """Chat-completions message list with text and base64 image parts."""
-    content: list[dict] = []
+def build_chat_payload(parts: tuple[TextPart | ImagePart, ...], config: EndpointConfig) -> bytes:
+    """The request body: ``json.dumps`` of the model field, one user message
+    holding the text and base64 image parts, then ``sampling``, byte for byte.
+    It is built without the dict: every string goes through ``json.dumps`` but
+    each image's base64 text, which holds no character JSON escapes."""
+    dumps = json.dumps
+    content = []
     for part in parts:
         if isinstance(part, TextPart):
-            content.append({"type": "text", "text": part.text})
-        elif isinstance(part, ImagePart):
-            b64 = base64.b64encode(part.data).decode("ascii")
-            content.append(
-                {
-                    "type": "image_url",
-                    "image_url": {"url": f"data:{part.media_type};base64,{b64}"},
-                }
-            )
-    return [{"role": "user", "content": content}]
-
-
-def build_chat_payload(
-    parts: tuple[TextPart | ImagePart, ...], config: EndpointConfig
-) -> dict:
-    payload = {
-        config.model_field: config.model_name,
-        "messages": bundle_to_messages(parts),
-    }
-    payload.update(config.sampling)
-    return payload
+            content.append(b'{"type": "text", "text": %s}' % dumps(part.text).encode())
+        else:
+            url = dumps(f"data:{part.media_type};base64,")[:-1].encode()  # without its closing quote
+            content.append(b'{"type": "image_url", "image_url": {"url": %s%s"}}' % (url, base64.b64encode(part.data)))
+    sampling = dumps(config.sampling, allow_nan=False)[1:-1]
+    return b'{%s: %s, "messages": [{"role": "user", "content": [%s]}]%s}' % (
+        dumps(config.model_field).encode(),
+        dumps(config.model_name).encode(),
+        b", ".join(content),
+        b", " + sampling.encode() if sampling else b"",
+    )
 
 
 def response_text(data: object) -> str:
@@ -550,8 +545,7 @@ def _send_once(route: _Route, request: bytes, timeout_s: float, idle: list[socke
     return response_text(parse_json(data))
 
 
-def _send_with_retries(route: _Route, config: EndpointConfig, payload: dict, idle: list[socket.socket]) -> str:
-    body = json.dumps(payload, allow_nan=False).encode("utf-8")
+def _send_with_retries(route: _Route, config: EndpointConfig, body: bytes, idle: list[socket.socket]) -> str:
     request = b"%s%d%s%s" % (route.head[0], len(body), route.head[1], body)
     attempt, delay = 0, config.backoff_s
     while True:
@@ -576,10 +570,14 @@ def run_benchmark(
 ) -> Path:
     """Query the endpoint for every example and append records to out_path.
 
-    A single writer appends records as workers finish; per-example failures
-    become error records and never abort the run. Examples whose latest
-    record for this fingerprint is OK are skipped entirely; that record is
-    the one ``score_run`` scores. A record torn mid-write at the end of the
+    Each of ``max_concurrency`` workers (no more than there are examples to
+    send) takes the next example, sends it and writes its record. A failed
+    request becomes an error record and never aborts the run. An error in
+    writing a record, or a Ctrl-C, stops every worker from taking another
+    example: the requests in flight finish and their records are written,
+    then the error is raised. Examples whose latest record for this
+    fingerprint is OK are skipped entirely; that record is the one
+    ``score_run`` scores. A record torn mid-write at the end of the
     file is cut off before new ones are appended. Image paths resolve
     against the manifest's directory. Text prompts use no style, so their
     records carry none. The token, proxy, netrc and CA-bundle environment is
@@ -624,19 +622,60 @@ def run_benchmark(
             response_text=text, latency_ms=latency_ms, status=status, error=error,
         )
 
-    if todo:
-        idle: list[socket.socket] = []  # open connections no request holds: at most one per worker
+    if not todo:
+        return out_path
+    lock = Condition(Lock())  # held to take an example, to write a record and to count the workers
+    pending = iter(todo)
+    failed: list[BaseException] = []  # what stops the run: an error in a worker or in the main thread
+    idle: list[socket.socket] = []  # open connections no request holds: at most one per worker
+    running = 0  # workers started and not yet ended
+
+    def work(sink) -> None:
+        """Write the last record, take the next example and send it, until none
+        is left or the run has failed."""
+        nonlocal running
+        record = None
         try:
-            with out_path.open("a", encoding="utf-8") as sink:
-                with ThreadPoolExecutor(max_workers=endpoint.max_concurrency) as pool:
-                    futures = [pool.submit(one, ex, fp) for ex, fp in todo]
-                    for future in as_completed(futures):
-                        record = future.result()
+            while True:
+                with lock:
+                    if record is not None:
                         sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
                         sink.flush()
+                    item = None if failed else next(pending, None)
+                if item is None:
+                    return
+                record = one(*item)
+        except BaseException as exc:  # noqa: BLE001 - the main thread raises it
+            failed.append(exc)
         finally:
-            for sock in idle:
-                sock.close()
+            with lock:
+                running -= 1
+                lock.notify()
+
+    def wait_for_workers() -> None:
+        # not Thread.join: on Python 3.10 to 3.12 a join that Ctrl-C interrupts
+        # marks a thread that is still running as ended
+        with lock:
+            while running:
+                lock.wait()
+
+    try:
+        with out_path.open("a", encoding="utf-8") as sink:
+            try:
+                for _ in range(min(endpoint.max_concurrency, len(todo))):
+                    Thread(target=work, args=(sink,)).start()
+                    with lock:
+                        running += 1
+                wait_for_workers()
+            except BaseException as exc:  # Ctrl-C, or a thread that did not start
+                failed.append(exc)  # the workers take no more examples
+                wait_for_workers()
+                raise
+    finally:
+        for sock in idle:
+            sock.close()
+    if failed:
+        raise failed[0]
     return out_path
 
 

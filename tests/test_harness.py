@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import base64
+import gc
+import itertools
 import json
 import re
 import shutil
+import signal
 import socket
 import subprocess
 import sys
+import threading
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +24,6 @@ from mathgrid.harness.client import (
     ManifestMismatch,
     _bypasses_proxy,
     build_chat_payload,
-    bundle_to_messages,
     load_run_records,
     request_fingerprint,
     response_text,
@@ -132,7 +137,8 @@ class TestWireFormat:
     def test_messages_embed_base64_data_url(self, tmp_path):
         example = _example_with_images(tmp_path)
         bundle = build_prompt(example, Modality.IMAGE_TEXT, "original", tmp_path)
-        (message,) = bundle_to_messages(bundle)
+        config = EndpointConfig(base_url="http://x", model_name="m")
+        (message,) = json.loads(build_chat_payload(bundle, config))["messages"]
         assert message["role"] == "user"
         kinds = [part["type"] for part in message["content"]]
         assert kinds == ["text", "image_url"]
@@ -145,7 +151,7 @@ class TestWireFormat:
         config = EndpointConfig(
             base_url="http://x", model_name="m1", sampling={"temperature": 0.2}
         )
-        payload = build_chat_payload(bundle, config)
+        payload = json.loads(build_chat_payload(bundle, config))
         assert payload["model"] == "m1"
         assert payload["temperature"] == 0.2
 
@@ -153,7 +159,7 @@ class TestWireFormat:
         example = _example_with_images(tmp_path)
         bundle = build_prompt(example, Modality.TEXT_ONLY)
         config = EndpointConfig(base_url="http://x", model_name="m", model_field="engine")
-        assert "engine" in build_chat_payload(bundle, config)
+        assert "engine" in json.loads(build_chat_payload(bundle, config))
 
     @pytest.mark.parametrize(
         "body, expected",
@@ -589,10 +595,13 @@ class TestRunBenchmark:
                     "original",
                     tmp_path / "run.jsonl",
                 )
+            sent = server.requests_total
         finally:
             sys.setswitchinterval(interval)
         records = load_run_records(run_path)
         assert len(records) == len(load_manifest(manifest))
+        # each example was taken by one worker, and its record written once, whole
+        assert sent == len(run_path.read_text(encoding="utf-8").splitlines()) == len(records)
         assert all(r.status == "ok" for r in records)
         report = score_run(run_path, manifest)
         assert report.micro == 1.0 and report.macro == 1.0
@@ -641,6 +650,102 @@ class TestRunBenchmark:
         run_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ManifestMismatch):
             score_run(run_path, manifest)
+
+
+class TestStoppingARun:
+    """A record that cannot be written, or a Ctrl-C, stops a run: no worker
+    takes another example, the requests in flight finish, every connection
+    is closed and the error is raised."""
+
+    CONCURRENCY = 2
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every socket the run opens."""
+        sockets = []
+        create_connection = socket.create_connection
+
+        def kept(*args, **kwargs):
+            sockets.append(create_connection(*args, **kwargs))
+            return sockets[-1]
+
+        monkeypatch.setattr(socket, "create_connection", kept)
+        return sockets
+
+    @pytest.fixture
+    def server(self, dataset_dir):
+        """The endpoint for the 12 fixture examples, each reply taking 50 ms."""
+        with MockEndpoint(dataset_dir / "manifest.jsonl", latency_s=0.05, protocol_version="HTTP/1.1") as server:
+            yield server
+
+    def _run(self, dataset_dir, tmp_path, server, error) -> list:
+        """The run file's records after a run that raises ``error``."""
+        manifest = dataset_dir / "manifest.jsonl"
+        config = _config(server.base_url, max_concurrency=self.CONCURRENCY, max_retries=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error):
+                run_benchmark(manifest, config, Modality.TEXT_ONLY, None, tmp_path / "run.jsonl")
+            gc.collect()
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+        return load_run_records(tmp_path / "run.jsonl")
+
+    def test_a_record_that_cannot_be_written_stops_the_run(self, dataset_dir, tmp_path, monkeypatch, opened, server):
+        sent = []  # the requests sent when the run failed
+        open_file = Path.open
+
+        class RunFile:  # whose third write fails
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes == 3:
+                    sent.append(server.requests_total)
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+        def opening(path, mode="r", *args, **kwargs):
+            fh = open_file(path, mode, *args, **kwargs)
+            return RunFile(fh) if mode == "a" else fh
+
+        monkeypatch.setattr(Path, "open", opening)
+        records = self._run(dataset_dir, tmp_path, server, OSError)
+        assert server.requests_total - sent[0] <= self.CONCURRENCY
+        assert len(records) >= 2  # the two written before the failure
+        assert opened and all(sock.fileno() == -1 for sock in opened)
+
+    @pytest.mark.skipif(
+        signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+        reason="SIGINT does not raise KeyboardInterrupt here",
+    )
+    def test_a_ctrl_c_stops_the_run(self, dataset_dir, tmp_path, monkeypatch, opened, server):
+        sent = []  # the requests sent at the Ctrl-C
+        replies = itertools.count(1)
+        send_once = client._send_once
+
+        def interrupt_after_the_third_reply(*args):
+            text = send_once(*args)
+            if next(replies) == 3:
+                sent.append(server.requests_total)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            return text
+
+        monkeypatch.setattr(client, "_send_once", interrupt_after_the_third_reply)
+        records = self._run(dataset_dir, tmp_path, server, KeyboardInterrupt)
+        assert server.requests_total - sent[0] <= self.CONCURRENCY
+        assert len(records) >= 3  # the reply that came with the Ctrl-C was kept
+        assert all(r.status == "ok" for r in records)
+        assert opened and all(sock.fileno() == -1 for sock in opened)
 
 
 @pytest.fixture(scope="module")
