@@ -142,13 +142,10 @@ def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
     endpoint = _endpoint_from_args(args)
-    out = run_benchmark(
-        args.manifest,
-        endpoint,
-        Modality(args.modality),
-        args.style,
-        args.out,
-    )
+    modality = Modality(args.modality)
+    if modality is not Modality.TEXT_ONLY and args.style not in STYLE_IDS:
+        raise MathGridError(f"unknown style {args.style!r}; choose from {STYLE_IDS}")
+    out = run_benchmark(args.manifest, endpoint, modality, args.style, args.out)
     print(f"run records in {out}")
     return 0
 

@@ -523,6 +523,7 @@ def test_missing_endpoint_config_errors(dataset_dir, tmp_path, capsys):
         {"base_url": "http://"},
         {"base_url": "http://127.0.0.1:port"},
         {"model_field": None},
+        {"model_field": "messages"},
         {"model_name": 7},
         {"auth_token_env": 3},
         ["base_url", "model_name"],
@@ -899,6 +900,26 @@ def test_text_runs_are_keyed_without_a_style(dataset_dir, tmp_path, capsys):
     assert all(json.loads(line)["style_id"] is None for line in run.read_text().splitlines())
     assert main(["bench", "score", "--run", str(run), "--manifest", manifest]) == 0
     assert "100.00" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("modality", ["image", "image-text"])
+def test_an_unknown_style_stops_an_image_run_before_any_request(dataset_dir, tmp_path, capsys, modality):
+    run = tmp_path / "run.jsonl"
+    with MockEndpoint(dataset_dir / "manifest.jsonl") as server:
+        argv = _bench_run_argv(dataset_dir, tmp_path, "--endpoint", server.base_url, "--model", "m",
+                               "--modality", modality, "--style", "nosuch")
+        assert main(argv) == 1
+        assert server.requests_total == 0
+    _one_error_line(capsys, "unknown style 'nosuch'; choose from ('original', ")
+    assert not run.exists()
+
+
+def test_a_text_run_ignores_an_unknown_style(dataset_dir, tmp_path):
+    with MockEndpoint(dataset_dir / "manifest.jsonl") as server:
+        argv = _bench_run_argv(dataset_dir, tmp_path, "--endpoint", server.base_url, "--model", "m",
+                               "--style", "nosuch")
+        assert main(argv) == 0
+    assert all(r.status == "ok" and r.style_id is None for r in load_run_records(tmp_path / "run.jsonl"))
 
 
 def _gold_run(dataset_dir, tmp_path, answer_texts=None) -> Path:
