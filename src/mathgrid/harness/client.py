@@ -654,9 +654,10 @@ def run_benchmark(
 
     def wait_for_workers() -> None:
         # not Thread.join: on Python 3.10 to 3.12 a join that Ctrl-C interrupts
-        # marks a thread that is still running as ended
+        # marks a thread that is still running as ended. A worker whose start a
+        # Ctrl-C cut short is not counted, so its end can take the count below 0.
         with lock:
-            while running:
+            while running > 0:
                 lock.wait()
 
     try:
