@@ -631,20 +631,19 @@ def run_benchmark(
     running = 0  # workers started and not yet ended
 
     def work(sink) -> None:
-        """Write the last record, take the next example and send it, until none
-        is left or the run has failed."""
+        """Take the next example, send it and write its record, until no
+        example is left or the run has failed."""
         nonlocal running
-        record = None
         try:
             while True:
                 with lock:
-                    if record is not None:
-                        sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
-                        sink.flush()
                     item = None if failed else next(pending, None)
                 if item is None:
                     return
                 record = one(*item)
+                with lock:
+                    sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+                    sink.flush()
         except BaseException as exc:  # noqa: BLE001 - the main thread raises it
             failed.append(exc)
         finally:
