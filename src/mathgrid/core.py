@@ -214,6 +214,10 @@ class Orientation(enum.Enum):
     VERTICAL = "vertical"
 
 
+#: The (row, col) step from one cell of a run to the next, per orientation.
+STEP = {Orientation.HORIZONTAL: (0, 1), Orientation.VERTICAL: (1, 0)}
+
+
 class Equation(NamedTuple):
     """One 5-cell arithmetic constraint ``a op b = c`` on the grid.
 

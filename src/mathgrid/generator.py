@@ -21,6 +21,7 @@ from math import isqrt
 from pathlib import Path
 
 from .core import (
+    STEP,
     Cell,
     Coord,
     DatasetExample,
@@ -40,7 +41,7 @@ from .core import (
 )
 from .render.markdown import to_markdown
 from .render.svg import STYLE_IDS, RenderView, render_image, texture_seed_for
-from .solver import INVERSE_SLOT, Contradiction, Slot, Unsolvable, deduce, detect_equations
+from .solver import INVERSE_SLOT, Contradiction, Unsolvable, deduce, detect_equations
 
 _M64 = (1 << 64) - 1
 
@@ -58,7 +59,7 @@ class RangeInfeasible(MathGridError):
 
 
 class LayoutFailure(MathGridError):
-    """Could not place the requested equations within the retry budget."""
+    """A layout attempt could not place the requested equations."""
 
 
 class ProfileInfeasible(MathGridError):
@@ -213,15 +214,16 @@ def _ordered_divisor_pairs(v: int, lo: int, hi: int) -> list[tuple[int, int]]:
 
 def sample_equation_at(
     op: Operator,
-    slot: Slot,
+    slot: int,
     value: int,
     value_range: tuple[int, int],
     rng: random.Random,
 ) -> tuple[int, int, int] | None:
-    """Random triple with the given slot pinned to ``value``; None if impossible.
+    """Random triple with operand ``slot`` (0, 1 or 2: a, b or c) pinned to
+    ``value``; None if impossible.
 
-    − and ÷ pin the rotated slot of their inverse and rotate its triple
-    ``(x, y, z)`` to ``(z, x, y)``.
+    − and ÷ pin operand ``INVERSE_SLOT[slot]`` of their inverse and rotate
+    its triple ``(x, y, z)`` to ``(z, x, y)``.
     """
     lo, hi = value_range
     if not (lo <= value <= hi):
@@ -229,7 +231,7 @@ def sample_equation_at(
     if op.inverse is not None:
         triple = sample_equation_at(op.inverse, INVERSE_SLOT[slot], value, value_range, rng)
         return None if triple is None else (triple[2], triple[0], triple[1])
-    if slot is Slot.C:
+    if slot == 2:
         if op is Operator.ADD:
             if 2 * lo > value:
                 return None
@@ -245,7 +247,7 @@ def sample_equation_at(
         return None
     other = rng.randint(lo, high)
     c = value + other if op is Operator.ADD else value * other
-    return (value, other, c) if slot is Slot.A else (other, value, c)
+    return (value, other, c) if slot == 0 else (other, value, c)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +265,8 @@ class _Board:
     orientations: list[Orientation] = field(default_factory=list)
 
 
-_AXIS = {Orientation.HORIZONTAL: (0, 1), Orientation.VERTICAL: (1, 0)}
-_SLOT_OF_OFFSET = {0: Slot.A, 2: Slot.B, 4: Slot.C}
-
-
 def _span(start: tuple[int, int], orientation: Orientation) -> list[tuple[int, int]]:
-    dr, dc = _AXIS[orientation]
+    dr, dc = STEP[orientation]
     return [(start[0] + i * dr, start[1] + i * dc) for i in range(5)]
 
 
@@ -295,16 +293,15 @@ def _place(
     op: Operator,
     triple: tuple[int, int, int],
 ) -> None:
-    values = {0: triple[0], 2: triple[1], 4: triple[2]}
     eq_index = len(board.orientations)
     for i, pos in enumerate(_span(start, orientation)):
-        if i in values:
+        if i % 2 == 0:  # operand i // 2, at offset i
             if pos in board.cells:
-                assert board.cells[pos] == Cell.number(values[i])
+                assert board.cells[pos] == Cell.number(triple[i // 2])
                 board.crossings[board.anchors.pop(pos)] += 1
                 board.crossings[eq_index] += 1
             else:
-                board.cells[pos] = Cell.number(values[i])
+                board.cells[pos] = Cell.number(triple[i // 2])
                 board.anchors[pos] = eq_index
         elif i == 1:
             board.cells[pos] = Cell.operator(op)
@@ -351,12 +348,12 @@ def _try_layout(
                 else Orientation.HORIZONTAL
             )
             offset = rng.choice((0, 2, 4))
-            dr, dc = _AXIS[orientation]
+            dr, dc = STEP[orientation]
             start = (pos[0] - offset * dr, pos[1] - offset * dc)
             if not _span_clear(board, start, orientation, pos):
                 continue
             for op in rng.sample(ops, len(ops)):
-                triple = sample_equation_at(op, _SLOT_OF_OFFSET[offset], value, value_range, rng)
+                triple = sample_equation_at(op, offset // 2, value, value_range, rng)
                 if triple is not None:
                     _place(board, start, orientation, op, triple)
                     placed = True
@@ -368,25 +365,19 @@ def _try_layout(
     return _board_to_grid(board)
 
 
-_LAYOUT_RETRIES = 200
-
-
 def build_solved_layout(params: GenParams, rng: random.Random) -> tuple[Grid, list[Equation]]:
-    """Build a fully solved, connected layout of intersecting equations."""
+    """Build a fully solved, connected layout of intersecting equations in
+    one attempt; ``generate`` retries a LayoutFailure on a fresh seed."""
     lo, hi = params.value_range
     ops = tuple(op for op in params.operators if _op_feasible(op, lo, hi))
     if not ops:
         symbols = "".join(op.value for op in params.operators)
         raise RangeInfeasible(f"no operator of {symbols!r} fits range [{lo}, {hi}]")
     n_eq = rng.randint(*params.equation_count)
-    for _ in range(_LAYOUT_RETRIES):
-        grid = _try_layout(n_eq, ops, params.value_range, rng)
-        if grid is None:
-            continue
-        equations = detect_equations(grid)
-        if len(equations) == n_eq:
-            return grid, equations
-    raise LayoutFailure(f"no {n_eq}-equation layout found in {_LAYOUT_RETRIES} attempts")
+    grid = _try_layout(n_eq, ops, params.value_range, rng)
+    if grid is None or len(equations := detect_equations(grid)) != n_eq:
+        raise LayoutFailure(f"no {n_eq}-equation layout found")
+    return grid, equations
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +588,7 @@ def generate(
     ``out_dir``.
     """
     last_error: MathGridError | None = None
-    for round_ in range(30):
+    for round_ in range(30):  # a failed layout or punch is retried here, on a fresh seed
         rng = random.Random(params.seed if round_ == 0 else mix_seed(params.seed, round_))
         try:
             answer_grid, equations = build_solved_layout(params, rng)

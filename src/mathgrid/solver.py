@@ -9,16 +9,14 @@ independent exhaustive check used to confirm uniqueness and correctness.
 
 from __future__ import annotations
 
-import enum
-
 from .core import (
+    STEP,
     CellKind,
     Coord,
     Equation,
     Grid,
     MathGridError,
     Operator,
-    Orientation,
     Resolution,
     SolutionTrace,
     shown,
@@ -52,22 +50,14 @@ class CapExceeded(MathGridError):
     """Brute-force request outside the configured enumeration caps."""
 
 
-class Slot(enum.Enum):
-    """Position of an operand within ``a op b = c``."""
-
-    A = "a"
-    B = "b"
-    C = "c"
-
-
-# Where each slot of ``a op b = c`` sits in the inverse equation ``b inv c = a``.
-INVERSE_SLOT = {Slot.A: Slot.C, Slot.B: Slot.A, Slot.C: Slot.B}
+# Where operand 0, 1 or 2 of ``a op b = c`` (its index in ``Equation.operands``)
+# sits in the inverse equation ``b inv c = a``.
+INVERSE_SLOT = (2, 0, 1)
 
 # CellKind members bound once: reading one off the Enum class costs several
 # times a module global.
 _OPERATOR, _EQUALS, _EMPTY = CellKind.OPERATOR, CellKind.EQUALS, CellKind.EMPTY
 _OPERAND_KINDS = (CellKind.NUMBER, CellKind.TARGET)
-_AXES = ((Orientation.HORIZONTAL, (0, 1)), (Orientation.VERTICAL, (1, 0)))
 
 
 def _run_matches(kinds: list[CellKind], op: int, step: int, first: bool, last: bool) -> bool:
@@ -119,7 +109,7 @@ def detect_equations(grid: Grid) -> list[Equation]:
 
     equations: list[Equation] = []
     new = tuple.__new__  # what the NamedTuple constructors call, without their frame
-    for (orientation, (dr, dc)), found in zip(_AXES, (horizontal, vertical)):
+    for (orientation, (dr, dc)), found in zip(STEP.items(), (horizontal, vertical)):
         for i in found:
             y, x = divmod(i, cols)
             a, op_cell, b = new(Coord, (y - dr, x - dc)), new(Coord, (y, x)), new(Coord, (y + dr, x + dc))
@@ -129,21 +119,21 @@ def detect_equations(grid: Grid) -> list[Equation]:
     return equations
 
 
-def solve_missing(op: Operator, unknown: Slot, known1: int, known2: int) -> int:
-    """Solve ``a op b = c`` for the one unknown slot.
+def solve_missing(op: Operator, unknown: int, known1: int, known2: int) -> int:
+    """Solve ``a op b = c`` for operand ``unknown`` (0, 1 or 2: a, b or c).
 
-    ``known1``/``known2`` are the two known values in slot order. The result
+    ``known1``/``known2`` are the two known values in operand order. The result
     must be a positive integer; range limits are the generator's concern.
-    − and ÷ are solved as their inverse (``b + c = a``, ``b × c = a``) with
-    the slot rotated; the knowns keep slot order there unless ``a`` is the
-    unknown.
+    − and ÷ are solved as their inverse (``b + c = a``, ``b × c = a``), where
+    operand i sits at ``INVERSE_SLOT[i]``; the two knowns swap places there
+    unless ``a`` is the unknown.
     """
     inverse = op.inverse
     if inverse is not None:
-        if unknown is not Slot.A:
+        if unknown != 0:
             known1, known2 = known2, known1
         return solve_missing(inverse, INVERSE_SLOT[unknown], known1, known2)
-    if unknown is Slot.C:
+    if unknown == 2:
         result = known1 + known2 if op is Operator.ADD else known1 * known2
     elif op is Operator.ADD:
         result = known2 - known1
@@ -153,7 +143,7 @@ def solve_missing(op: Operator, unknown: Slot, known1: int, known2: int) -> int:
         result = known2 // known1
     if result < 1:
         raise NoIntegerSolution(
-            f"slot {unknown.value} of {op.value} with knowns {shown(known1)}, {shown(known2)} "
+            f"slot {'abc'[unknown]} of {op.value} with knowns {shown(known1)}, {shown(known2)} "
             f"would be {shown(result)}, below 1"
         )
     return result
@@ -201,10 +191,9 @@ def deduce(
                         f"equation {eq.id}: {shown(a)} {eq.op.value} {shown(b)} != {shown(c)}"
                     )
                 continue
-            slot = (Slot.A, Slot.B, Slot.C)[missing[0]]
             knowns = [v for v in values if v is not None]
             try:
-                value = solve_missing(eq.op, slot, knowns[0], knowns[1])
+                value = solve_missing(eq.op, missing[0], knowns[0], knowns[1])
             except NoIntegerSolution as exc:
                 raise Contradiction(f"equation {eq.id}: {exc}") from exc
             coord = eq.operands[missing[0]]

@@ -26,6 +26,10 @@ REFERENCE_MARKDOWN = """\
 
 REFERENCE_ANSWERS = [6, 93, 45, 8]
 
+# The test id of operand position 0, 1 or 2 (a, b or c): the name the position
+# had when positions were an enum, so that these tests keep their ids.
+SLOT_IDS = ("Slot.A", "Slot.B", "Slot.C")
+
 
 def coords(grid: Grid) -> Iterator[Coord]:
     """All coordinates of the grid in row-major order."""

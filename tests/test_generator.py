@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,9 +20,9 @@ from mathgrid.generator import (
     sample_equation_at,
 )
 from mathgrid.manifest import dumps_line
-from mathgrid.solver import Slot, brute_force_oracle, deduce, detect_equations
+from mathgrid.solver import brute_force_oracle, deduce, detect_equations
 
-from conftest import coords
+from conftest import SLOT_IDS, coords
 
 ALL_OPS = (Operator.ADD, Operator.SUB, Operator.MUL, Operator.DIV)
 
@@ -62,18 +63,18 @@ class TestSampleEquation:
 # Layouts stay byte-identical only while each sampler draws the same values
 # in the same order.
 PINNED_AT = [
-    (Operator.ADD, Slot.A, (12, 16, 28), 1372175472),
-    (Operator.ADD, Slot.B, (16, 12, 28), 1372175472),
-    (Operator.ADD, Slot.C, (2, 10, 12), 1372175472),
-    (Operator.SUB, Slot.A, (12, 2, 10), 1372175472),
-    (Operator.SUB, Slot.B, (28, 12, 16), 1372175472),
-    (Operator.SUB, Slot.C, (28, 16, 12), 1372175472),
-    (Operator.MUL, Slot.A, (12, 2, 24), 1372175472),
-    (Operator.MUL, Slot.B, (2, 12, 24), 1372175472),
-    (Operator.MUL, Slot.C, (1, 12, 12), 1372175472),
-    (Operator.DIV, Slot.A, (12, 1, 12), 1372175472),
-    (Operator.DIV, Slot.B, (24, 12, 2), 1372175472),
-    (Operator.DIV, Slot.C, (24, 2, 12), 1372175472),
+    (Operator.ADD, 0, (12, 16, 28), 1372175472),
+    (Operator.ADD, 1, (16, 12, 28), 1372175472),
+    (Operator.ADD, 2, (2, 10, 12), 1372175472),
+    (Operator.SUB, 0, (12, 2, 10), 1372175472),
+    (Operator.SUB, 1, (28, 12, 16), 1372175472),
+    (Operator.SUB, 2, (28, 16, 12), 1372175472),
+    (Operator.MUL, 0, (12, 2, 24), 1372175472),
+    (Operator.MUL, 1, (2, 12, 24), 1372175472),
+    (Operator.MUL, 2, (1, 12, 12), 1372175472),
+    (Operator.DIV, 0, (12, 1, 12), 1372175472),
+    (Operator.DIV, 1, (24, 12, 2), 1372175472),
+    (Operator.DIV, 2, (24, 2, 12), 1372175472),
 ]
 PINNED_FREE = [
     (Operator.ADD, (16, 41, 57), 2158288730),
@@ -84,7 +85,11 @@ PINNED_FREE = [
 
 
 class TestExactRngUse:
-    @pytest.mark.parametrize("op, slot, triple, next_draw", PINNED_AT)
+    @pytest.mark.parametrize(
+        "op, slot, triple, next_draw",
+        PINNED_AT,
+        ids=[f"{op}-{SLOT_IDS[slot]}-triple{i}-{draw}" for i, (op, slot, _, draw) in enumerate(PINNED_AT)],
+    )
     def test_sample_equation_at(self, op, slot, triple, next_draw):
         rng = random.Random(2026)
         assert sample_equation_at(op, slot, 12, (1, 100), rng) == triple
@@ -99,7 +104,7 @@ class TestExactRngUse:
 
 class TestSampleEquationAt:
     @pytest.mark.parametrize("op", ALL_OPS)
-    @pytest.mark.parametrize("slot", list(Slot))
+    @pytest.mark.parametrize("slot", [0, 1, 2], ids=SLOT_IDS)
     def test_pinned_triples_hold(self, op, slot):
         rng = random.Random(11)
         lo, hi = 1, 100
@@ -113,16 +118,15 @@ class TestSampleEquationAt:
             a, b, c = triple
             assert op.holds(a, b, c)
             assert all(lo <= v <= hi for v in (a, b, c))
-            pinned = {Slot.A: a, Slot.B: b, Slot.C: c}[slot]
-            assert pinned == value
+            assert triple[slot] == value
         assert produced > 100  # feasibility is the common case on [1, 100]
 
     def test_infeasible_pin_returns_none(self):
         rng = random.Random(0)
         # 97 is prime: no divisor pair inside [2, 96]
-        assert sample_equation_at(Operator.MUL, Slot.C, 97, (2, 96), rng) is None
-        assert sample_equation_at(Operator.ADD, Slot.C, 3, (2, 96), rng) is None
-        assert sample_equation_at(Operator.ADD, Slot.A, 95, (2, 96), rng) is None
+        assert sample_equation_at(Operator.MUL, 2, 97, (2, 96), rng) is None
+        assert sample_equation_at(Operator.ADD, 2, 3, (2, 96), rng) is None
+        assert sample_equation_at(Operator.ADD, 0, 95, (2, 96), rng) is None
 
 
 class TestBuildSolvedLayout:
@@ -226,11 +230,28 @@ class TestBuildSolvedLayout:
         with pytest.raises(RangeInfeasible):
             build_solved_layout(params, random.Random(1))
 
-    def test_exhausted_retry_budget_raises_layout_failure(self, monkeypatch):
-        monkeypatch.setattr(generator, "_LAYOUT_RETRIES", 0)
-        params = GenParams(difficulty=Difficulty.EASY, seed=3)
+    def test_a_failed_layout_is_retried_on_the_next_rounds_seed(self, monkeypatch):
+        params = GenParams(difficulty=Difficulty.MEDIUM, seed=3)
+        round_1 = generate(replace(params, seed=mix_seed(params.seed, 1)))
+        try_layout, calls = generator._try_layout, []
+
+        def fail_first(*args):
+            calls.append(args)
+            return None if len(calls) == 1 else try_layout(*args)
+
+        monkeypatch.setattr(generator, "_try_layout", fail_first)
+        example = generate(params)
+        assert len(calls) == 2
+        assert (example.grid, example.trace) == (round_1.grid, round_1.trace)
+        calls.clear()
+        assert generate(params) == example
+
+    def test_a_layout_that_fails_every_round_raises_layout_failure(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(generator, "_try_layout", lambda *args: calls.append(args))
         with pytest.raises(LayoutFailure):
-            build_solved_layout(params, random.Random(3))
+            generate(GenParams(difficulty=Difficulty.EASY, seed=3))
+        assert len(calls) == 30
 
 
 class TestPunchBlanks:

@@ -13,8 +13,8 @@ the lattice.
 from __future__ import annotations
 
 from mathgrid import generator
-from mathgrid.core import Difficulty, Orientation
-from mathgrid.generator import _AXIS, _Board, _span, GenParams, generate_batch
+from mathgrid.core import STEP, Difficulty, Orientation
+from mathgrid.generator import _Board, _span, GenParams, generate_batch
 from mathgrid.solver import detect_equations
 
 from test_golden import GRID
@@ -34,7 +34,7 @@ def reference_span_clear(
     perpendicular neighbors must be empty; this is what rules out spurious
     or merged patterns no matter what is placed later.
     """
-    dr, dc = _AXIS[orientation]
+    dr, dc = STEP[orientation]
     before = (start[0] - dr, start[1] - dc)
     after = (start[0] + 5 * dr, start[1] + 5 * dc)
     if before in board.cells or after in board.cells:

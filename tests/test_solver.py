@@ -11,7 +11,6 @@ from mathgrid.solver import (
     Contradiction,
     MalformedGrid,
     NoIntegerSolution,
-    Slot,
     Unsolvable,
     brute_force_oracle,
     deduce,
@@ -21,7 +20,7 @@ from mathgrid.solver import (
 )
 
 
-from conftest import answered_reference_grid, coords
+from conftest import SLOT_IDS, answered_reference_grid, coords
 
 
 def grid_of(text: str):
@@ -89,27 +88,30 @@ class TestDetectEquations:
 
 class TestSolveMissing:
     def test_reference_equations(self):
-        assert solve_missing(Operator.ADD, Slot.A, 3, 9) == 6
-        assert solve_missing(Operator.DIV, Slot.A, 3, 31) == 93
-        assert solve_missing(Operator.MUL, Slot.B, 5, 40) == 8
-        assert solve_missing(Operator.ADD, Slot.B, 28, 73) == 45
+        assert solve_missing(Operator.ADD, 0, 3, 9) == 6
+        assert solve_missing(Operator.DIV, 0, 3, 31) == 93
+        assert solve_missing(Operator.MUL, 1, 5, 40) == 8
+        assert solve_missing(Operator.ADD, 1, 28, 73) == 45
 
     def test_range_checks_live_elsewhere(self):
         # 28 = 4 x 7 even if a caller would consider 28 out of bounds
-        assert solve_missing(Operator.DIV, Slot.A, 4, 7) == 28
+        assert solve_missing(Operator.DIV, 0, 4, 7) == 28
+
+    NO_INTEGER_SOLUTION = [
+        (Operator.DIV, 2, 7, 3),  # 7 / 3 is not an integer
+        (Operator.SUB, 2, 3, 5),  # 3 - 5 < 1
+        (Operator.ADD, 0, 9, 9),  # ? + 9 = 9 forces 0
+        (Operator.MUL, 0, 4, 10),  # ? x 4 = 10 is fractional
+        (Operator.DIV, 1, 10, 4),  # 10 / ? = 4 is fractional
+        (Operator.SUB, 1, 4, 9),  # 4 - ? = 9 forces negative
+        (Operator.MUL, 0, 0, 5),  # ? x 0 = 5 has no solution
+        (Operator.DIV, 1, 5, 0),  # 5 / ? = 0 has no solution
+    ]
 
     @pytest.mark.parametrize(
         "op, slot, k1, k2",
-        [
-            (Operator.DIV, Slot.C, 7, 3),  # 7 / 3 is not an integer
-            (Operator.SUB, Slot.C, 3, 5),  # 3 - 5 < 1
-            (Operator.ADD, Slot.A, 9, 9),  # ? + 9 = 9 forces 0
-            (Operator.MUL, Slot.A, 4, 10),  # ? x 4 = 10 is fractional
-            (Operator.DIV, Slot.B, 10, 4),  # 10 / ? = 4 is fractional
-            (Operator.SUB, Slot.B, 4, 9),  # 4 - ? = 9 forces negative
-            (Operator.MUL, Slot.A, 0, 5),  # ? x 0 = 5 has no solution
-            (Operator.DIV, Slot.B, 5, 0),  # 5 / ? = 0 has no solution
-        ],
+        NO_INTEGER_SOLUTION,
+        ids=[f"{op}-{SLOT_IDS[slot]}-{k1}-{k2}" for op, slot, k1, k2 in NO_INTEGER_SOLUTION],
     )
     def test_no_integer_solution(self, op, slot, k1, k2):
         with pytest.raises(NoIntegerSolution):
@@ -130,9 +132,9 @@ class TestSolveMissing:
             a, bb, cc = b, c, b * c
         else:
             a, bb, cc = b * c, b, c
-        assert solve_missing(op, Slot.A, bb, cc) == a
-        assert solve_missing(op, Slot.B, a, cc) == bb
-        assert solve_missing(op, Slot.C, a, bb) == cc
+        assert solve_missing(op, 0, bb, cc) == a
+        assert solve_missing(op, 1, a, cc) == bb
+        assert solve_missing(op, 2, a, bb) == cc
 
 
 class TestDeduce:
