@@ -251,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError covers bad parameter combinations and json.JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: bench run has kept the records written so far
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

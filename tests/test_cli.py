@@ -4,13 +4,16 @@ import gc
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import mathgrid
+from mathgrid import cli
 from mathgrid.core import CellKind, Operator
 from mathgrid.cli import build_parser, main
 from mathgrid.harness.client import load_run_records
@@ -22,13 +25,17 @@ from conftest import REFERENCE_MARKDOWN, coords
 from endpointmock import MockEndpoint
 
 
+def _subprocess_env() -> dict[str, str]:
+    """The environment, with this mathgrid first on ``PYTHONPATH``."""
+    src = str(Path(mathgrid.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_imports_no_third_party_http_library():
     # importing requests took about 100 ms of every command's start-up
-    src = str(Path(mathgrid.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, mathgrid.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -920,6 +927,40 @@ def test_a_text_run_ignores_an_unknown_style(dataset_dir, tmp_path):
                                "--style", "nosuch")
         assert main(argv) == 0
     assert all(r.status == "ok" and r.style_id is None for r in load_run_records(tmp_path / "run.jsonl"))
+
+
+def _interrupted(err: str) -> None:
+    assert err.startswith("interrupted") and err.count("\n") == 1, err
+
+
+def test_a_ctrl_c_ends_a_command_with_one_line(monkeypatch, capsys):
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_solve", interrupt)
+    assert main(["solve", "--markdown", "grid.md"]) == 130
+    _interrupted(capsys.readouterr().err)
+
+
+@pytest.mark.skipif(
+    signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+    reason="SIGINT is ignored here, and so in a subprocess",
+)
+def test_a_ctrl_c_ends_a_bench_run_with_one_line(dataset_dir, tmp_path):
+    manifest = dataset_dir / "manifest.jsonl"
+    with MockEndpoint(manifest, latency_s=0.1) as server:
+        argv = _bench_run_argv(dataset_dir, tmp_path, "--endpoint", server.base_url, "--model", "m",
+                               "--concurrency", "1")
+        proc = subprocess.Popen([sys.executable, "-m", "mathgrid.cli", *argv], env=_subprocess_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 60
+        while server.requests_total < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 130, err
+    _interrupted(err)
+    assert 1 <= len(load_run_records(tmp_path / "run.jsonl")) < len(load_manifest(manifest))
 
 
 def _gold_run(dataset_dir, tmp_path, answer_texts=None) -> Path:
