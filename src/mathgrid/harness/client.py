@@ -292,7 +292,12 @@ def _bypasses_proxy(host: str, port: int, no_proxy: str) -> bool:
 
 
 def _netrc_credentials(host: str) -> tuple[str, str] | None:
-    """Login and password for ``host`` from ``$NETRC``, else ``~/.netrc`` or ``~/_netrc``."""
+    """Login and password for ``host`` from ``$NETRC``, else ``~/.netrc`` or ``~/_netrc``.
+
+    A file that does not parse gives none, with a warning: Python 3.10's
+    parser refuses some files that later versions read, such as a quoted
+    password holding a space.
+    """
     paths = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
     for path in map(os.path.expanduser, paths):
         if os.path.exists(path):
@@ -301,7 +306,10 @@ def _netrc_credentials(host: str) -> tuple[str, str] | None:
         return None
     try:
         entry = netrc.netrc(path).authenticators(host)
-    except (netrc.NetrcParseError, OSError):
+    except netrc.NetrcParseError as exc:
+        print(f"warning: {path}: {exc.msg}; no netrc credentials are sent", file=sys.stderr)
+        return None
+    except OSError:
         return None
     if entry is None:
         return None

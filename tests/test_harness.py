@@ -997,7 +997,7 @@ class TestTransport:
     @pytest.mark.parametrize("netrc_text", ["junk\n", "machine elsewhere.example login u password p\n"],
                              ids=["unparsable", "other-host"])
     def test_a_netrc_without_credentials_for_the_host_keeps_the_bearer_token(
-        self, dataset_dir, tmp_path, monkeypatch, netrc_text
+        self, dataset_dir, tmp_path, monkeypatch, capsys, netrc_text
     ):
         manifest = dataset_dir / "manifest.jsonl"
         netrc_path = tmp_path / "netrc"
@@ -1012,6 +1012,8 @@ class TestTransport:
             headers = server.request_headers
         assert len(headers) == len(load_manifest(manifest))
         assert all(h.get("Authorization") == "Bearer sekret" for h in headers)
+        warning = f"warning: {netrc_path}: bad toplevel token 'junk'; no netrc credentials are sent\n"
+        assert capsys.readouterr().err == (warning if netrc_text == "junk\n" else "")
 
     def test_the_token_is_read_once_per_run(self, dataset_dir, tmp_path, monkeypatch):
         manifest = dataset_dir / "manifest.jsonl"
