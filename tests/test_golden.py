@@ -9,10 +9,11 @@ and the ``bench score`` report of the fixed run file ``golden/run.jsonl``.
 The same artifacts are pinned over the generator's configuration grid
 (``GRID``: every difficulty, value range and equation-count range), one
 digest per configuration and artifact, with a run file made inside the
-test from a fixed seed. A change that alters these bytes on purpose
-rewrites the digests file with ``PYTHONPATH=src python tests/test_golden.py``
-and says why. Nothing here needs pytest, so ``build_digests`` can be
-imported under any Python to compare with the file.
+test from a fixed seed. Nothing here needs pytest: under any Python,
+``PYTHONPATH=src python tests/test_golden.py`` compares ``build_digests``
+with the file and exits 1 naming each key that differs. A change that
+alters these bytes on purpose rewrites the file by adding ``--write``, and
+says why.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import io
 import itertools
 import json
 import random
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -236,8 +238,17 @@ def test_render_manifest_reproduces_generated_svgs(tmp_path):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
+    if sys.argv[1:] not in ([], ["--write"]):
+        sys.exit(f"usage: {sys.argv[0]} [--write]")
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):  # the CLI's lines
         digests = build_digests(Path(tmp))
-    (GOLDEN / "digests.json").write_text(
-        json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    if sys.argv[1:] == ["--write"]:
+        (GOLDEN / "digests.json").write_text(
+            json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        sys.exit()
+    expected = _expected()
+    differ = sorted(key for key in digests.keys() | expected.keys() if digests.get(key) != expected.get(key))
+    for key in differ:
+        print(f"differs from golden/digests.json: {key}", file=sys.stderr)
+    sys.exit(1 if differ else 0)
