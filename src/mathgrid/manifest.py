@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import DatasetExample, SolutionTrace, check_type, located
+from .core import DatasetExample, SolutionTrace, check_type, located, shown
 from .generator import GenParams
 from .render.markdown import parse_markdown
 
@@ -82,13 +82,18 @@ def write_manifest(examples: Iterable[DatasetExample], path: Path | str) -> Path
 
 def read_manifest(path: Path | str) -> Iterator[tuple[int, DatasetExample]]:
     """Line number and example of each line in file order; a line that does
-    not load fails, naming the file and line."""
+    not load, or repeats an earlier line's example id, fails, naming the file
+    and line. Runs and scores key examples by id, so a repeat would be lost."""
+    first_line: dict[str, int] = {}
     with Path(path).open("rb") as fh, located(path) as where:
         for number, line in enumerate(fh, start=1):
             where.line = number
             text = line.decode("utf-8").strip()  # decoded per line, so a bad byte names its line
             if text:
-                yield number, example_from_json(parse_json(text))
+                example = example_from_json(parse_json(text))
+                if first_line.setdefault(example.id, number) != number:
+                    raise ValueError(f"example id {shown(example.id)} repeats line {first_line[example.id]}")
+                yield number, example
 
 
 def load_manifest(path: Path | str) -> list[DatasetExample]:

@@ -722,6 +722,29 @@ def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, c
     _one_error_line(capsys, f"{manifest} line 2: ")
 
 
+@pytest.mark.parametrize("command", ["bench-score", "bench-run", "export-sft"])
+def test_a_repeated_example_id_gives_one_error_line(dataset_dir, tmp_path, capsys, command):
+    # runs and scores key examples by id: one grid's reply would be dropped,
+    # and the other scored against the wrong grid's answers
+    lines = (dataset_dir / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    first_id = json.loads(lines[0])["id"]
+    repeat = json.loads(lines[1])
+    repeat["id"] = first_id
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join([lines[0], lines[1], json.dumps(repeat)]) + "\n", encoding="utf-8")
+    with MockEndpoint(dataset_dir / "manifest.jsonl") as server:
+        argv = {
+            "bench-score": ["bench", "score", "--run", str(_gold_run(dataset_dir, tmp_path)),
+                            "--manifest", str(manifest)],
+            "bench-run": ["bench", "run", "--manifest", str(manifest), "--out", str(tmp_path / "out.jsonl"),
+                          "--endpoint", server.base_url, "--model", "m"],
+            "export-sft": ["export-sft", "--manifest", str(manifest), "--out", str(tmp_path / "sft")],
+        }[command]
+        assert main(argv) == 1
+        assert server.requests_total == 0
+    assert capsys.readouterr().err == f"error: {manifest} line 3: example id {first_id!r} repeats line 1\n"
+
+
 def test_export_sft_rejects_an_unknown_trace_equation(dataset_dir, tmp_path, capsys):
     def corrupt(data):
         data["trace"]["steps"][0][0]["eq"] = 999
