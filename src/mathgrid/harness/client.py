@@ -19,6 +19,7 @@ import socket
 import ssl
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import TIMEOUT_MAX, Condition, Lock, Thread
@@ -166,6 +167,17 @@ class RunRecord:
         if self.error is None:
             del data["error"]
         return data
+
+    def to_line(self) -> str:
+        """The record as a run-file line, its text as it stands, or in ``\\u`` escapes
+        when it holds a lone surrogate, which UTF-8 cannot encode."""
+        data = self.to_json()
+        line = json.dumps(data, ensure_ascii=False)
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            line = json.dumps(data)
+        return line + "\n"
 
     @staticmethod
     def from_json(data: object) -> RunRecord:
@@ -427,6 +439,7 @@ class _Attempt:
         self.read = 0  # how much of it is parsed
         self.keep_alive = keep_alive  # ACK each receive at once, and let a reply keep the connection
         self.reusable = False  # whether the reply leaves the connection open for another request
+        self.sent: Callable[[], None] | None = None  # called once the next send has handed all its bytes to the socket
 
     def left(self) -> float:
         left = self.deadline - time.monotonic()
@@ -466,6 +479,9 @@ class _Attempt:
         """Send ``data``; the status, reason and header fields of the reply past any 1xx."""
         self.sock.settimeout(self.left())
         self.sock.sendall(data)
+        sent, self.sent = self.sent, None
+        if sent is not None:
+            sent()
         while True:
             line = self.line()
             version, _, rest = line.partition(b" ")
@@ -522,11 +538,14 @@ def _connect(route: _Route, attempt: _Attempt) -> socket.socket:
     return sock
 
 
-def _send_once(route: _Route, request: bytes, timeout_s: float, idle: list[socket.socket]) -> str:
+def _send_once(
+    route: _Route, request: bytes, timeout_s: float, idle: list[socket.socket], sent: Callable[[], None]
+) -> str:
     """One attempt, over a connection from ``idle`` if there is one, else a new one,
     which goes back to ``idle`` if the reply leaves it open. A kept connection that
     fails before any byte of the reply, as one the server dropped while it idled
-    does, is replaced by a new one once, within the same deadline."""
+    does, is replaced by a new one once, within the same deadline. ``sent()`` is
+    called each time the request has gone out whole, before its reply is read."""
     attempt = _Attempt(timeout_s, route.keep_alive)
     try:
         kept = idle.pop()
@@ -534,7 +553,7 @@ def _send_once(route: _Route, request: bytes, timeout_s: float, idle: list[socke
         kept = None
     while True:
         sock = kept if kept is not None else _connect(route, attempt)
-        attempt.sock = sock
+        attempt.sock, attempt.sent = sock, sent
         try:
             status, reason, fields = attempt.send(request)
             data = attempt.body(fields)
@@ -553,12 +572,14 @@ def _send_once(route: _Route, request: bytes, timeout_s: float, idle: list[socke
     return response_text(parse_json(data))
 
 
-def _send_with_retries(route: _Route, config: EndpointConfig, body: bytes, idle: list[socket.socket]) -> str:
+def _send_with_retries(
+    route: _Route, config: EndpointConfig, body: bytes, idle: list[socket.socket], sent: Callable[[], None]
+) -> str:
     request = b"%s%d%s%s" % (route.head[0], len(body), route.head[1], body)
     attempt, delay = 0, config.backoff_s
     while True:
         try:
-            return _send_once(route, request, config.timeout_s, idle)
+            return _send_once(route, request, config.timeout_s, idle, sent)
         except StatusError as exc:
             if not exc.transient or attempt >= config.max_retries:
                 raise
@@ -579,11 +600,15 @@ def run_benchmark(
     """Query the endpoint for every example and append records to out_path.
 
     Each of ``max_concurrency`` workers (no more than there are examples to
-    send) takes the next example, sends it and writes its record. A failed
-    request becomes an error record and never aborts the run. An error in
-    writing a record, or a Ctrl-C, stops every worker from taking another
+    send) sends one example at a time. Once its request has gone out, and
+    while the reply is awaited, the worker takes the next example and builds
+    its prompt and body; when the reply comes it writes the record and sends
+    the body it built. A failed request, or a body that cannot be built,
+    becomes that example's error record and never aborts the run. An error in
+    writing a record, or a Ctrl-C, stops every worker from sending another
     example: the requests in flight finish and their records are written,
-    then the error is raised. Examples whose latest record for this
+    then the error is raised. An example taken and built but not yet sent
+    then gets no record, so a resume sends it. Examples whose latest record for this
     fingerprint is OK are skipped entirely; that record is the one
     ``score_run`` scores. A record torn mid-write at the end of the
     file is cut off before new ones are appended. Image paths resolve
@@ -616,42 +641,70 @@ def run_benchmark(
         if fingerprint not in done:
             todo.append((example, fingerprint))
 
-    def one(example, fingerprint) -> RunRecord:
-        started = time.monotonic()
+    def prepare(example, fingerprint) -> tuple:
+        """The example and fingerprint with the request body, or in its place the error that building it gave."""
         try:
             parts = build_prompt(example, modality, style_id, manifest_path.parent)
-            text = _send_with_retries(route, endpoint, build_chat_payload(parts, endpoint), idle)
-            status, error = "ok", None
-        except Exception as exc:  # noqa: BLE001 - isolate per-record failures
-            text, status, error = "", "error", f"{type(exc).__name__}: {exc}"
-        latency_ms = int((time.monotonic() - started) * 1000)
+            return example, fingerprint, build_chat_payload(parts, endpoint)
+        except Exception as exc:  # noqa: BLE001 - the example's own error record
+            return example, fingerprint, exc
+
+    def one(example, fingerprint, body: bytes | Exception, sent: Callable[[], None]) -> RunRecord:
+        """The record of sending ``body``, calling ``sent()`` once the request has gone
+        out; a body that could not be built is an error record with latency 0."""
+        text, latency_ms, failure = "", 0, body
+        if not isinstance(body, Exception):
+            started = time.monotonic()
+            try:
+                text, failure = _send_with_retries(route, endpoint, body, idle, sent), None
+            except Exception as exc:  # noqa: BLE001 - isolate per-record failures
+                failure = exc
+            latency_ms = int((time.monotonic() - started) * 1000)
         return RunRecord(
             example_id=example.id, modality=modality.value, style_id=style_id, fingerprint=fingerprint,
-            response_text=text, latency_ms=latency_ms, status=status, error=error,
+            response_text=text, latency_ms=latency_ms, status="ok" if failure is None else "error",
+            error=None if failure is None else f"{type(failure).__name__}: {failure}",
         )
 
     if not todo:
         return out_path
     lock = Condition(Lock())  # held to take an example, to write a record and to count the workers
     pending = iter(todo)
+    # each worker starts with an example of its own, so that none takes a second
+    # one as its next before another worker has started
+    firsts = [next(pending) for _ in range(min(endpoint.max_concurrency, len(todo)))]
     failed: list[BaseException] = []  # what stops the run: an error in a worker or in the main thread
     idle: list[socket.socket] = []  # open connections no request holds: at most one per worker
     running = 0  # workers started and not yet ended
 
-    def work(sink) -> None:
-        """Take the next example, send it and write its record, until no
-        example is left or the run has failed."""
+    def take() -> tuple | None:
+        """The next example prepared, or None once none is left or the run has failed."""
+        with lock:
+            item = None if failed else next(pending, None)
+        return None if item is None else prepare(*item)
+
+    def work(sink, first: tuple) -> None:
+        """Send an example, ``first`` to begin with, and while its request is in
+        flight take and prepare the next; then write the record, until no example
+        is left or the run has failed. An example prepared when the run fails is
+        not sent."""
         nonlocal running
         try:
-            while True:
+            item = prepare(*first)
+            while item is not None and not failed:
+                after = []  # the next example, prepared once however often the request goes out
+
+                def prepare_next() -> None:
+                    if not after:
+                        after.append(take())
+
+                record = one(*item, prepare_next)
+                prepare_next()  # if the request never went out
+                line = record.to_line()
                 with lock:
-                    item = None if failed else next(pending, None)
-                if item is None:
-                    return
-                record = one(*item)
-                with lock:
-                    sink.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+                    sink.write(line)
                     sink.flush()
+                item = after[0]
         except BaseException as exc:  # noqa: BLE001 - the main thread raises it
             failed.append(exc)
         finally:
@@ -670,8 +723,8 @@ def run_benchmark(
     try:
         with out_path.open("a", encoding="utf-8") as sink:
             try:
-                for _ in range(min(endpoint.max_concurrency, len(todo))):
-                    Thread(target=work, args=(sink,)).start()
+                for first in firsts:
+                    Thread(target=work, args=(sink, first)).start()
                     with lock:
                         running += 1
                 wait_for_workers()

@@ -748,6 +748,74 @@ class TestStoppingARun:
         assert opened and all(sock.fileno() == -1 for sock in opened)
 
 
+class TestStoppingARunSwitchingOften(TestStoppingARun):
+    """The same stops with threads switching every 10 us, where a race in the
+    worker loop, such as a prepared example sent after the stop, shows."""
+
+    @pytest.fixture(autouse=True)
+    def switching_often(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestPipelinedWorker:
+    """Each worker builds its next request body while its current request is
+    in flight, and writes each record as its reply comes."""
+
+    def test_a_missing_image_fails_its_example_alone(self, dataset_dir, tmp_path):
+        root = tmp_path / "dataset"
+        shutil.copytree(dataset_dir, root)
+        manifest = root / "manifest.jsonl"
+        examples = load_manifest(manifest)
+        missing = examples[len(examples) // 2]
+        (root / missing.images["original"]).unlink()
+        with MockEndpoint(manifest, protocol_version="HTTP/1.1") as server:
+            config = _config(server.base_url, max_concurrency=1)
+            run_path = run_benchmark(manifest, config, Modality.IMAGE_TEXT, "original", tmp_path / "run.jsonl")
+            assert server.requests_total == len(examples) - 1
+            # the error did not reach the request in flight, which kept its connection
+            kept = hasattr(socket, "TCP_QUICKACK")
+            assert len(set(server.request_peers)) == (1 if kept else len(examples) - 1)
+        records = {r.example_id: r for r in load_run_records(run_path)}
+        failed = records.pop(missing.id)
+        assert failed.status == "error" and failed.latency_ms == 0
+        assert failed.error == f"MissingStyleArtifact: image file {root / missing.images['original']} is missing"
+        assert len(records) == len(examples) - 1 and all(r.status == "ok" for r in records.values())
+
+    def test_the_next_body_is_built_while_a_request_is_in_flight(self, dataset_dir, tmp_path, monkeypatch):
+        in_flight = []  # the requests in _send_once, per thread
+        built_in_flight = []  # whether a request was in flight at each build_prompt call
+        send_once, prompt = client._send_once, client.build_prompt
+
+        def sending(*args):
+            in_flight.append(threading.get_ident())
+            try:
+                return send_once(*args)
+            finally:
+                in_flight.remove(threading.get_ident())
+
+        def building(*args):
+            built_in_flight.append(threading.get_ident() in in_flight)
+            return prompt(*args)
+
+        monkeypatch.setattr(client, "_send_once", sending)
+        monkeypatch.setattr(client, "build_prompt", building)
+        manifest = dataset_dir / "manifest.jsonl"
+        with MockEndpoint(manifest, latency_s=0.1) as server:
+            config = _config(server.base_url, max_concurrency=1)
+            run_path = run_benchmark(manifest, config, Modality.TEXT_ONLY, None, tmp_path / "run.jsonl")
+            assert server.max_inflight == 1
+        records = load_run_records(run_path)
+        assert len(records) == len(load_manifest(manifest)) and all(r.status == "ok" for r in records)
+        assert built_in_flight == [False] + [True] * (len(records) - 1)
+        # each latency is its own round trip: the 100 ms reply, not the wait for the one before
+        assert all(100 <= r.latency_ms < 200 for r in records), [r.latency_ms for r in records]
+
+
 @pytest.fixture(scope="module")
 def tls_files(tmp_path_factory):
     """A throwaway self-signed certificate for 127.0.0.1 and its key."""
