@@ -67,7 +67,9 @@ class MockEndpoint:
         *,
         # "hop1"; "list": a 200 whose body is the JSON list []; "trickle": the
         # body of a 200, the gold answer, a byte every TRICKLE_S; "oversize":
-        # the gold answer padded past OVERSIZE_BYTES
+        # the gold answer padded past OVERSIZE_BYTES; "surrogate": the gold answer
+        # and then a lone surrogate, which the JSON body carries as \ud83d, as a
+        # server that escapes non-ASCII sends when its output stops mid-emoji
         mode: str = "gold",
         fail_ids: set[str] | None = None,
         fail_first_n: int = 0,
@@ -210,6 +212,8 @@ class MockEndpoint:
         text = self._answer_text(grid)
         if self.mode == "oversize":
             text += " " * OVERSIZE_BYTES
+        if self.mode == "surrogate":
+            text += " \ud83d"
         return 200, {"choices": [{"message": {"content": text}}]}
 
     def _respond(self, request: BaseHTTPRequestHandler, status: int, payload: dict | list) -> None:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from mathgrid import Difficulty, GenParams, generate
+from mathgrid.cli import main
 from mathgrid.evaluation import EmptyReport
 from mathgrid.harness import EndpointConfig, Modality, build_prompt, client, run_benchmark, score_run
 from mathgrid.harness.client import (
@@ -603,6 +604,19 @@ class TestRunBenchmark:
         # each example was taken by one worker, and its record written once, whole
         assert sent == len(run_path.read_text(encoding="utf-8").splitlines()) == len(records)
         assert all(r.status == "ok" for r in records)
+        report = score_run(run_path, manifest)
+        assert report.micro == 1.0 and report.macro == 1.0
+
+    def test_a_reply_holding_a_lone_surrogate_is_recorded_and_scored(self, dataset_dir, tmp_path):
+        # UTF-8 cannot encode the surrogate, so that record's line escapes it
+        manifest, run_path = dataset_dir / "manifest.jsonl", tmp_path / "run.jsonl"
+        with MockEndpoint(manifest, mode="surrogate") as server:
+            argv = ["bench", "run", "--manifest", str(manifest), "--out", str(run_path),
+                    "--endpoint", server.base_url, "--model", "m"]
+            assert main(argv) == 0
+        records = load_run_records(run_path)
+        assert len(records) == len(load_manifest(manifest)) and all(r.status == "ok" for r in records)
+        assert all(r.response_text.endswith("</answer> \ud83d") for r in records)
         report = score_run(run_path, manifest)
         assert report.micro == 1.0 and report.macro == 1.0
 
