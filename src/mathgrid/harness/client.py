@@ -439,7 +439,7 @@ class _Attempt:
         self.read = 0  # how much of it is parsed
         self.keep_alive = keep_alive  # ACK each receive at once, and let a reply keep the connection
         self.reusable = False  # whether the reply leaves the connection open for another request
-        self.sent: Callable[[], None] | None = None  # called once the next send has handed all its bytes to the socket
+        self.sent: Callable[[], None] | None = None  # called once the next send has handed over its bytes
 
     def left(self) -> float:
         left = self.deadline - time.monotonic()
