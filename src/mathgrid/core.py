@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
@@ -98,11 +99,20 @@ class Coord(NamedTuple):
     col: int
 
 
+# The enums below that the generator, solver and renderers look up per cell
+# or per equation hash by identity, as ``object`` does, not by member name
+# through a Python-level ``Enum.__hash__``. Members are singletons compared by
+# identity, so the hash agrees with equality; and ``hash(name)`` is seeded
+# per process already, so no output may depend on either hash.
+
+
 class Operator(enum.Enum):
     ADD = "+"
     SUB = "-"
     MUL = "×"
     DIV = "÷"
+
+    __hash__ = object.__hash__
 
     @property
     def inverse(self) -> Operator | None:
@@ -138,6 +148,8 @@ class CellKind(enum.Enum):
     EQUALS = "equals"
     TARGET = "target"
 
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -158,13 +170,22 @@ class Cell:
 
     @staticmethod
     def number(value: int) -> Cell:
-        return Cell(CellKind.NUMBER, value=value)
+        if type(value) is not int or value < 1:  # the constructor's checks and errors
+            return Cell(CellKind.NUMBER, value=value)
+        # A valid number cell, set as the frozen __init__ sets it, without the
+        # frames of __init__ and of __post_init__, which would accept it.
+        cell = _new_object(Cell)
+        _set_field(cell, "kind", _NUMBER)
+        _set_field(cell, "value", value)
+        _set_field(cell, "op", None)
+        return cell
 
     @staticmethod
     def operator(op: Operator) -> Cell:
         return Cell(CellKind.OPERATOR, op=op)
 
 
+_new_object, _set_field, _NUMBER = object.__new__, object.__setattr__, CellKind.NUMBER
 EMPTY = Cell(CellKind.EMPTY)
 EQUALS = Cell(CellKind.EQUALS)
 TARGET = Cell(CellKind.TARGET)
@@ -213,6 +234,8 @@ class Orientation(enum.Enum):
     HORIZONTAL = "horizontal"
     VERTICAL = "vertical"
 
+    __hash__ = object.__hash__
+
 
 #: The (row, col) step from one cell of a run to the next, per orientation.
 STEP = {Orientation.HORIZONTAL: (0, 1), Orientation.VERTICAL: (1, 0)}
@@ -235,9 +258,8 @@ class Equation(NamedTuple):
     op_cell: Coord
     eq_cell: Coord
 
-    @property
-    def operands(self) -> tuple[Coord, Coord, Coord]:
-        return (self.a, self.b, self.c)
+    #: ``(a, b, c)``, read by ``itemgetter`` so that no Python frame runs.
+    operands = property(itemgetter(2, 3, 4))
 
 
 class Resolution(NamedTuple):

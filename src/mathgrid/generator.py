@@ -79,6 +79,12 @@ def _member(kind: type[enum.Enum], value: object) -> enum.Enum:
 
 _DEFAULT_MAX_HOP = {Difficulty.EASY: 1, Difficulty.MEDIUM: 4, Difficulty.HARD: 6}
 
+#: The largest value a puzzle may hold. Pinning the result of a × or ÷
+#: equation tries every divisor up to its square root, so generation slows
+#: with the root of the range's end: a hard example took about 1, 3 and 22 ms
+#: of CPU at ends of 10**8, 10**9 and 10**11, and an easy one 4.6 s at 10**16.
+MAX_VALUE = 10**9
+
 
 @dataclass(frozen=True)
 class GenParams:
@@ -102,6 +108,8 @@ class GenParams:
         lo, hi = self.value_range
         if lo < 1 or lo > hi:
             raise ValueError(f"bad value range [{lo}, {hi}]")
+        if hi > MAX_VALUE:
+            raise ValueError(f"value range end {shown(hi)} is above {MAX_VALUE}, the largest allowed")
         n_min, n_max = self.equation_count
         if n_min < 1 or n_min > n_max:
             raise ValueError(f"bad equation count range [{n_min}, {n_max}]")
@@ -265,9 +273,13 @@ class _Board:
     orientations: list[Orientation] = field(default_factory=list)
 
 
+# One frozen cell per operator, shared by every layout.
+_OPERATOR_CELLS = {op: Cell.operator(op) for op in Operator}
+
+
 def _span(start: tuple[int, int], orientation: Orientation) -> list[tuple[int, int]]:
-    dr, dc = STEP[orientation]
-    return [(start[0] + i * dr, start[1] + i * dc) for i in range(5)]
+    (r, c), (dr, dc) = start, STEP[orientation]
+    return [(r, c), (r + dr, c + dc), (r + 2 * dr, c + 2 * dc), (r + 3 * dr, c + 3 * dc), (r + 4 * dr, c + 4 * dc)]
 
 
 def _span_clear(
@@ -283,7 +295,11 @@ def _span_clear(
     empty, so a filled cell flanking the run, or beside one of its
     non-shared cells, belongs to a run through one of its non-shared cells.
     """
-    return all(pos == shared or pos not in board.cells for pos in _span(start, orientation))
+    cells = board.cells
+    for pos in _span(start, orientation):
+        if pos in cells and pos != shared:
+            return False
+    return True
 
 
 def _place(
@@ -294,32 +310,33 @@ def _place(
     triple: tuple[int, int, int],
 ) -> None:
     eq_index = len(board.orientations)
-    for i, pos in enumerate(_span(start, orientation)):
-        if i % 2 == 0:  # operand i // 2, at offset i
-            if pos in board.cells:
-                assert board.cells[pos] == Cell.number(triple[i // 2])
-                board.crossings[board.anchors.pop(pos)] += 1
-                board.crossings[eq_index] += 1
-            else:
-                board.cells[pos] = Cell.number(triple[i // 2])
-                board.anchors[pos] = eq_index
-        elif i == 1:
-            board.cells[pos] = Cell.operator(op)
+    cells, anchors, crossings = board.cells, board.anchors, board.crossings
+    a, op_at, b, equals_at, c = _span(start, orientation)
+    for pos, value in zip((a, b, c), triple):
+        if pos in cells:
+            assert cells[pos].value == value
+            crossings[anchors.pop(pos)] += 1
+            crossings[eq_index] += 1
         else:
-            board.cells[pos] = EQUALS
+            cells[pos] = Cell.number(value)
+            anchors[pos] = eq_index
+    cells[op_at] = _OPERATOR_CELLS[op]
+    cells[equals_at] = EQUALS
     board.orientations.append(orientation)
 
 
 def _board_to_grid(board: _Board) -> Grid:
-    rows_idx = [pos[0] for pos in board.cells]
-    cols_idx = [pos[1] for pos in board.cells]
+    rows_idx, cols_idx = zip(*board.cells)
     min_r, min_c = min(rows_idx), min(cols_idx)
     height = max(rows_idx) - min_r + 1
     width = max(cols_idx) - min_c + 1
-    rows: list[list[Cell]] = [[EMPTY] * width for _ in range(height)]
+    cells = [EMPTY] * (height * width)
     for (r, c), cell in board.cells.items():
-        rows[r - min_r][c - min_c] = cell
-    return Grid.from_rows(rows)
+        cells[(r - min_r) * width + c - min_c] = cell
+    return Grid(height, width, tuple(cells))
+
+
+_ACROSS = {Orientation.HORIZONTAL: Orientation.VERTICAL, Orientation.VERTICAL: Orientation.HORIZONTAL}
 
 
 def _try_layout(
@@ -334,19 +351,13 @@ def _try_layout(
 
     for _ in range(n_eq - 1):
         placed = False
+        anchors = list(board.anchors.items())  # each equation uses one and adds two
+        # spread crossings around: hub equations starve the blank punch
+        quiet = [a for a in anchors if board.crossings[a[1]] <= 1]
         for _attempt in range(40):
-            anchors = list(board.anchors.items())  # each equation uses one and adds two
-            # spread crossings around: hub equations starve the blank punch
-            quiet = [a for a in anchors if board.crossings[a[1]] <= 1]
-            if quiet and rng.random() < 0.8:
-                anchors = quiet
-            pos, owner = rng.choice(anchors)
+            pos, owner = rng.choice(quiet if quiet and rng.random() < 0.8 else anchors)
             value = board.cells[pos].value
-            orientation = (
-                Orientation.VERTICAL
-                if board.orientations[owner] is Orientation.HORIZONTAL
-                else Orientation.HORIZONTAL
-            )
+            orientation = _ACROSS[board.orientations[owner]]
             offset = rng.choice((0, 2, 4))
             dr, dc = STEP[orientation]
             start = (pos[0] - offset * dr, pos[1] - offset * dc)

@@ -43,20 +43,25 @@ _TOKEN_CELLS: dict[str, Cell] = {}  # each token read that is a cell; grids shar
 _ONE_LOOKALIKES = str.maketrans({"l": "1", "I": "1", "|": "1", "∣": "1", "¦": "1"})
 
 
+_NUMBER, _OPERATOR = CellKind.NUMBER, CellKind.OPERATOR
+
+
 def cell_text(cell: Cell) -> str:
     """Canonical single-cell text: digits, + - × ÷ =, ? or a space."""
-    if cell.kind is CellKind.NUMBER:
+    kind = cell.kind
+    if kind is _NUMBER:
         return str(cell.value)
-    if cell.kind is CellKind.OPERATOR:
-        return cell.op.value
-    return _CELL_TEXT[cell.kind]
+    if kind is _OPERATOR:
+        return cell.op._value_  # the member's symbol, without the ``value`` property
+    return _CELL_TEXT[kind]
 
 
 def to_markdown(grid: Grid) -> str:
     """One pipe-delimited line per row with single-space padding."""
     cols = grid.cols
-    rows = (grid.cells[r * cols : (r + 1) * cols] for r in range(grid.rows))
-    lines = ["| " + " | ".join(map(cell_text, row)) + " |" for row in rows]
+    # most cells are the one shared EMPTY cell: no call for those
+    texts = [" " if cell is EMPTY else cell_text(cell) for cell in grid.cells]
+    lines = ["| " + " | ".join(texts[i : i + cols]) + " |" for i in range(0, len(texts), cols)]
     return "\n".join(lines) + "\n"
 
 

@@ -90,9 +90,10 @@ class _Sheet:
         self.glyphs: list[str] = []
         # The solution view's glyphs, or None when the answers do not fit the targets.
         self.solved: list[str] | None = None if answers_left is None else []
+        empty, target = CellKind.EMPTY, CellKind.TARGET
         for i, cell in enumerate(grid.cells):
             kind = cell.kind
-            if kind is CellKind.EMPTY:
+            if kind is empty:
                 continue
             x, y = (i % cols) * px, (i // cols) * px
             self.drawn.append((
@@ -103,7 +104,7 @@ class _Sheet:
             glyph = cell_text(cell)
             self.glyphs.append(glyph)
             if answers_left is not None:
-                self.solved.append(str(next(answers_left)) if kind is CellKind.TARGET else glyph)
+                self.solved.append(str(next(answers_left)) if kind is target else glyph)
         self.styles: dict[str, tuple[str, dict[str, str]]] = {}
         self.textures: dict[int, str] = {}
 

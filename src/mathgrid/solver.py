@@ -53,6 +53,8 @@ class CapExceeded(MathGridError):
 # Where operand 0, 1 or 2 of ``a op b = c`` (its index in ``Equation.operands``)
 # sits in the inverse equation ``b inv c = a``.
 INVERSE_SLOT = (2, 0, 1)
+# The other two operands of operand 0, 1 or 2, in operand order.
+_OTHER_SLOTS = ((1, 2), (0, 2), (0, 1))
 
 # CellKind members bound once: reading one off the Enum class costs several
 # times a module global.
@@ -150,11 +152,11 @@ def solve_missing(op: Operator, unknown: int, known1: int, known2: int) -> int:
 
 
 def _initial_knowns(grid: Grid) -> dict[Coord, int]:
-    cols = grid.cols
+    cols, number, new = grid.cols, CellKind.NUMBER, tuple.__new__
     return {
-        Coord(i // cols, i % cols): cell.value
+        new(Coord, divmod(i, cols)): cell.value
         for i, cell in enumerate(grid.cells)
-        if cell.kind is CellKind.NUMBER
+        if cell.kind is number
     }
 
 
@@ -173,40 +175,43 @@ def deduce(
     """
     open_eqs = detect_equations(grid) if equations is None else equations  # in id order
     known = _initial_knowns(grid)
+    get, new = known.get, tuple.__new__
     steps: list[tuple[Resolution, ...]] = []
 
     while True:
         pending: dict[Coord, Resolution] = {}
         still_open: list[Equation] = []
         for eq in open_eqs:
-            values = [known.get(coord) for coord in eq.operands]
-            missing = [i for i, v in enumerate(values) if v is None]
-            if len(missing) > 1:
+            eq_id, _, a, b, c, op, _, _ = eq
+            values = (get(a), get(b), get(c))
+            missing = values.count(None)
+            if missing > 1:
                 still_open.append(eq)
                 continue
             if not missing:
-                a, b, c = values
-                if not eq.op.holds(a, b, c):
+                if not op.holds(*values):
+                    va, vb, vc = values
                     raise Contradiction(
-                        f"equation {eq.id}: {shown(a)} {eq.op.value} {shown(b)} != {shown(c)}"
+                        f"equation {eq_id}: {shown(va)} {op.value} {shown(vb)} != {shown(vc)}"
                     )
                 continue
-            knowns = [v for v in values if v is not None]
+            unknown = values.index(None)
+            first, second = _OTHER_SLOTS[unknown]
             try:
-                value = solve_missing(eq.op, missing[0], knowns[0], knowns[1])
+                value = solve_missing(op, unknown, values[first], values[second])
             except NoIntegerSolution as exc:
-                raise Contradiction(f"equation {eq.id}: {exc}") from exc
-            coord = eq.operands[missing[0]]
+                raise Contradiction(f"equation {eq_id}: {exc}") from exc
+            coord = (a, b, c)[unknown]
             earlier = pending.get(coord)
             if earlier is not None:
                 if earlier.value != value:
                     raise Contradiction(
                         f"cell {tuple(coord)} deduced as both {shown(earlier.value)} "
-                        f"(eq {earlier.eq_id}) and {shown(value)} (eq {eq.id})"
+                        f"(eq {earlier.eq_id}) and {shown(value)} (eq {eq_id})"
                     )
                 # same value from a higher-id equation: keep the first
             else:
-                pending[coord] = Resolution(eq.id, coord, value)
+                pending[coord] = new(Resolution, (eq_id, coord, value))
 
         open_eqs = still_open
         if not pending:

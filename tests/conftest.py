@@ -4,12 +4,20 @@ import os
 from collections.abc import Iterator
 
 import pytest
+from hypothesis import settings
 
 from mathgrid import Difficulty, GenParams, generate
 from mathgrid.core import Cell, Coord, EMPTY, EQUALS, Grid, Operator, TARGET, target_order
 from mathgrid.evaluation import ExampleResult, Prediction, evaluate_prediction
 from mathgrid.generator import mix_seed
 from mathgrid.manifest import write_manifest
+
+# A failing property test prints the @reproduce_failure blob that replays it,
+# also where no Hypothesis pytest plugin is loaded. Every other setting,
+# deadlines and example counts included, is the loaded profile's, such as the
+# "ci" profile that Hypothesis loads itself when it sees a CI environment.
+settings.register_profile("print-blob", parent=settings.default, print_blob=True)
+settings.load_profile("print-blob")
 
 # 9x7 grid with four targets; unique solution [6, 93, 45, 8] in reading order.
 REFERENCE_MARKDOWN = """\

@@ -15,6 +15,7 @@ import pytest
 import mathgrid
 from mathgrid import cli
 from mathgrid.core import CellKind, Operator
+from mathgrid.generator import MAX_VALUE
 from mathgrid.cli import build_parser, main
 from mathgrid.harness.client import load_run_records
 from mathgrid.harness.sft import export_sft_trajectories
@@ -455,6 +456,32 @@ def test_bad_input_gives_one_error_line(case, tmp_path, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_range_end_past_the_bound_exits_1_at_once(tmp_path):
+    # a × or ÷ result is pinned by trying every divisor up to its square root,
+    # so at this range one example ran for hours
+    argv = [
+        "generate", "--difficulty", "easy", "--count", "1", "--no-images",
+        "--range", "1:99999999999999999999999", "--out", str(tmp_path / "ds"),
+    ]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "mathgrid.cli", *argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+    )
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: value range end 99999999999999999999999 is above {MAX_VALUE}, the largest allowed\n"
+    )
+    assert not (tmp_path / "ds").exists()
+
+
+def test_a_range_ending_at_the_bound_generates(tmp_path):
+    argv = ["generate", "--difficulty", "hard", "--count", "2", "--no-images", "--out", str(tmp_path)]
+    assert main([*argv, "--range", f"1:{MAX_VALUE}"]) == 0
+    assert len(load_manifest(tmp_path / "manifest.jsonl")) == 2
 
 
 @pytest.mark.parametrize(

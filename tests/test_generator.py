@@ -10,6 +10,7 @@ from mathgrid.core import Cell, CellKind, Operator, target_order
 from mathgrid import generator
 from mathgrid.generator import (
     LayoutFailure,
+    MAX_VALUE,
     PROFILES,
     RangeInfeasible,
     build_solved_layout,
@@ -408,6 +409,8 @@ class TestGenParamsValidation:
             GenParams(difficulty=Difficulty.EASY, value_range=(0, 10))
         with pytest.raises(ValueError):
             GenParams(difficulty=Difficulty.EASY, value_range=(9, 3))
+        with pytest.raises(ValueError, match="above 1000000000"):
+            GenParams(difficulty=Difficulty.EASY, value_range=(1, MAX_VALUE + 1))
         with pytest.raises(ValueError):
             GenParams(difficulty=Difficulty.EASY, equation_count=(0, 4))
         with pytest.raises(ValueError):
