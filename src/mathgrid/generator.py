@@ -279,7 +279,9 @@ _OPERATOR_CELLS = {op: Cell.operator(op) for op in Operator}
 
 def _span(start: tuple[int, int], orientation: Orientation) -> list[tuple[int, int]]:
     (r, c), (dr, dc) = start, STEP[orientation]
-    return [(r, c), (r + dr, c + dc), (r + 2 * dr, c + 2 * dc), (r + 3 * dr, c + 3 * dc), (r + 4 * dr, c + 4 * dc)]
+    return [
+        (r, c), (r + dr, c + dc), (r + 2 * dr, c + 2 * dc), (r + 3 * dr, c + 3 * dc), (r + 4 * dr, c + 4 * dc)
+    ]
 
 
 def _span_clear(

@@ -42,7 +42,6 @@ _TOKEN_CELLS: dict[str, Cell] = {}  # each token read that is a cell; grids shar
 # OCR confusables that may stand in for the digit 1 inside numeric cells.
 _ONE_LOOKALIKES = str.maketrans({"l": "1", "I": "1", "|": "1", "∣": "1", "¦": "1"})
 
-
 _NUMBER, _OPERATOR = CellKind.NUMBER, CellKind.OPERATOR
 
 
