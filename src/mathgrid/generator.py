@@ -490,6 +490,7 @@ def _carve_chain(
 def _cover_remaining(
     equations: list[Equation],
     cell_eqs: dict[Coord, list[int]],
+    neighbors: dict[int, dict[int, Coord]],
     blanks: set[Coord],
     rng: random.Random,
 ) -> bool:
@@ -498,11 +499,12 @@ def _cover_remaining(
     for eq in rng.sample(equations, len(equations)):
         if not blanks.isdisjoint(eq.operands):
             continue
-        candidates = [
-            c
-            for c in eq.operands
-            if all(blanks.isdisjoint(equations[other].operands) for other in cell_eqs[c])
+        # a cell shared with an equation that holds a blank is no candidate
+        # (two equations share at most one cell)
+        shut = [
+            c for other, c in neighbors[eq.id].items() if not blanks.isdisjoint(equations[other].operands)
         ]
+        candidates = [c for c in eq.operands if c not in shut]
         if not candidates:
             return False
         # prefer non-shared cells so the blank count tracks the equation count
@@ -542,7 +544,7 @@ def punch_blanks(
         blanks: set[Coord] = set()
         if not all(_carve_chain(n, equations, cell_eqs, neighbors, blanks, rng) for n in plan):
             continue
-        if not _cover_remaining(equations, cell_eqs, blanks, rng):
+        if not _cover_remaining(equations, cell_eqs, neighbors, blanks, rng):
             continue
         query = answer_grid.with_cells(dict.fromkeys(blanks, TARGET))
         try:
