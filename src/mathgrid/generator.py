@@ -82,7 +82,7 @@ _DEFAULT_MAX_HOP = {Difficulty.EASY: 1, Difficulty.MEDIUM: 4, Difficulty.HARD: 6
 #: The largest value a puzzle may hold. Pinning the result of a × or ÷
 #: equation tries every divisor up to its square root, so generation slows
 #: with the root of the range's end: a hard example took about 1, 3 and 22 ms
-#: of CPU at ends of 10**8, 10**9 and 10**11, and an easy one 4.6 s at 10**16.
+#: of CPU at ends of 10**8, 10**9 and 10**11, and an easy one 3 s at 10**16.
 MAX_VALUE = 10**9
 
 
@@ -353,6 +353,7 @@ def _try_layout(
 
     for _ in range(n_eq - 1):
         placed = False
+        # read once per equation: the board changes only when one is placed
         anchors = list(board.anchors.items())  # each equation uses one and adds two
         # spread crossings around: hub equations starve the blank punch
         quiet = [a for a in anchors if board.crossings[a[1]] <= 1]

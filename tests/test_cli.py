@@ -460,7 +460,7 @@ def test_bad_input_gives_one_error_line(case, tmp_path, capsys):
 
 def test_a_range_end_past_the_bound_exits_1_at_once(tmp_path):
     # a × or ÷ result is pinned by trying every divisor up to its square root,
-    # so at this range one example ran for hours
+    # so at this range one example would run for hours
     argv = [
         "generate", "--difficulty", "easy", "--count", "1", "--no-images",
         "--range", "1:99999999999999999999999", "--out", str(tmp_path / "ds"),
