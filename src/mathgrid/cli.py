@@ -1,4 +1,9 @@
-"""Command-line entry point: generate, render, solve, export-sft, bench."""
+"""Command-line entry point: generate, render, solve, export-sft, bench.
+
+The endpoint client, the scorer and the SFT exporter are imported by the
+commands that run them, so that ``generate``, ``solve`` and ``render`` start
+without the socket, TLS and hashing modules the client needs.
+"""
 
 from __future__ import annotations
 
@@ -6,16 +11,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import Difficulty, Grid, MathGridError, Operator, SolutionTrace, check_type, located, shown
-from .evaluation import format_metrics_table
 from .generator import GenParams, generate_batch, write_example_images
-from .harness.client import EndpointConfig, Modality, run_benchmark, score_run
-from .harness.sft import export_sft_trajectories
+from .harness.prompts import Modality
 from .manifest import load_manifest, parse_json, write_manifest
 from .render.markdown import _OP_ALIASES, parse_markdown
 from .render.svg import RenderView, STYLE_IDS, render_image
 from .solver import deduce
+
+if TYPE_CHECKING:  # pragma: no cover - type-only imports, loaded by the bench commands
+    from .evaluation import EvalReport
+    from .harness.client import EndpointConfig
 
 
 def _parse_ops(text: str) -> tuple[Operator, ...]:
@@ -46,6 +54,24 @@ def _solved(grid: Grid) -> SolutionTrace:
         if (text := shown(value)).startswith("<"):  # the int's size in bits: repr failed
             raise ValueError(f"cell {tuple(coord)} solves to {text}, too many digits to print")
     return trace
+
+
+def _read_grid(path: str | None) -> Grid:
+    """The markdown grid in the file ``path``, or on stdin without one; an
+    error reading or parsing a file names it."""
+    if not path:
+        return parse_markdown(sys.stdin.read())
+    with located(path):
+        return parse_markdown(Path(path).read_text(encoding="utf-8"))
+
+
+def score_run(run_path: Path | str, manifest_path: Path | str) -> EvalReport:
+    """``harness.client.score_run``, imported when ``bench score`` calls it.
+    This forwarder keeps the name at module level, where
+    ``perfbench/tracing.py`` wraps it, without loading the client at start-up."""
+    from .harness import client
+
+    return client.score_run(run_path, manifest_path)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -79,7 +105,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.markdown:
         if len(styles) > 1:
             raise MathGridError(f"--markdown renders one style, got {args.styles!r}")
-        grid = parse_markdown(Path(args.markdown).read_text(encoding="utf-8"))
+        grid = _read_grid(args.markdown)
         view = RenderView(args.view or "query")
         answers = _solved(grid).answers if view is RenderView.SOLUTION else None
         out = Path(args.out)
@@ -98,12 +124,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    text = (
-        Path(args.markdown).read_text(encoding="utf-8")
-        if args.markdown
-        else sys.stdin.read()
-    )
-    trace = _solved(parse_markdown(text))
+    trace = _solved(_read_grid(args.markdown))
     print(
         json.dumps(
             {
@@ -118,6 +139,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_sft(args: argparse.Namespace) -> int:
+    from .harness.sft import export_sft_trajectories
+
     n = export_sft_trajectories(args.manifest, args.out)
     print(f"wrote {n} trajectory records to {Path(args.out)}")
     return 0
@@ -128,6 +151,8 @@ def _read_json_file(path: str) -> object:
 
 
 def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
+    from .harness.client import EndpointConfig
+
     flags = dict(base_url=args.endpoint, model_name=args.model, auth_token_env=args.auth_env,
                  max_concurrency=args.concurrency, timeout_s=args.timeout)
     flags = {key: value for key, value in flags.items() if value not in (None, "")}
@@ -141,6 +166,8 @@ def _endpoint_from_args(args: argparse.Namespace) -> EndpointConfig:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
+    from .harness.client import run_benchmark
+
     endpoint = _endpoint_from_args(args)
     modality = Modality(args.modality)
     if modality is not Modality.TEXT_ONLY and args.style not in STYLE_IDS:
@@ -151,6 +178,8 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_score(args: argparse.Namespace) -> int:
+    from .evaluation import format_metrics_table
+
     report = score_run(args.run, args.manifest)
     data = report.to_json()
     if args.out:
@@ -164,6 +193,8 @@ def _cmd_bench_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_table(args: argparse.Namespace) -> int:
+    from .evaluation import format_metrics_table
+
     with located(args.report):
         table = format_metrics_table(_read_json_file(args.report))
     print(table)

@@ -16,13 +16,13 @@ import math
 import netrc
 import os
 import socket
-import ssl
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import TIMEOUT_MAX, Condition, Lock, Thread
+from typing import TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
 
 from ..core import MathGridError, check_type, located, shown
@@ -35,6 +35,9 @@ from .prompts import (
     TextPart,
     build_prompt,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import; _ssl_context loads ssl for https alone
+    import ssl
 
 
 class ConfigError(MathGridError):
@@ -333,6 +336,8 @@ def _ssl_context() -> ssl.SSLContext:
     """Verify against ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` when one is
     set (a file or a hashed directory), else against the system trust store.
     A bundle that does not load is a ``ConfigError`` naming the variable."""
+    import ssl  # here, so that plain-http runs and ``bench score`` load no TLS
+
     name = "REQUESTS_CA_BUNDLE" if os.environ.get("REQUESTS_CA_BUNDLE") else "CURL_CA_BUNDLE"
     bundle = os.environ.get(name)
     try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import random
-import xml.etree.ElementTree as ET
 import zlib
 
 from ..core import CellKind, Coord, Grid, MathGridError, target_order
@@ -184,6 +183,8 @@ def extract_text_cells(svg_bytes: bytes) -> list[tuple[Coord, str]]:
     Coordinates are recovered from element geometry, not from any metadata,
     so this doubles as an information-equivalence audit of the image.
     """
+    import xml.etree.ElementTree as ET  # here, its only user: rendering needs no XML parser
+
     root = ET.fromstring(svg_bytes)
     declared = root.get("data-cell-px")
     if declared is None:

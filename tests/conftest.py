@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
+import mathgrid
 from mathgrid import Difficulty, GenParams, generate
 from mathgrid.core import Cell, Coord, EMPTY, EQUALS, Grid, Operator, TARGET, target_order
 from mathgrid.evaluation import ExampleResult, Prediction, evaluate_prediction
@@ -18,6 +20,14 @@ from mathgrid.manifest import write_manifest
 # "ci" profile that Hypothesis loads itself when it sees a CI environment.
 settings.register_profile("print-blob", parent=settings.default, print_blob=True)
 settings.load_profile("print-blob")
+
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment, with this mathgrid first on ``PYTHONPATH``."""
+    src = str(Path(mathgrid.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
 
 # 9x7 grid with four targets; unique solution [6, 93, 45, 8] in reading order.
 REFERENCE_MARKDOWN = """\

@@ -3,7 +3,6 @@ from __future__ import annotations
 import gc
 import io
 import json
-import os
 import signal
 import subprocess
 import sys
@@ -12,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import mathgrid
 from mathgrid import cli
 from mathgrid.core import CellKind, Operator
 from mathgrid.generator import MAX_VALUE
@@ -22,24 +20,57 @@ from mathgrid.harness.sft import export_sft_trajectories
 from mathgrid.render.markdown import _OP_ALIASES, parse_markdown
 from mathgrid.manifest import load_manifest
 
-from conftest import REFERENCE_MARKDOWN, coords
+from conftest import REFERENCE_MARKDOWN, coords, subprocess_env
 from endpointmock import MockEndpoint
 
-
-def _subprocess_env() -> dict[str, str]:
-    """The environment, with this mathgrid first on ``PYTHONPATH``."""
-    src = str(Path(mathgrid.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+# What only the commands that drive or score an endpoint need: the client
+# imports the socket, TLS and hashing modules.
+_BENCH_ONLY = {"ssl", "socket", "hashlib", "mathgrid.harness.client", "mathgrid.evaluation"}
 
 
-def test_cli_imports_no_third_party_http_library():
-    # importing requests took about 100 ms of every command's start-up
-    code = "import sys, mathgrid.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+def _loaded_modules(*argvs: list[str]) -> list[set[str]]:
+    """In one fresh interpreter, the modules loaded after ``import mathgrid.cli``
+    and after each of ``argvs`` in turn, each run through ``cli.main``."""
+    code = (
+        "import json, sys, mathgrid.cli\n"
+        "loaded = [sorted(sys.modules)]\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    assert mathgrid.cli.main(argv) == 0, argv\n"
+        "    loaded.append(sorted(sys.modules))\n"
+        "print(json.dumps(loaded))\n"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env(), timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return [set(names) for names in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_cli_imports_no_third_party_http_library(dataset_dir, tmp_path):
+    # importing requests took about 100 ms of every command's start-up; the
+    # client, ssl and hashlib took about 40% of what import mathgrid.cli took
+    manifest = dataset_dir / "manifest.jsonl"
+    grid_file = tmp_path / "puzzle.md"
+    grid_file.write_text(REFERENCE_MARKDOWN, encoding="utf-8")
+    run = tmp_path / "run.jsonl"
+    run.write_text("".join(
+        json.dumps({
+            "example_id": ex.id, "modality": "text", "style_id": None, "fingerprint": "fp",
+            "response_text": f"<answer>{' '.join(map(str, ex.gold_answers))}</answer>",
+            "latency_ms": 1, "status": "ok",
+        }) + "\n"
+        for ex in load_manifest(manifest)
+    ), encoding="utf-8")
+    generate = ["generate", "--difficulty", "easy", "--count", "2", "--no-images", "--out", str(tmp_path / "ds")]
+    solve = ["solve", "--markdown", str(grid_file)]
+    score = ["bench", "score", "--run", str(run), "--manifest", str(manifest), "--out", str(tmp_path / "r.json")]
+    *one_shot, scored = _loaded_modules(generate, solve, score)
+    for loaded in one_shot:
+        assert not {"requests", "urllib3"} & loaded
+        assert not _BENCH_ONLY & loaded, sorted(_BENCH_ONLY & loaded)
+    assert {"mathgrid.generator", "mathgrid.solver"} <= one_shot[-1]
+    # bench score loads the client, and with it no TLS: only an https endpoint needs that
+    assert "mathgrid.harness.client" in scored and "ssl" not in scored
 
 
 def test_generate_writes_manifest_and_images(tmp_path, capsys):
@@ -128,6 +159,29 @@ def test_solve_bounds_a_long_unreadable_cell(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err.encode()) < 1024, err
     assert "line 1, cell 3: unrecognized cell content '999" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "render"])
+@pytest.mark.parametrize("fault", ["manifest-line", "not-utf-8"])
+def test_a_bad_markdown_file_is_named_in_its_error_line(dataset_dir, tmp_path, capsys, command, fault):
+    grid_file = tmp_path / "bad.md"
+    if fault == "manifest-line":
+        grid_file.write_bytes((dataset_dir / "manifest.jsonl").read_bytes().split(b"\n")[0])
+        words = "line 1, cell 1: "
+    else:
+        grid_file.write_bytes(b"\xff" + REFERENCE_MARKDOWN.encode())
+        words = "'utf-8' codec can't decode byte 0xff in position 0"
+    out = tmp_path / "bad.svg"
+    argv = [command, "--markdown", str(grid_file)] + (["--out", str(out)] if command == "render" else [])
+    assert main(argv) == 1
+    _one_error_line(capsys, f"error: {grid_file}: {words}")
+    assert not out.exists()
+
+
+def test_a_bad_markdown_grid_on_stdin_names_no_file(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("| 1 | + | 2 | = | three |\n"))
+    assert main(["solve"]) == 1
+    assert capsys.readouterr().err == "error: line 1, cell 5: unrecognized cell content 'three'\n"
 
 
 _NINES = "9" * 4000
@@ -468,7 +522,7 @@ def test_a_range_end_past_the_bound_exits_1_at_once(tmp_path):
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "mathgrid.cli", *argv],
-        capture_output=True, text=True, env=_subprocess_env(), timeout=60,
+        capture_output=True, text=True, env=subprocess_env(), timeout=60,
     )
     assert time.monotonic() - start < 10
     assert proc.returncode == 1
@@ -1001,7 +1055,7 @@ def test_a_ctrl_c_ends_a_bench_run_with_one_line(dataset_dir, tmp_path):
     with MockEndpoint(manifest, latency_s=0.1) as server:
         argv = _bench_run_argv(dataset_dir, tmp_path, "--endpoint", server.base_url, "--model", "m",
                                "--concurrency", "1")
-        proc = subprocess.Popen([sys.executable, "-m", "mathgrid.cli", *argv], env=_subprocess_env(),
+        proc = subprocess.Popen([sys.executable, "-m", "mathgrid.cli", *argv], env=subprocess_env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         deadline = time.monotonic() + 60
         while server.requests_total < 2 and proc.poll() is None and time.monotonic() < deadline:

@@ -42,6 +42,7 @@ from mathgrid.manifest import load_manifest, write_manifest
 from mathgrid.render import to_markdown
 from mathgrid.solver import deduce
 
+from conftest import subprocess_env
 from endpointmock import MockEndpoint, TunnelProxy
 
 
@@ -51,6 +52,26 @@ def _example_with_images(tmp_path, seed=31):
         out_dir=tmp_path,
         example_id=f"img_{seed}",
     )
+
+
+def test_the_harness_exports_load_on_first_use():
+    import mathgrid.harness as harness
+    from mathgrid.harness import prompts
+
+    assert harness.__all__ == ["EndpointConfig", "run_benchmark", "score_run", "Modality", "build_prompt"]
+    for name in harness.__all__:
+        home = prompts if name in ("Modality", "build_prompt") else client
+        assert getattr(harness, name) is getattr(home, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_export'"):
+        harness.no_such_export
+    code = (
+        "import sys, mathgrid.harness; alone = 'mathgrid.harness.client' in sys.modules; "
+        "import mathgrid.harness.prompts; print(alone, 'mathgrid.harness.client' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env(), timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False False\n"), proc.stderr
 
 
 class TestTemplates:
