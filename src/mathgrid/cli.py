@@ -1,9 +1,4 @@
-"""Command-line entry point: generate, render, solve, export-sft, bench.
-
-The endpoint client, the scorer and the SFT exporter are imported by the
-commands that run them, so that ``generate``, ``solve`` and ``render`` start
-without the socket, TLS and hashing modules the client needs.
-"""
+"""Command-line entry point: generate, render, solve, export-sft, bench."""
 
 from __future__ import annotations
 
@@ -21,7 +16,9 @@ from .render.markdown import _OP_ALIASES, parse_markdown
 from .render.svg import RenderView, STYLE_IDS, render_image
 from .solver import deduce
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports, loaded by the bench commands
+# The endpoint client, the scorer and the SFT exporter are imported by the commands
+# that run them, so that generate, solve and render start without socket, ssl or hashlib.
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .evaluation import EvalReport
     from .harness.client import EndpointConfig
 

@@ -15,13 +15,8 @@ __all__ = [
 ]
 
 # export -> the submodule that defines it
-_HOMES = {
-    "EndpointConfig": "client",
-    "run_benchmark": "client",
-    "score_run": "client",
-    "Modality": "prompts",
-    "build_prompt": "prompts",
-}
+_HOMES = {"EndpointConfig": "client", "run_benchmark": "client", "score_run": "client",
+          "Modality": "prompts", "build_prompt": "prompts"}
 
 
 def __getattr__(name: str):

@@ -36,7 +36,7 @@ from .prompts import (
     build_prompt,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import; _ssl_context loads ssl for https alone
+if TYPE_CHECKING:  # pragma: no cover - type-only import
     import ssl
 
 

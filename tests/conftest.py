@@ -22,7 +22,6 @@ settings.register_profile("print-blob", parent=settings.default, print_blob=True
 settings.load_profile("print-blob")
 
 
-
 def subprocess_env() -> dict[str, str]:
     """The environment, with this mathgrid first on ``PYTHONPATH``."""
     src = str(Path(mathgrid.__file__).resolve().parents[1])

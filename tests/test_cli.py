@@ -49,18 +49,9 @@ def _loaded_modules(*argvs: list[str]) -> list[set[str]]:
 def test_cli_imports_no_third_party_http_library(dataset_dir, tmp_path):
     # importing requests took about 100 ms of every command's start-up; the
     # client, ssl and hashlib took about 40% of what import mathgrid.cli took
-    manifest = dataset_dir / "manifest.jsonl"
     grid_file = tmp_path / "puzzle.md"
     grid_file.write_text(REFERENCE_MARKDOWN, encoding="utf-8")
-    run = tmp_path / "run.jsonl"
-    run.write_text("".join(
-        json.dumps({
-            "example_id": ex.id, "modality": "text", "style_id": None, "fingerprint": "fp",
-            "response_text": f"<answer>{' '.join(map(str, ex.gold_answers))}</answer>",
-            "latency_ms": 1, "status": "ok",
-        }) + "\n"
-        for ex in load_manifest(manifest)
-    ), encoding="utf-8")
+    run, manifest = _gold_run(dataset_dir, tmp_path), dataset_dir / "manifest.jsonl"
     generate = ["generate", "--difficulty", "easy", "--count", "2", "--no-images", "--out", str(tmp_path / "ds")]
     solve = ["solve", "--markdown", str(grid_file)]
     score = ["bench", "score", "--run", str(run), "--manifest", str(manifest), "--out", str(tmp_path / "r.json")]
