@@ -54,10 +54,10 @@ def _solved(grid: Grid) -> SolutionTrace:
 
 
 def _read_grid(path: str | None) -> Grid:
-    """The markdown grid in the file ``path``, or on stdin without one; an
-    error reading or parsing a file names it."""
+    """The markdown grid in the file ``path``, or on stdin without one, each
+    decoded as strict UTF-8; an error reading or parsing a file names it."""
     if not path:
-        return parse_markdown(sys.stdin.read())
+        return parse_markdown(sys.stdin.buffer.read().decode("utf-8"))
     with located(path):
         return parse_markdown(Path(path).read_text(encoding="utf-8"))
 

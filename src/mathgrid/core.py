@@ -340,8 +340,12 @@ class DatasetExample:
 
     The trace is the example's one record of its solution: ``gold_answers``
     and ``hop_depths`` are read from it, aligned and ordered by
-    :func:`target_order`. ``images`` maps style id to the query-image path
-    (relative to the manifest that references it).
+    :func:`target_order`. ``markdown`` is the grid's own text, as
+    ``to_markdown`` writes it or ``parse_markdown`` reads it, so it holds one
+    ``?`` per target: the check that the trace resolves exactly the targets
+    counts those and looks at the resolved cells alone, not at every cell.
+    ``images`` maps style id to the query-image path (relative to the
+    manifest that references it).
     """
 
     id: str
@@ -352,8 +356,24 @@ class DatasetExample:
     trace: SolutionTrace
 
     def __post_init__(self) -> None:
-        if [coord for coord, _, _ in self.trace.resolved] != target_order(self.grid):
+        if not self._resolves_exactly_its_targets():
             raise ValueError(f"example {self.id}: the trace does not resolve exactly its targets")
+
+    def _resolves_exactly_its_targets(self) -> bool:
+        """As many resolved cells as ``?`` in ``markdown``, each a target and
+        after the one before in reading order: then they are all the targets."""
+        rows, cols, cells = self.grid.rows, self.grid.cols, self.grid.cells
+        if len(self.trace.resolved) != self.markdown.count("?"):
+            return False
+        previous = (-1, -1)
+        for coord, _, _ in self.trace.resolved:
+            row, col = coord  # checked apart, as the flat index of (row, cols) is (row + 1, 0)'s
+            if not (0 <= row < rows and 0 <= col < cols and coord > previous):
+                return False
+            if cells[row * cols + col].kind is not CellKind.TARGET:
+                return False
+            previous = coord
+        return True
 
     @property
     def difficulty(self) -> Difficulty:

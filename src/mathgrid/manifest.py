@@ -25,26 +25,27 @@ def parse_json(text: str | bytes) -> object:
         raise ValueError("JSON nested too deeply to parse") from None
 
 
-def _fields_but_trace(example: DatasetExample) -> dict:
+def _derived_fields(example: DatasetExample) -> dict:
+    """The stored fields that the trace and gen_params give; the loader
+    checks a line's copy of each against them."""
     return {
-        "id": example.id,
         "difficulty": example.difficulty.value,
         "seed": example.seed,
-        "markdown": example.markdown,
         "gold_answers": list(example.gold_answers),
         "hop_depths": list(example.hop_depths),
-        "images": dict(example.images),
         "gen_params": example.gen_params.to_json(),
     }
 
 
 def example_to_json(example: DatasetExample) -> dict:
-    return {**_fields_but_trace(example), "trace": example.trace.to_json()}
+    own = {"id": example.id, "markdown": example.markdown, "images": dict(example.images)}
+    return {**own, **_derived_fields(example), "trace": example.trace.to_json()}
 
 
 def example_from_json(data: object) -> DatasetExample:
     """Rebuild an example from its trace and gen_params, and reject the line
-    when another stored field disagrees with what they give."""
+    when a field derived from them disagrees with what they give. The id,
+    markdown and images are the line's own."""
     check_type(data, dict, "manifest line")
     markdown = check_type(data["markdown"], str, "markdown")
     images = check_type(data["images"], dict, "images")
@@ -58,7 +59,7 @@ def example_from_json(data: object) -> DatasetExample:
         gen_params=GenParams.from_json(data["gen_params"]),
         trace=SolutionTrace.from_json(data["trace"]),
     )
-    stale = [key for key, value in _fields_but_trace(example).items() if data[key] != value]
+    stale = [key for key, value in _derived_fields(example).items() if data[key] != value]
     if stale:
         raise ValueError(
             f"example {example.id}: stored fields disagree with its trace and gen_params: "

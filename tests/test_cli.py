@@ -20,7 +20,7 @@ from mathgrid.harness.sft import export_sft_trajectories
 from mathgrid.render.markdown import _OP_ALIASES, parse_markdown
 from mathgrid.manifest import load_manifest
 
-from conftest import REFERENCE_MARKDOWN, coords, subprocess_env
+from conftest import REFERENCE_ANSWERS, REFERENCE_MARKDOWN, coords, subprocess_env
 from endpointmock import MockEndpoint
 
 # What only the commands that drive or score an endpoint need: the client
@@ -169,10 +169,28 @@ def test_a_bad_markdown_file_is_named_in_its_error_line(dataset_dir, tmp_path, c
     assert not out.exists()
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """A stdin that, like the real one, holds bytes under its text layer."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
 def test_a_bad_markdown_grid_on_stdin_names_no_file(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("| 1 | + | 2 | = | three |\n"))
+    monkeypatch.setattr(sys, "stdin", _stdin(b"| 1 | + | 2 | = | three |\n"))
     assert main(["solve"]) == 1
     assert capsys.readouterr().err == "error: line 1, cell 5: unrecognized cell content 'three'\n"
+
+
+def test_a_grid_on_stdin_is_decoded_as_strict_utf8(monkeypatch, capsys):
+    # the text layer's surrogateescape, as in Python's UTF-8 mode, would hand
+    # the parser a lone surrogate in place of the byte
+    monkeypatch.setattr(sys, "stdin", _stdin(b"\xff| 1 |\n"))
+    assert main(["solve"]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+    monkeypatch.setattr(sys, "stdin", _stdin(REFERENCE_MARKDOWN.encode()))  # holds ÷ and ×
+    assert main(["solve"]) == 0
+    assert json.loads(capsys.readouterr().out)["answers"] == REFERENCE_ANSWERS
 
 
 _NINES = "9" * 4000
@@ -792,6 +810,53 @@ def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, c
     }[command]
     assert main(argv) == 1
     _one_error_line(capsys, f"{manifest} line 2: ")
+
+
+def _move_a_resolution(pick, place):
+    """An edit that moves the first resolution whose cell ``pick(grid, row, col)``
+    accepts onto the cell ``place(grid, row, col)``."""
+    def edit(data):
+        grid = parse_markdown(data["markdown"])
+        steps = data["trace"]["steps"]
+        resolution = next(r for step in steps for r in step if pick(grid, r["row"], r["col"]))
+        resolution["row"], resolution["col"] = place(grid, resolution["row"], resolution["col"])
+
+    return edit
+
+
+TRACE_EDITS = {
+    "misses-a-target": lambda d: d["trace"]["steps"][0].pop(0),
+    "names-a-number-cell": _misplace_a_resolution,
+    "names-one-cell-in-two-steps": lambda d: d["trace"]["steps"][1][0].update(
+        row=d["trace"]["steps"][0][0]["row"], col=d["trace"]["steps"][0][0]["col"]
+    ),
+    # a flat index would read (row, cols) as the next row's target (row + 1, 0)
+    "names-a-row-end-before-a-target": _move_a_resolution(
+        lambda grid, row, col: row > 0 and col == 0, lambda grid, row, col: (row - 1, grid.cols)
+    ),
+    # and a negative one (-1, col) as the last row's target (rows - 1, col)
+    "names-a-negative-row": _move_a_resolution(
+        lambda grid, row, col: row == grid.rows - 1, lambda grid, row, col: (-1, col)
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(TRACE_EDITS))
+def test_a_trace_that_misses_its_targets_is_rejected(dataset_dir, tmp_path, capsys, edit):
+    def corrupt(data):
+        TRACE_EDITS[edit](data)
+        steps = data["trace"]["steps"]
+        # store what the edited trace gives, so that only the target check can fail
+        resolved = sorted(((r["row"], r["col"]), r["value"], hop) for hop, step in enumerate(steps, 1) for r in step)
+        data["gold_answers"] = [value for _, value, _ in resolved]
+        data["hop_depths"] = [hop for _, _, hop in resolved]
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    example_id = json.loads(Path(manifest).read_text(encoding="utf-8").splitlines()[1])["id"]
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {manifest} line 2: example {example_id}: the trace does not resolve exactly its targets\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["bench-score", "bench-run", "export-sft"])

@@ -9,6 +9,8 @@ from mathgrid.core import (
     Cell,
     CellKind,
     Coord,
+    DatasetExample,
+    Difficulty,
     EMPTY,
     Grid,
     Operator,
@@ -18,6 +20,8 @@ from mathgrid.core import (
     shown,
     target_order,
 )
+from mathgrid.generator import GenParams
+from mathgrid.render.markdown import to_markdown
 from mathgrid.solver import deduce
 
 from conftest import coords, reference_grid
@@ -112,6 +116,18 @@ class TestCellAndGrid:
         assert not Operator.DIV.holds(0, 0, 5)  # the rotation 0 x 5 = 0 would accept it
 
 
+def _reference_example(grid: Grid) -> DatasetExample:
+    """The reference puzzle as a hand-built example, with its deduced trace."""
+    return DatasetExample(
+        id="reference",
+        grid=grid,
+        markdown=to_markdown(grid),
+        images={},
+        gen_params=GenParams(difficulty=Difficulty.EASY, seed=0),
+        trace=deduce(grid)[0],
+    )
+
+
 class TestDatasetInvariants:
     def test_substituting_gold_answers_reproduces_answer_grid(self, mixed_corpus):
         for example in mixed_corpus:
@@ -134,6 +150,31 @@ class TestDatasetInvariants:
         for step in (first[1:], first + (Resolution(0, number, 5),)):
             with pytest.raises(ValueError, match=example.id):
                 replace(example, trace=SolutionTrace((step, *later)))
+
+    @pytest.mark.parametrize(
+        "moved",
+        [
+            pytest.param({Coord(2, 2): Coord(2, 0)}, id="names-a-number-cell"),
+            # (3, 7) and (1, -3) have the flat indices of the targets (4, 0) and (0, 4),
+            # and (-9, 4) that of (0, 4) counted from the end
+            pytest.param({Coord(4, 0): Coord(3, 7)}, id="names-a-row-end-before-a-target"),
+            pytest.param({Coord(0, 4): Coord(-9, 4)}, id="names-a-negative-row"),
+            pytest.param({Coord(0, 4): Coord(1, -3)}, id="names-a-negative-column"),
+        ],
+    )
+    def test_a_trace_naming_a_cell_that_is_no_target_is_rejected(self, appendix_grid, moved):
+        example = _reference_example(appendix_grid)
+        (step,) = example.trace.steps
+        step = tuple(r._replace(coord=moved.get(r.coord, r.coord)) for r in step)
+        with pytest.raises(ValueError, match="reference: the trace does not resolve exactly its targets"):
+            replace(example, trace=SolutionTrace((step,)))
+
+    def test_a_trace_naming_one_cell_in_two_steps_is_rejected(self, appendix_grid):
+        example = _reference_example(appendix_grid)
+        (step,) = example.trace.steps
+        assert sorted(replace(example, trace=SolutionTrace((step[:-1], step[-1:]))).hop_depths) == [1, 1, 1, 2]
+        with pytest.raises(ValueError, match="reference: the trace does not resolve exactly its targets"):
+            replace(example, trace=SolutionTrace((step[:-1], step[:1])))
 
     def test_fields_read_from_trace_and_gen_params(self, mixed_corpus):
         for example in mixed_corpus:
