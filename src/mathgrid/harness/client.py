@@ -13,7 +13,6 @@ import hashlib
 import ipaddress
 import json
 import math
-import netrc
 import os
 import socket
 import sys
@@ -78,10 +77,12 @@ class EndpointConfig:
     """Where and how to send chat-completion requests.
 
     The auth token is read once per run from the environment variable
-    named by ``auth_token_env``, and never written to a record. ``sampling``
-    is passed through into the request body untouched (temperature, top_p,
-    max_tokens, ...), but may not set the model field or the messages;
-    endpoint-dialect differences are covered by ``path`` and ``model_field``.
+    named by ``auth_token_env``, and never written to a record. It is the
+    only credential the endpoint gets: a ``base_url`` holding one is
+    refused. ``sampling`` is passed through into the request body untouched
+    (temperature, top_p, max_tokens, ...), but may not set the model field
+    or the messages; endpoint-dialect differences are covered by ``path``
+    and ``model_field``.
     """
 
     base_url: str
@@ -100,10 +101,16 @@ class EndpointConfig:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ConfigError(f"{name} must be a non-empty string, not {shown(value)}")
-        if not (_http_url(self.base_url, ("http", "https")) and _visible(self.base_url, "?#")):
+        url = _http_url(self.base_url, ("http", "https"))
+        if not (url and _visible(self.base_url, "?#")):
             raise ConfigError(
                 "base_url must be an http:// or https:// URL with a host, in visible ASCII "
                 f"with no '?' or '#', not {shown(_without_userinfo(self.base_url))}"
+            )
+        if "@" in url.netloc:
+            raise ConfigError(
+                "base_url may not hold credentials; name the token's variable in auth_token_env, "
+                f"not {shown(_without_userinfo(self.base_url))}"
             )
         if not (self.path.startswith("/") and _visible(self.path, "#")):
             raise ConfigError(
@@ -306,32 +313,6 @@ def _bypasses_proxy(host: str, port: int, no_proxy: str) -> bool:
     return False
 
 
-def _netrc_credentials(host: str) -> tuple[str, str] | None:
-    """Login and password for ``host`` from ``$NETRC``, else ``~/.netrc`` or ``~/_netrc``.
-
-    A file that does not parse gives none, with a warning: Python 3.10's
-    parser refuses some files that later versions read, such as a quoted
-    password holding a space.
-    """
-    paths = [os.environ["NETRC"]] if "NETRC" in os.environ else ["~/.netrc", "~/_netrc"]
-    for path in map(os.path.expanduser, paths):
-        if os.path.exists(path):
-            break
-    else:
-        return None
-    try:
-        entry = netrc.netrc(path).authenticators(host)
-    except netrc.NetrcParseError as exc:
-        print(f"warning: {path}: {exc.msg}; no netrc credentials are sent", file=sys.stderr)
-        return None
-    except OSError:
-        return None
-    if entry is None:
-        return None
-    login, account, password = entry
-    return login or account, password
-
-
 def _ssl_context() -> ssl.SSLContext:
     """Verify against ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` when one is
     set (a file or a hashed directory), else against the system trust store.
@@ -369,13 +350,13 @@ class _Route:
 def _resolve_route(config: EndpointConfig) -> _Route:
     """Read once what the environment says about reaching ``config``'s
     endpoint: the Bearer token, the proxy (``NO_PROXY`` honoured) and its
-    credentials, netrc auth, and the CA bundle for an https endpoint."""
+    credentials, and the CA bundle for an https endpoint."""
     url = urlsplit(config.base_url)
     host, secure = url.hostname, url.scheme == "https"
     port = url.port or (443 if secure else 80)
     target = url.path.rstrip("/") + config.path
     authority = f"[{host}]" if ":" in host else host
-    # the fields in http.client's order; netrc Basic auth replaces a Bearer token
+    # the fields in http.client's order
     fields = {"Host": authority if port == (443 if secure else 80) else f"{authority}:{port}",
               "Accept-Encoding": "identity", "Content-Length": "", "Content-Type": "application/json"}
     token = os.environ.get(config.auth_token_env, "") if config.auth_token_env else ""
@@ -392,11 +373,6 @@ def _resolve_route(config: EndpointConfig) -> _Route:
     fields["User-Agent"] = "mathgrid"
     if not keep_alive:
         fields["Connection"] = "close"
-    credentials = _netrc_credentials(host)
-    if credentials is None and url.username:
-        credentials = unquote(url.username), unquote(url.password or "")
-    if credentials is not None:
-        fields["Authorization"] = _basic_auth(*credentials)
     context = _ssl_context() if secure else None
     no_proxy = _env("no_proxy")
     proxy = None
@@ -419,7 +395,7 @@ def _resolve_route(config: EndpointConfig) -> _Route:
             connect = f"{authority}:{port}"
             tunnel = _head(f"CONNECT {connect} HTTP/1.1", {"Host": connect, **proxy_auth})
         else:
-            target = f"http://{url.netloc.rpartition('@')[2]}{target}"
+            target = f"http://{url.netloc}{target}"
             fields.update(proxy_auth)
     # neither the target nor the host holds a space, so this splits at the Content-Length field
     before, name, after = _head(f"POST {target} HTTP/1.1", fields).partition(b"Content-Length: ")
@@ -618,8 +594,8 @@ def run_benchmark(
     ``score_run`` scores. A record torn mid-write at the end of the
     file is cut off before new ones are appended. Image paths resolve
     against the manifest's directory. Text prompts use no style, so their
-    records carry none. The token, proxy, netrc and CA-bundle environment is
-    read once, before any request; a change to it during the run has no effect.
+    records carry none. The token, proxy and CA-bundle environment is read
+    once, before any request; a change to it during the run has no effect.
     """
     route = _resolve_route(endpoint)
     manifest_path = Path(manifest_path)

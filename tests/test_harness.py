@@ -1077,31 +1077,10 @@ class TestTransport:
     def test_no_proxy_names_subdomains_and_skips_an_unparsable_range(self, host, no_proxy, bypassed):
         assert _bypasses_proxy(host, 80, no_proxy) is bypassed
 
-    @pytest.mark.parametrize("basic", ["netrc", "url", None])
-    def test_basic_auth_replaces_the_bearer_token(self, dataset_dir, tmp_path, monkeypatch, basic):
-        # Basic auth comes from the NETRC file, else from credentials in base_url
-        manifest = dataset_dir / "manifest.jsonl"
-        netrc_path = tmp_path / "netrc"
-        if basic == "netrc":
-            netrc_path.write_text("machine 127.0.0.1\n  login u\n  password p\n", encoding="utf-8")
-        monkeypatch.setenv("NETRC", str(netrc_path))
-        monkeypatch.setenv("FAKE_TOKEN_VAR", "sekret")
-        with MockEndpoint(manifest) as server:
-            url = server.base_url.replace("//", "//u:p@") if basic == "url" else server.base_url
-            run_benchmark(
-                manifest, _config(url, auth_token_env="FAKE_TOKEN_VAR"),
-                Modality.TEXT_ONLY, None, tmp_path / "run.jsonl",
-            )
-            headers = server.request_headers
-        expected = "Basic dTpw" if basic else "Bearer sekret"
-        assert len(headers) == len(load_manifest(manifest))
-        assert all(h.get("Authorization") == expected for h in headers)
-
-    @pytest.mark.parametrize("netrc_text", ["junk\n", "machine elsewhere.example login u password p\n"],
-                             ids=["unparsable", "other-host"])
-    def test_a_netrc_without_credentials_for_the_host_keeps_the_bearer_token(
-        self, dataset_dir, tmp_path, monkeypatch, capsys, netrc_text
-    ):
+    @pytest.mark.parametrize("netrc_text", ["machine 127.0.0.1 login u password p\n", "junk\n"],
+                             ids=["entry-for-the-host", "unparsable"])
+    def test_the_bearer_token_is_the_only_credential(self, dataset_dir, tmp_path, monkeypatch, capsys, netrc_text):
+        # curl and requests would send the netrc entry as Basic auth; bench run reads no netrc file
         manifest = dataset_dir / "manifest.jsonl"
         netrc_path = tmp_path / "netrc"
         netrc_path.write_text(netrc_text, encoding="utf-8")
@@ -1115,12 +1094,10 @@ class TestTransport:
             headers = server.request_headers
         assert len(headers) == len(load_manifest(manifest))
         assert all(h.get("Authorization") == "Bearer sekret" for h in headers)
-        warning = f"warning: {netrc_path}: bad toplevel token 'junk'; no netrc credentials are sent\n"
-        assert capsys.readouterr().err == (warning if netrc_text == "junk\n" else "")
+        assert capsys.readouterr().err == ""
 
     def test_the_token_is_read_once_per_run(self, dataset_dir, tmp_path, monkeypatch):
         manifest = dataset_dir / "manifest.jsonl"
-        monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
         monkeypatch.setenv("FAKE_TOKEN_VAR", "first")
         send_once = client._send_once
 

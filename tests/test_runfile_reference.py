@@ -174,10 +174,9 @@ def manifest(tmp_path_factory) -> Path:
 
 
 @pytest.fixture
-def resume(manifest, proxy_env, tmp_path):
+def resume(manifest, proxy_env):
     """A resume of a run file against an endpoint where nothing listens: each
     request becomes one error record at once."""
-    proxy_env.setenv("NETRC", str(tmp_path / "no-netrc"))
     config = EndpointConfig(base_url="http://127.0.0.1:9", model_name=MODEL, max_retries=0, backoff_s=0)
     return lambda run_path: client.run_benchmark(manifest, config, Modality.TEXT_ONLY, None, run_path)
 

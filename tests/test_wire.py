@@ -136,9 +136,8 @@ def manifest3(tmp_path):
 
 
 @pytest.fixture
-def clean_env(proxy_env, tmp_path):
-    """No proxy, no netrc file and no token but those a test sets."""
-    proxy_env.setenv("NETRC", str(tmp_path / "no-netrc"))
+def clean_env(proxy_env):
+    """No proxy and no token but those a test sets."""
     proxy_env.delenv("FAKE_TOKEN_VAR", raising=False)
     return proxy_env
 
