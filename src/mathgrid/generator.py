@@ -134,11 +134,15 @@ class GenParams:
     def from_json(data: object) -> GenParams:
         check_type(data, dict, "gen_params")
         for key in ("value_range", "equation_count"):
-            for n in check_type(data[key], list, f"gen_params {key}"):
+            pair = check_type(data[key], list, f"gen_params {key}")
+            if len(pair) != 2:
+                raise ValueError(f"gen_params {key} must hold 2 integers, not {len(pair)}")
+            for n in pair:
                 check_type(n, int, f"gen_params {key} value")
+        operators = check_type(data["operators"], list, "gen_params operators")
         return GenParams(
             difficulty=_member(Difficulty, data["difficulty"]),
-            operators=tuple(_member(Operator, symbol) for symbol in data["operators"]),
+            operators=tuple(_member(Operator, symbol) for symbol in operators),
             value_range=tuple(data["value_range"]),
             equation_count=tuple(data["equation_count"]),
             max_hop=check_type(data["max_hop"], int, "gen_params max_hop"),

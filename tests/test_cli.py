@@ -1001,6 +1001,28 @@ def test_gen_params_numbers_must_be_integers(dataset_dir, tmp_path, capsys, key,
     _one_error_line(capsys, f"{manifest} line 2: gen_params {key}", "must be an integer, not ")
 
 
+@pytest.mark.parametrize(
+    "key, value, complaint",
+    [
+        ("operators", "+-×÷", "operators must be a JSON array, not string"),
+        ("operators", {"+": 1}, "operators must be a JSON array, not object"),
+        ("operators", 3, "operators must be a JSON array, not number"),
+        ("value_range", [1, 2, 3], "value_range must hold 2 integers, not 3"),
+        ("equation_count", [5], "equation_count must hold 2 integers, not 1"),
+    ],
+    ids=["operators-string", "operators-object", "operators-number", "three-range-ends", "one-count-end"],
+)
+def test_gen_params_lists_must_be_arrays_of_their_length(dataset_dir, tmp_path, capsys, key, value, complaint):
+    # a string or object of operators was read symbol by symbol, and the line was then
+    # refused as its stored fields disagreeing; a number or a wrong length gave Python's message
+    def corrupt(data):
+        data["gen_params"][key] = value
+
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
+    assert main(["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")]) == 1
+    _one_error_line(capsys, f"{manifest} line 2: gen_params {complaint}\n")
+
+
 def test_a_manifest_byte_that_is_not_utf8_names_its_line(dataset_dir, tmp_path, capsys):
     manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, lambda data: None)
     first, rest = Path(manifest).read_bytes().split(b"\n", 1)
