@@ -17,10 +17,10 @@ import os
 import socket
 import sys
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
-from threading import TIMEOUT_MAX, Condition, Lock, Thread
+from queue import Queue
+from threading import TIMEOUT_MAX, Lock, Thread
 from typing import TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
 
@@ -420,7 +420,6 @@ class _Attempt:
         self.read = 0  # how much of it is parsed
         self.keep_alive = keep_alive  # ACK each receive at once, and let a reply keep the connection
         self.reusable = False  # whether the reply leaves the connection open for another request
-        self.sent: Callable[[], None] | None = None  # called once the next send has handed over its bytes
 
     def left(self) -> float:
         left = self.deadline - time.monotonic()
@@ -460,9 +459,6 @@ class _Attempt:
         """Send ``data``; the status, reason and header fields of the reply past any 1xx."""
         self.sock.settimeout(self.left())
         self.sock.sendall(data)
-        sent, self.sent = self.sent, None
-        if sent is not None:
-            sent()
         while True:
             line = self.line()
             version, _, rest = line.partition(b" ")
@@ -519,14 +515,11 @@ def _connect(route: _Route, attempt: _Attempt) -> socket.socket:
     return sock
 
 
-def _send_once(
-    route: _Route, request: bytes, timeout_s: float, idle: list[socket.socket], sent: Callable[[], None]
-) -> str:
+def _send_once(route: _Route, request: bytes, timeout_s: float, idle: list[socket.socket]) -> str:
     """One attempt, over a connection from ``idle`` if there is one, else a new one,
     which goes back to ``idle`` if the reply leaves it open. A kept connection that
     fails before any byte of the reply, as one the server dropped while it idled
-    does, is replaced by a new one once, within the same deadline. ``sent()`` is
-    called each time the request has gone out whole, before its reply is read."""
+    does, is replaced by a new one once, within the same deadline."""
     attempt = _Attempt(timeout_s, route.keep_alive)
     try:
         kept = idle.pop()
@@ -534,7 +527,7 @@ def _send_once(
         kept = None
     while True:
         sock = kept if kept is not None else _connect(route, attempt)
-        attempt.sock, attempt.sent = sock, sent
+        attempt.sock = sock
         try:
             status, reason, fields = attempt.send(request)
             data = attempt.body(fields)
@@ -553,14 +546,12 @@ def _send_once(
     return response_text(parse_json(data))
 
 
-def _send_with_retries(
-    route: _Route, config: EndpointConfig, body: bytes, idle: list[socket.socket], sent: Callable[[], None]
-) -> str:
+def _send_with_retries(route: _Route, config: EndpointConfig, body: bytes, idle: list[socket.socket]) -> str:
     request = b"%s%d%s%s" % (route.head[0], len(body), route.head[1], body)
     attempt, delay = 0, config.backoff_s
     while True:
         try:
-            return _send_once(route, request, config.timeout_s, idle, sent)
+            return _send_once(route, request, config.timeout_s, idle)
         except StatusError as exc:
             if not exc.transient or attempt >= config.max_retries:
                 raise
@@ -580,17 +571,17 @@ def run_benchmark(
 ) -> Path:
     """Query the endpoint for every example and append records to out_path.
 
-    Each of ``max_concurrency`` workers (no more than there are examples to
-    send) sends one example at a time. Once its request has gone out, and
-    while the reply is awaited, the worker takes the next example and builds
-    its prompt and body; when the reply comes it writes the record and sends
-    the body it built. A failed request, or a body that cannot be built,
-    becomes that example's error record and never aborts the run. An error in
-    writing a record, or a Ctrl-C, stops every worker from sending another
-    example: the requests in flight finish and their records are written,
-    then the error is raised. An example taken and built but not yet sent
-    then gets no record, so a resume sends it. Examples whose latest record for this
-    fingerprint is OK are skipped entirely; that record is the one
+    The main thread builds each example's request body and hands it over to
+    ``max_concurrency`` worker threads (no more than there are examples to
+    send), so bodies are built while requests are in flight. Each worker sends
+    one body at a time and writes its record; at most one body per worker
+    waits to be taken, besides the one the main thread holds. A failed request,
+    or a body that cannot be built, becomes that example's error record and
+    never aborts the run. An error in writing a record, or a Ctrl-C, stops the
+    run from sending another example: the requests in flight finish and their
+    records are written, then the first error is raised. A body built but not
+    yet sent then gets no record, so a resume sends it. Examples whose latest
+    record for this fingerprint is OK are skipped entirely; that record is the one
     ``score_run`` scores. A record torn mid-write at the end of the
     file is cut off before new ones are appended. Image paths resolve
     against the manifest's directory. Text prompts use no style, so their
@@ -622,22 +613,13 @@ def run_benchmark(
         if fingerprint not in done:
             todo.append((example, fingerprint))
 
-    def prepare(example, fingerprint) -> tuple:
-        """The example and fingerprint with the request body, or in its place the error that building it gave."""
-        try:
-            parts = build_prompt(example, modality, style_id, manifest_path.parent)
-            return example, fingerprint, build_chat_payload(parts, endpoint)
-        except Exception as exc:  # noqa: BLE001 - the example's own error record
-            return example, fingerprint, exc
-
-    def one(example, fingerprint, body: bytes | Exception, sent: Callable[[], None]) -> RunRecord:
-        """The record of sending ``body``, calling ``sent()`` once the request has gone
-        out; a body that could not be built is an error record with latency 0."""
+    def one(example, fingerprint, body: bytes | Exception) -> RunRecord:
+        """The record of sending ``body``; a body that could not be built is an error record with latency 0."""
         text, latency_ms, failure = "", 0, body
         if not isinstance(body, Exception):
             started = time.monotonic()
             try:
-                text, failure = _send_with_retries(route, endpoint, body, idle, sent), None
+                text, failure = _send_with_retries(route, endpoint, body, idle), None
             except Exception as exc:  # noqa: BLE001 - isolate per-record failures
                 failure = exc
             latency_ms = int((time.monotonic() - started) * 1000)
@@ -649,70 +631,62 @@ def run_benchmark(
 
     if not todo:
         return out_path
-    lock = Condition(Lock())  # held to take an example, to write a record and to count the workers
-    pending = iter(todo)
-    # each worker starts with an example of its own, so that none takes a second
-    # one as its next before another worker has started
-    firsts = [next(pending) for _ in range(min(endpoint.max_concurrency, len(todo)))]
+    workers = min(endpoint.max_concurrency, len(todo))
+    bodies: Queue = Queue(workers)  # built bodies not yet taken, then a None for each worker to end on
+    lock = Lock()  # held to write a record
     failed: list[BaseException] = []  # what stops the run: an error in a worker or in the main thread
     idle: list[socket.socket] = []  # open connections no request holds: at most one per worker
-    running = 0  # workers started and not yet ended
+    ends: list[Lock] = []  # one per started worker, held until it ends
 
-    def take() -> tuple | None:
-        """The next example prepared, or None once none is left or the run has failed."""
-        with lock:
-            item = None if failed else next(pending, None)
-        return None if item is None else prepare(*item)
-
-    def work(sink, first: tuple) -> None:
-        """Send an example, ``first`` to begin with, and while its request is in
-        flight take and prepare the next; then write the record, until no example
-        is left or the run has failed. An example prepared when the run fails is
-        not sent."""
-        nonlocal running
+    def work(sink, end: Lock) -> None:
+        """Send each body taken and write its record until a None comes, dropping the
+        bodies unsent once the run has failed; an error of its own does not stop it
+        taking bodies, so no hand-off waits forever. ``end`` is released as it ends."""
         try:
-            item = prepare(*first)
-            while item is not None and not failed:
-                after = []  # the next example, prepared once however often the request goes out
-
-                def prepare_next() -> None:
-                    if not after:
-                        after.append(take())
-
-                record = one(*item, prepare_next)
-                prepare_next()  # if the request never went out
-                line = record.to_line()
-                with lock:
-                    sink.write(line)
-                    sink.flush()
-                item = after[0]
-        except BaseException as exc:  # noqa: BLE001 - the main thread raises it
-            failed.append(exc)
+            while (item := bodies.get()) is not None:
+                if not failed:
+                    try:
+                        line = one(*item).to_line()
+                        with lock:
+                            sink.write(line)
+                            sink.flush()
+                    except BaseException as exc:  # noqa: BLE001 - the main thread raises it
+                        failed.append(exc)
         finally:
-            with lock:
-                running -= 1
-                lock.notify()
+            end.release()
 
-    def wait_for_workers() -> None:
+    def finish() -> None:
+        """Hand over a None per worker, then wait until every started worker has ended.
+        Again after a Ctrl-C, the spare Nones fit, as each worker ends at its first."""
+        for _ in range(workers):
+            bodies.put(None)
         # not Thread.join: on Python 3.10 to 3.12 a join that Ctrl-C interrupts
-        # marks a thread that is still running as ended. A worker whose start a
-        # Ctrl-C cut short is not counted, so its end can take the count below 0.
-        with lock:
-            while running > 0:
-                lock.wait()
+        # marks a thread that is still running as ended
+        for end in ends:
+            with end:
+                pass
 
     try:
         with out_path.open("a", encoding="utf-8") as sink:
             try:
-                for first in firsts:
-                    Thread(target=work, args=(sink, first)).start()
-                    with lock:
-                        running += 1
-                wait_for_workers()
+                for _ in range(workers):
+                    end = Lock()
+                    end.acquire()
+                    Thread(target=work, args=(sink, end)).start()
+                    ends.append(end)
+                for example, fingerprint in todo:
+                    if failed:
+                        break
+                    try:
+                        parts = build_prompt(example, modality, style_id, manifest_path.parent)
+                        body = build_chat_payload(parts, endpoint)
+                    except Exception as exc:  # noqa: BLE001 - the example's own error record
+                        body = exc
+                    bodies.put((example, fingerprint, body))
+                finish()
             except BaseException as exc:  # Ctrl-C, or a thread that did not start
-                failed.append(exc)  # the workers take no more examples
-                wait_for_workers()
-                raise
+                failed.append(exc)  # the workers send no more bodies
+                finish()
     finally:
         for sock in idle:
             sock.close()

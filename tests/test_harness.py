@@ -687,6 +687,12 @@ class TestRunBenchmark:
             score_run(run_path, manifest)
 
 
+needs_sigint = pytest.mark.skipif(
+    signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
+    reason="SIGINT does not raise KeyboardInterrupt here",
+)
+
+
 class TestStoppingARun:
     """A record that cannot be written, or a Ctrl-C, stops a run: no worker
     takes another example, the requests in flight finish, every connection
@@ -759,27 +765,40 @@ class TestStoppingARun:
         assert len(records) >= 2  # the two written before the failure
         assert opened and all(sock.fileno() == -1 for sock in opened)
 
-    @pytest.mark.skipif(
-        signal.getsignal(signal.SIGINT) is not signal.default_int_handler,
-        reason="SIGINT does not raise KeyboardInterrupt here",
-    )
-    def test_a_ctrl_c_stops_the_run(self, dataset_dir, tmp_path, monkeypatch, opened, server):
+    def _interrupted_run(self, reply, dataset_dir, tmp_path, monkeypatch, server) -> tuple[list, int]:
+        """The run file's records after a Ctrl-C that comes with reply number
+        ``reply``, and the number of requests the endpoint had then."""
         sent = []  # the requests sent at the Ctrl-C
         replies = itertools.count(1)
         send_once = client._send_once
 
-        def interrupt_after_the_third_reply(*args):
+        def interrupt_after_a_reply(*args):
             text = send_once(*args)
-            if next(replies) == 3:
+            if next(replies) == reply:
                 sent.append(server.requests_total)
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             return text
 
-        monkeypatch.setattr(client, "_send_once", interrupt_after_the_third_reply)
+        monkeypatch.setattr(client, "_send_once", interrupt_after_a_reply)
         records = self._run(dataset_dir, tmp_path, server, KeyboardInterrupt)
-        assert server.requests_total - sent[0] <= self.CONCURRENCY
+        return records, sent[0]
+
+    @needs_sigint
+    def test_a_ctrl_c_stops_the_run(self, dataset_dir, tmp_path, monkeypatch, opened, server):
+        records, sent = self._interrupted_run(3, dataset_dir, tmp_path, monkeypatch, server)
+        assert server.requests_total - sent <= self.CONCURRENCY
         assert len(records) >= 3  # the reply that came with the Ctrl-C was kept
         assert all(r.status == "ok" for r in records)
+        assert opened and all(sock.fileno() == -1 for sock in opened)
+
+    @needs_sigint
+    def test_a_ctrl_c_after_every_body_is_handed_over_stops_the_run(
+        self, dataset_dir, tmp_path, monkeypatch, opened, server
+    ):
+        # reply 11 of 12 comes once the main thread has handed over the last
+        # body: it is handing over the workers' Nones or waiting for them to end
+        records, _ = self._interrupted_run(11, dataset_dir, tmp_path, monkeypatch, server)
+        assert len(records) >= 11 and all(r.status == "ok" for r in records)
         assert opened and all(sock.fileno() == -1 for sock in opened)
 
 
@@ -797,9 +816,9 @@ class TestStoppingARunSwitchingOften(TestStoppingARun):
             sys.setswitchinterval(interval)
 
 
-class TestPipelinedWorker:
-    """Each worker builds its next request body while its current request is
-    in flight, and writes each record as its reply comes."""
+class TestBuildingWhileSending:
+    """The main thread builds each request body while the workers' requests
+    are in flight, and each worker writes its record as its reply comes."""
 
     def test_a_missing_image_fails_its_example_alone(self, dataset_dir, tmp_path):
         root = tmp_path / "dataset"
@@ -812,7 +831,7 @@ class TestPipelinedWorker:
             config = _config(server.base_url, max_concurrency=1)
             run_path = run_benchmark(manifest, config, Modality.IMAGE_TEXT, "original", tmp_path / "run.jsonl")
             assert server.requests_total == len(examples) - 1
-            # the error did not reach the request in flight, which kept its connection
+            # the body that could not be built was never sent, and the worker kept its connection
             kept = hasattr(socket, "TCP_QUICKACK")
             assert len(set(server.request_peers)) == (1 if kept else len(examples) - 1)
         records = {r.example_id: r for r in load_run_records(run_path)}
@@ -821,20 +840,20 @@ class TestPipelinedWorker:
         assert failed.error == f"MissingStyleArtifact: image file {root / missing.images['original']} is missing"
         assert len(records) == len(examples) - 1 and all(r.status == "ok" for r in records.values())
 
-    def test_the_next_body_is_built_while_a_request_is_in_flight(self, dataset_dir, tmp_path, monkeypatch):
-        in_flight = []  # the requests in _send_once, per thread
+    def test_bodies_are_built_while_a_request_is_in_flight(self, dataset_dir, tmp_path, monkeypatch):
+        in_flight = []  # a None per request in _send_once, in any thread
         built_in_flight = []  # whether a request was in flight at each build_prompt call
         send_once, prompt = client._send_once, client.build_prompt
 
         def sending(*args):
-            in_flight.append(threading.get_ident())
+            in_flight.append(None)
             try:
                 return send_once(*args)
             finally:
-                in_flight.remove(threading.get_ident())
+                in_flight.pop()
 
         def building(*args):
-            built_in_flight.append(threading.get_ident() in in_flight)
+            built_in_flight.append(bool(in_flight))
             return prompt(*args)
 
         monkeypatch.setattr(client, "_send_once", sending)
@@ -846,7 +865,10 @@ class TestPipelinedWorker:
             assert server.max_inflight == 1
         records = load_run_records(run_path)
         assert len(records) == len(load_manifest(manifest)) and all(r.status == "ok" for r in records)
-        assert built_in_flight == [False] + [True] * (len(records) - 1)
+        # the first body is built before any request, and the second may be built
+        # before the worker has taken the first; each later one is built once the
+        # worker has taken the body before it, whose request is then in flight
+        assert built_in_flight[2:] == [True] * (len(records) - 2)
         # each latency is its own round trip: the 100 ms reply, not the wait for the one before
         assert all(100 <= r.latency_ms < 200 for r in records), [r.latency_ms for r in records]
 
