@@ -694,9 +694,9 @@ needs_sigint = pytest.mark.skipif(
 
 
 class TestStoppingARun:
-    """A record that cannot be written, or a Ctrl-C, stops a run: no worker
-    takes another example, the requests in flight finish, every connection
-    is closed and the error is raised."""
+    """A record that cannot be written, or a Ctrl-C, stops a run: no body is
+    sent after it, the requests in flight finish, every connection is
+    closed and the error is raised."""
 
     CONCURRENCY = 2
 
@@ -804,7 +804,7 @@ class TestStoppingARun:
 
 class TestStoppingARunSwitchingOften(TestStoppingARun):
     """The same stops with threads switching every 10 us, where a race in the
-    worker loop, such as a prepared example sent after the stop, shows."""
+    run loop, such as a built body sent after the stop, shows."""
 
     @pytest.fixture(autouse=True)
     def switching_often(self):
@@ -867,7 +867,7 @@ class TestBuildingWhileSending:
         assert len(records) == len(load_manifest(manifest)) and all(r.status == "ok" for r in records)
         # the first body is built before any request, and the second may be built
         # before the worker has taken the first; each later one is built once the
-        # worker has taken the body before it, whose request is then in flight
+        # worker has taken the body two before it, whose request is then in flight
         assert built_in_flight[2:] == [True] * (len(records) - 2)
         # each latency is its own round trip: the 100 ms reply, not the wait for the one before
         assert all(100 <= r.latency_ms < 200 for r in records), [r.latency_ms for r in records]
