@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .core import Difficulty, Grid, MathGridError, Operator, SolutionTrace, check_type, located, shown
+from .core import Difficulty, Grid, MathGridError, Operator, SolutionTrace, check_type, located, shown, write_whole
 from .generator import GenParams, generate_batch, write_example_images
 from .harness.prompts import Modality
 from .manifest import load_manifest, parse_json, write_manifest
@@ -105,8 +105,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         grid = _read_grid(args.markdown)
         view = RenderView(args.view or "query")
         answers = _solved(grid).answers if view is RenderView.SOLUTION else None
-        out = Path(args.out)
-        out.write_bytes(render_image(grid, styles[0], view, args.seed or 0, answers=answers))
+        out = write_whole(args.out, [render_image(grid, styles[0], view, args.seed or 0, answers=answers)])
         print(f"wrote {out}")
         return 0
     if args.view is not None or args.seed is not None:
@@ -180,9 +179,7 @@ def _cmd_bench_score(args: argparse.Namespace) -> int:
     report = score_run(args.run, args.manifest)
     data = report.to_json()
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_whole(args.out, [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()])
         print(f"report written to {args.out}")
     if args.table or not args.out:
         print(format_metrics_table(data))

@@ -9,11 +9,14 @@ A puzzle lives on a rectangular grid of cells. Horizontal and vertical
 from __future__ import annotations
 
 import enum
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple, TYPE_CHECKING
+from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
     from .generator import GenParams
@@ -90,6 +93,31 @@ class located:
             where = self.path if self.line is None else f"{self.path} line {self.line}"
             detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{where}: {detail}") from exc
+
+
+@contextmanager
+def naming(path: object) -> Iterator[None]:
+    """An OSError raised inside that names no file, as a failed write's does, names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def write_whole(path: Path | str, chunks: Iterable[bytes]) -> Path:
+    """Write ``chunks`` to ``path`` whole or not at all, through a temporary file beside it."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with naming(path), partial.open("wb") as sink:
+            sink.writelines(chunks)
+        os.replace(partial, path)
+    finally:  # after a failure: the path is as it was
+        partial.unlink(missing_ok=True)
+    return path
 
 
 class Coord(NamedTuple):

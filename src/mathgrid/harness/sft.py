@@ -8,11 +8,10 @@ chain-of-thought verbalization or direct supervised fine-tuning.
 from __future__ import annotations
 
 import json
-import os
 from contextlib import closing
 from pathlib import Path
 
-from ..core import DatasetExample, located
+from ..core import DatasetExample, located, write_whole
 from ..manifest import read_manifest
 from ..render.markdown import cell_text
 from ..solver import detect_equations
@@ -54,35 +53,24 @@ def answer_line(example: DatasetExample) -> str:
 
 
 def export_sft_trajectories(manifest_path: Path | str, out_path: Path | str) -> int:
-    """Write one JSONL record per manifest example; return how many.
-
-    Records stream to a temporary file beside ``out_path``, which replaces
-    ``out_path`` only once every example is written: a manifest that fails
-    part-way leaves ``out_path`` as it was.
-    """
+    """Write one JSONL record per manifest example, whole or not at all; return how many."""
     template = load_template(TRAJECTORY_TEMPLATE)
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    partial = out_path.with_name(f"{out_path.name}.{os.getpid()}.tmp")
     count = 0
-    try:
+
+    def records():
+        nonlocal count
         # closing() shuts the manifest file even when an example fails mid-way
-        with (
-            partial.open("w", encoding="utf-8") as sink,
-            closing(read_manifest(manifest_path)) as examples,
-        ):
+        with closing(read_manifest(manifest_path)) as examples:
             for number, example in examples:
-                with located(manifest_path, number):
+                with located(manifest_path, number):  # an id UTF-8 cannot encode names its line
                     record = {
                         "example_id": example.id,
                         "prompt": text_prompt(template, example.markdown),
                         "symbolic_solution": format_solution_steps(example),
                         "answer": answer_line(example),
                     }
-                    sink.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    yield (json.dumps(record, ensure_ascii=False) + "\n").encode()
                 count += 1
-        os.replace(partial, out_path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+
+    write_whole(out_path, records())
     return count

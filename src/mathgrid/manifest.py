@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .core import DatasetExample, SolutionTrace, check_type, located, shown
+from .core import DatasetExample, SolutionTrace, check_type, located, shown, write_whole
 from .generator import GenParams
 from .render.markdown import parse_markdown
 
@@ -73,12 +73,7 @@ def dumps_line(example: DatasetExample) -> str:
 
 
 def write_manifest(examples: Iterable[DatasetExample], path: Path | str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for example in examples:
-            fh.write(dumps_line(example) + "\n")
-    return path
+    return write_whole(path, (f"{dumps_line(example)}\n".encode() for example in examples))
 
 
 def read_manifest(path: Path | str) -> Iterator[tuple[int, DatasetExample]]:
