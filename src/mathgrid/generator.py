@@ -36,6 +36,7 @@ from .core import (
     SolutionTrace,
     TARGET,
     check_type,
+    naming,
     shown,
     target_order,  # unused here; perfbench/tracing.py counts calls under this name
 )
@@ -589,7 +590,8 @@ def write_example_images(
         for view in (RenderView.QUERY, RenderView.SOLUTION):
             name = f"images/{example_id}.{view.value}.{style_id}.svg"
             svg = render_image(query, style_id, view, texture_seed, answers=gold_answers)
-            (out_dir / name).write_bytes(svg)
+            with naming(path := out_dir / name):  # a failed write names its file
+                path.write_bytes(svg)
         images[style_id] = f"images/{example_id}.query.{style_id}.svg"
     return images
 

@@ -24,7 +24,7 @@ from threading import TIMEOUT_MAX, Lock, Thread
 from typing import TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
 
-from ..core import MathGridError, check_type, located, shown
+from ..core import MathGridError, check_type, located, naming, shown
 from ..evaluation import EvalReport, Prediction, build_report, evaluate_prediction
 from ..manifest import load_manifest, parse_json
 from .prompts import (
@@ -602,7 +602,7 @@ def run_benchmark(
         if end < (size := out_path.stat().st_size):  # a last line torn mid-write, or only whitespace
             os.truncate(out_path, end)
         elif end > size:  # a whole last record that lacks its newline
-            with out_path.open("ab") as fh:
+            with naming(out_path), out_path.open("ab") as fh:
                 fh.write(b"\n")
 
     todo = []
@@ -667,7 +667,8 @@ def run_benchmark(
                 pass
 
     try:
-        with out_path.open("a", encoding="utf-8") as sink:
+        # a record write's error, raised in a worker or in closing, names the run file
+        with naming(out_path), out_path.open("a", encoding="utf-8") as sink:
             try:
                 for _ in range(workers):
                     end = Lock()
@@ -687,11 +688,11 @@ def run_benchmark(
             except BaseException as exc:  # Ctrl-C, or a thread that did not start
                 failed.append(exc)  # the workers send no more bodies
                 finish()
+            if failed:
+                raise failed[0]
     finally:
         for sock in idle:
             sock.close()
-    if failed:
-        raise failed[0]
     return out_path
 
 
