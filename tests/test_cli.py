@@ -777,13 +777,18 @@ def _misplace_a_resolution(data):
     data["trace"]["steps"][0][0].update(row=row, col=col)
 
 
+STALE = "stored fields disagree with its trace and gen_params: "
+# each edit of the second line, and how its error line ends
 CORRUPTIONS = {
-    "reversed-gold-answers": lambda d: d["gold_answers"].reverse(),
-    "wrong-hop-depths": lambda d: d.update(hop_depths=[9] * len(d["hop_depths"])),
-    "seed-differs-from-gen-params": lambda d: d.update(seed=d["seed"] + 1),
-    "difficulty-differs-from-gen-params": lambda d: d.update(difficulty="hard"),
-    "no-trace": lambda d: d.pop("trace"),
-    "trace-resolves-a-non-target": _misplace_a_resolution,
+    "reversed-gold-answers": (lambda d: d["gold_answers"].reverse(), STALE + "gold_answers"),
+    "wrong-hop-depths": (lambda d: d.update(hop_depths=[9] * len(d["hop_depths"])), STALE + "hop_depths"),
+    "seed-differs-from-gen-params": (lambda d: d.update(seed=d["seed"] + 1), STALE + "seed"),
+    "difficulty-differs-from-gen-params": (lambda d: d.update(difficulty="hard"), STALE + "difficulty"),
+    "seed-and-hop-depths-differ": (
+        lambda d: d.update(seed=d["seed"] + 1, hop_depths=[9] * len(d["hop_depths"])), STALE + "seed, hop_depths"
+    ),
+    "no-trace": (lambda d: d.pop("trace"), "missing key 'trace'"),
+    "trace-resolves-a-non-target": (_misplace_a_resolution, "the trace does not resolve exactly its targets"),
 }
 
 
@@ -797,7 +802,8 @@ def _one_error_line(capsys, *fragments) -> None:
 @pytest.mark.parametrize("command", ["bench-score", "export-sft"])
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, corruption, command):
-    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, CORRUPTIONS[corruption])
+    corrupt, ending = CORRUPTIONS[corruption]
+    manifest = _manifest_with_bad_second_line(dataset_dir, tmp_path, corrupt)
     first = json.loads((dataset_dir / "manifest.jsonl").read_text(encoding="utf-8").split("\n")[0])
     record = {
         "example_id": first["id"], "modality": "text", "style_id": None, "fingerprint": "fp",
@@ -810,7 +816,7 @@ def test_inconsistent_manifest_line_is_rejected(dataset_dir, tmp_path, capsys, c
         "export-sft": ["export-sft", "--manifest", manifest, "--out", str(tmp_path / "sft")],
     }[command]
     assert main(argv) == 1
-    _one_error_line(capsys, f"{manifest} line 2: ")
+    _one_error_line(capsys, f"{manifest} line 2: ", f"{ending}\n")
 
 
 def _move_a_resolution(pick, place):

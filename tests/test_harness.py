@@ -4,6 +4,7 @@ import base64
 import gc
 import itertools
 import json
+import random
 import re
 import shutil
 import signal
@@ -11,6 +12,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -814,6 +816,45 @@ class TestStoppingARunSwitchingOften(TestStoppingARun):
             yield
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestKilledRun:
+    """``bench run`` killed with SIGKILL, then run again, gives the report of a
+    run never stopped, and writes no example's OK record twice."""
+
+    # the number of records written before the kill: 3 seeded draws from 1 to 11 of 12
+    POINTS = sorted(random.Random(31).sample(range(1, 12), 3))
+
+    @pytest.mark.parametrize("records", POINTS)
+    def test_a_run_killed_after_some_records_resumes_to_the_same_report(self, dataset_dir, tmp_path, records):
+        manifest = dataset_dir / "manifest.jsonl"
+        run, whole = tmp_path / "run.jsonl", tmp_path / "whole.jsonl"
+        with MockEndpoint(manifest, latency_s=0.05) as server:
+            def bench_run(out: Path) -> list[str]:
+                return ["bench", "run", "--manifest", str(manifest), "--out", str(out),
+                        "--endpoint", server.base_url, "--model", "m", "--concurrency", "2"]
+
+            assert main(bench_run(whole)) == 0
+            proc = subprocess.Popen([sys.executable, "-m", "mathgrid.cli", *bench_run(run)], env=subprocess_env(),
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                if run.exists() and run.read_bytes().count(b"\n") >= records:
+                    break
+                time.sleep(0.002)
+            proc.kill()
+            assert proc.wait(timeout=60) == -signal.SIGKILL  # killed, not ended on its own
+            assert run.read_bytes().count(b"\n") >= records
+            assert main(bench_run(run)) == 0
+
+        lines = run.read_text(encoding="utf-8").splitlines()
+        ok = [json.loads(line)["fingerprint"] for line in lines if json.loads(line)["status"] == "ok"]
+        assert len(ok) == len(set(ok)) == len(load_manifest(manifest))
+        for records_path in (run, whole):
+            argv = ["bench", "score", "--run", str(records_path), "--manifest", str(manifest),
+                    "--out", f"{records_path}.report"]
+            assert main(argv) == 0
+        assert Path(f"{run}.report").read_bytes() == Path(f"{whole}.report").read_bytes()
 
 
 class TestBuildingWhileSending:

@@ -301,6 +301,23 @@ class TestResponseBody:
         assert record.status == "error" and record.error.startswith(words), record.error[:300]
         assert len(record.error.encode()) < 1024
 
+    def test_header_lines_each_under_the_line_cap_may_add_up_past_it(self, manifest, clean_env):
+        # three 30000-byte header lines: the cap of 65536 bytes is on one line, not on the head
+        fields = "".join(f"X-Pad-{index}: {'a' * 30000}\n" for index in range(3))
+        with RawServer(_reply(f"HTTP/1.1 200 OK\n{fields}Content-Length: {len(ANSWER)}\n")) as server:
+            records = _run(manifest, f"http://127.0.0.1:{server.port}")
+        assert [(r.status, r.response_text) for r in records] == [("ok", "<answer>7</answer>")]
+
+    def test_the_default_retries_make_four_attempts(self, manifest, clean_env):
+        with RawServer(_reply("HTTP/1.1 503 Busy\nContent-Length: 0\n", b"")) as server:
+            run_path = run_benchmark(
+                manifest, EndpointConfig(base_url=f"http://127.0.0.1:{server.port}", model_name="m", backoff_s=0),
+                Modality.TEXT_ONLY, None, manifest.parent / "run.jsonl",
+            )
+        (record,) = load_run_records(run_path)
+        assert record.error.startswith("StatusError: HTTP 503 'Busy'")
+        assert len(server.requests) == 4
+
     def test_each_backoff_sleep_stops_doubling_at_the_longest_sleep(self, manifest, clean_env, monkeypatch):
         sleeps = []
         monkeypatch.setattr(client.time, "sleep", sleeps.append)
