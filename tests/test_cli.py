@@ -913,11 +913,11 @@ def test_export_sft_closes_the_manifest_when_an_example_fails(dataset_dir, tmp_p
     with pytest.raises(ValueError, match="equation 999") as failure:
         export_sft_trajectories(manifest, tmp_path / "sft.jsonl")
     # ``failure`` holds the traceback and so the failed call's frames; the file is shut anyway.
-    # A wrapper over an in-memory buffer, such as pytest's capture, has no name.
+    # The manifest is read in binary; a buffer in memory, such as pytest's capture, has no name.
     still_open = [
         obj for obj in gc.get_objects()
-        if isinstance(obj, io.TextIOWrapper)
-        and getattr(obj, "name", None) == manifest
+        if isinstance(obj, io.BufferedReader)
+        and str(getattr(obj, "name", "")) == manifest
         and not obj.closed
     ]
     assert still_open == []
