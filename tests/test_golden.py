@@ -4,7 +4,9 @@ Criterion 9 checks that one version reproduces its own bytes; this file
 checks that every version reproduces the bytes recorded in
 ``golden/digests.json``: the manifest and every SVG of ``generate``, the
 ``export-sft`` JSONL, the ``solve`` output for each example's markdown,
-and the ``bench score`` report of the fixed run file ``golden/run.jsonl``.
+the ``bench score`` report of the fixed run file ``golden/run.jsonl``, and
+the request bodies that ``bench run`` would send for each ``generate``
+case, in every modality and style, built without opening a socket.
 
 The same artifacts are pinned over the generator's configuration grid
 (``GRID``: every difficulty, value range and equation-count range), one
@@ -29,6 +31,10 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from mathgrid.cli import main
+from mathgrid.harness.client import EndpointConfig, build_chat_payload
+from mathgrid.harness.prompts import Modality, build_prompt
+from mathgrid.manifest import load_manifest
+from mathgrid.render.svg import STYLE_IDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = "20261018"
@@ -45,6 +51,11 @@ CASES = {
     "hard-large": ["--difficulty", "hard", "--range", "1:100", "--eq-count", "12:20"],
 }
 SCORED_CASE = "hard"
+# The endpoint the request bodies are built for: its model field, model name
+# and sampling are written into every body.
+WIRE_ENDPOINT = EndpointConfig(
+    base_url="http://127.0.0.1:9", model_name="golden-model", sampling={"temperature": 0.0, "max_tokens": 4096}
+)
 
 # The configuration grid: 3 × 4 × 3 = 36 configurations, each generating
 # GRID_TEXT_COUNT examples without images and GRID_IMAGE_COUNT (from another
@@ -127,6 +138,23 @@ def _write_run_file(manifest: Path, run: Path, seed: str) -> None:
     run.write_text("".join(records), encoding="utf-8")
 
 
+def _wire_digests(name: str, manifest: Path) -> dict[str, str]:
+    """Digest the bodies of each modality and style, in manifest order: text
+    once, and image and image-text once per style."""
+    examples = load_manifest(manifest)
+    runs = [(Modality.TEXT_ONLY, None)]
+    runs += [(modality, style) for modality in (Modality.IMAGE_ONLY, Modality.IMAGE_TEXT) for style in STYLE_IDS]
+    digests = {}
+    for modality, style in runs:
+        bodies = (
+            build_chat_payload(build_prompt(example, modality, style, manifest.parent), WIRE_ENDPOINT)
+            for example in examples
+        )
+        key = "/".join(filter(None, (name, modality.value, style)))
+        digests[key] = hashlib.sha256(b"\n".join(bodies)).hexdigest()
+    return digests
+
+
 def grid_name(difficulty: str, value_range: str, eq_count: str) -> str:
     return f"grid/{difficulty}/{value_range}/{eq_count}"
 
@@ -164,6 +192,7 @@ def build_case_digests(work: Path) -> dict[str, dict[str, str]]:
     digests: dict[str, dict[str, str]] = {}
     sft_digests: dict[str, str] = {}
     solve_digests: dict[str, str] = {}
+    wire_digests: dict[str, str] = {}
     for name, argv in CASES.items():
         out = work / name
         _run(["generate", *argv, "--count", "3", "--seed", SEED, "--out", str(out)])
@@ -173,8 +202,10 @@ def build_case_digests(work: Path) -> dict[str, dict[str, str]]:
         sft_digests[name] = _sha256(sft)
         for example_id, digest in _solve_digests(out / "manifest.jsonl").items():
             solve_digests[f"{name}/{example_id}"] = digest
+        wire_digests.update(_wire_digests(name, out / "manifest.jsonl"))
     digests["export-sft"] = sft_digests
     digests["solve"] = solve_digests
+    digests["wire"] = wire_digests
     report = work / "report.json"
     _run(
         [
