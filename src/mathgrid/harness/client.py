@@ -24,16 +24,10 @@ from threading import TIMEOUT_MAX, Lock, Thread
 from typing import TYPE_CHECKING
 from urllib.parse import unquote, urlsplit
 
-from ..core import MathGridError, check_type, located, naming, shown
+from ..core import DatasetExample, MathGridError, check_type, located, naming, shown
 from ..evaluation import EvalReport, Prediction, build_report, evaluate_prediction
 from ..manifest import load_manifest, parse_json
-from .prompts import (
-    ImagePart,
-    Modality,
-    TEMPLATE_VERSION,
-    TextPart,
-    build_prompt,
-)
+from .prompts import ImagePart, Modality, TextPart, build_prompt, template_for
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     import ssl
@@ -44,7 +38,7 @@ class ConfigError(MathGridError):
 
 
 class ManifestMismatch(MathGridError):
-    """Run records reference examples not present in the manifest."""
+    """A run file's records do not belong to this manifest, or to this run."""
 
 
 def _visible(text: str, banned: str) -> bool:
@@ -212,14 +206,19 @@ class RunRecord:
         )
 
 
+def _request_path(config: EndpointConfig) -> str:
+    """The path a request names: ``base_url``'s path joined with ``path``."""
+    return urlsplit(config.base_url).path.rstrip("/") + config.path
+
+
 def request_fingerprint(
-    example_id: str, modality: Modality, style_id: str | None, model_name: str
-) -> str:
-    """Stable key for resume: same example/modality/style/model/template."""
-    payload = "\x1f".join(
-        [example_id, modality.value, style_id or "", model_name, TEMPLATE_VERSION]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    examples: list[DatasetExample], config: EndpointConfig, modality: Modality, style_id: str | None
+) -> dict[str, str]:
+    """Each example's resume key: a hash of what its request is built from, but for the image
+    bytes (drawn from that grid), the endpoint's scheme, host and port, and the transport settings."""
+    run = [modality.value, style_id, template_for(modality), config.model_field, config.model_name, config.sampling]
+    shared = json.dumps([*run, _request_path(config)]).encode()  # encoded once per run
+    return {e.id: hashlib.sha256(shared + json.dumps([e.id, e.markdown]).encode()).hexdigest()[:16] for e in examples}
 
 
 def build_chat_payload(parts: tuple[TextPart | ImagePart, ...], config: EndpointConfig) -> bytes:
@@ -354,7 +353,7 @@ def _resolve_route(config: EndpointConfig) -> _Route:
     url = urlsplit(config.base_url)
     host, secure = url.hostname, url.scheme == "https"
     port = url.port or (443 if secure else 80)
-    target = url.path.rstrip("/") + config.path
+    target = _request_path(config)
     authority = f"[{host}]" if ":" in host else host
     # the fields in http.client's order
     fields = {"Host": authority if port == (443 if secure else 80) else f"{authority}:{port}",
@@ -580,10 +579,11 @@ def run_benchmark(
     never aborts the run. An error in writing a record, or a Ctrl-C, stops the
     run from sending another example: the requests in flight finish and their
     records are written, then the first error is raised. A body built but not
-    yet sent then gets no record, so a resume sends it. Examples whose latest
-    record for this fingerprint is OK are skipped entirely; that record is the one
-    ``score_run`` scores. A record torn mid-write at the end of the
-    file is cut off before new ones are appended. Image paths resolve
+    yet sent then gets no record, so a resume sends it. A run file holds one run:
+    a manifest example's record under another key fails the run before the file
+    is touched. Examples whose latest record is OK are skipped; that record is
+    the one ``score_run`` scores. A record torn mid-write at the end of the file
+    is cut off before new ones are appended. Image paths resolve
     against the manifest's directory. Text prompts use no style, so their
     records carry none. The token, proxy and CA-bundle environment is read
     once, before any request; a change to it during the run has no effect.
@@ -595,23 +595,24 @@ def run_benchmark(
     if modality is Modality.TEXT_ONLY:
         style_id = None
     examples = load_manifest(manifest_path)
+    keys = request_fingerprint(examples, endpoint, modality, style_id)
     done = set()
     if out_path.exists():
         latest, end = _read_run(out_path)
-        done = {fingerprint for fingerprint, (_, r) in latest.items() if r.status == "ok"}
+        for key, (line, record) in latest.items():
+            if keys.get(record.example_id, key) != key:  # a record of no manifest example is left to score_run
+                raise ManifestMismatch(
+                    f"{out_path} line {line}: {shown(record.example_id)} was asked in another run, with another "
+                    "model, modality, style, template, sampling, path or grid; write this run to another file"
+                )
+        done = {key for key, (_, r) in latest.items() if r.status == "ok"}
         if end < (size := out_path.stat().st_size):  # a last line torn mid-write, or only whitespace
             os.truncate(out_path, end)
         elif end > size:  # a whole last record that lacks its newline
             with naming(out_path), out_path.open("ab") as fh:
                 fh.write(b"\n")
 
-    todo = []
-    for example in examples:
-        fingerprint = request_fingerprint(
-            example.id, modality, style_id, endpoint.model_name
-        )
-        if fingerprint not in done:
-            todo.append((example, fingerprint))
+    todo = [(example, keys[example.id]) for example in examples if keys[example.id] not in done]
 
     def one(example, fingerprint, body: bytes | Exception) -> RunRecord:
         """The record of sending ``body``; a body that could not be built is an error record with latency 0."""

@@ -1,4 +1,4 @@
-"""Prompt assembly per modality from versioned template files.
+"""Prompt assembly per modality from the template files shipped with the package.
 
 Templates are loaded verbatim from package resources and never edited at
 runtime; the puzzle (markdown table, image part, or both) is appended after
@@ -15,8 +15,6 @@ from importlib import resources
 from pathlib import Path
 
 from ..core import DatasetExample, MathGridError
-
-TEMPLATE_VERSION = "1"
 
 
 class MissingStyleArtifact(MathGridError):

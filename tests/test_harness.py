@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import base64
+import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -34,7 +36,6 @@ from mathgrid.harness.client import (
 from mathgrid.harness.prompts import (
     ImagePart,
     MissingStyleArtifact,
-    TEMPLATE_VERSION,
     TextPart,
     load_template,
     template_for,
@@ -92,9 +93,6 @@ class TestTemplates:
     def test_trajectory_template_requests_concision(self):
         text = load_template("trajectory.txt")
         assert "**concisely**" in text
-
-    def test_template_version_pinned(self):
-        assert TEMPLATE_VERSION == "1"
 
 
 class TestBuildPrompt:
@@ -252,12 +250,44 @@ class TestEndpointConfig:
         with pytest.raises(ConfigError):
             EndpointConfig.from_json({"base_url": "http://x", "model_name": "m", "nope": 1})
 
-    def test_fingerprint_distinguishes_runs(self):
-        f1 = request_fingerprint("a", Modality.TEXT_ONLY, None, "m1")
-        f2 = request_fingerprint("a", Modality.IMAGE_ONLY, "original", "m1")
-        f3 = request_fingerprint("a", Modality.TEXT_ONLY, None, "m2")
-        assert len({f1, f2, f3}) == 3
-        assert f1 == request_fingerprint("a", Modality.TEXT_ONLY, None, "m1")
+    def test_the_resume_key_is_what_a_request_is_built_from(self, tmp_path, monkeypatch):
+        example = _example_with_images(tmp_path)
+        other = _example_with_images(tmp_path, seed=32)
+        base = dict(base_url="http://127.0.0.1:9/api", model_name="m1", sampling={"temperature": 0.0})
+
+        def key(example=example, modality=Modality.IMAGE_TEXT, style="original", **overrides):
+            config = EndpointConfig(**{**base, **overrides})
+            return request_fingerprint([example], config, modality, style)[example.id]
+
+        changed = [
+            key(dataclasses.replace(example, id="renamed")),
+            key(dataclasses.replace(other, id=example.id)),  # another grid under the same id
+            key(modality=Modality.IMAGE_ONLY),
+            key(modality=Modality.TEXT_ONLY, style=None),
+            key(style="borderless"),
+            key(model_field="engine"),
+            key(model_name="m2"),
+            key(sampling={"temperature": 1.0}),
+            key(sampling={"temperature": 0}),  # the body writes 0, not 0.0
+            key(sampling={"temperature": 0.0, "max_tokens": 64}),
+            key(path="/v2/chat"),
+            key(base_url="http://127.0.0.1:9/other"),
+        ]
+        unchanged = [
+            key(base_url="https://example.org:8443/api/"),  # another scheme, host and port; the same path
+            key(auth_token_env="TOKEN"),
+            key(max_concurrency=9),
+            key(timeout_s=3.0),
+            key(max_retries=0),
+            key(backoff_s=2.0),
+        ]
+        (tmp_path / example.images["original"]).write_bytes(b"<svg/>")  # the image is drawn from the grid
+        unchanged.append(key())
+        monkeypatch.setattr("mathgrid.harness.prompts.load_template", lambda name: "Another template.\n")
+        changed.append(key())
+        monkeypatch.undo()
+        assert len({key(), *changed}) == len(changed) + 1
+        assert set(unchanged) == {key()}
 
 
 def _config(url, **overrides) -> EndpointConfig:
@@ -687,6 +717,84 @@ class TestRunBenchmark:
         run_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(ManifestMismatch):
             score_run(run_path, manifest)
+
+
+def _old_key(example_id: str, model_name: str) -> str:
+    """A text request's resume key as it was made before the key covered what
+    the request is built from."""
+    return hashlib.sha256("\x1f".join([example_id, "text", "", model_name, "1"]).encode()).hexdigest()[:16]
+
+
+class TestOneRunPerFile:
+    """A resume refuses a run file that holds a record of a manifest example
+    asked in another run: it exits 1 with one error line, sends nothing and
+    leaves the file's bytes as they were, a torn last line included."""
+
+    @staticmethod
+    def _refused(capsys, server, argv, run_path, torn, example_id):
+        if torn:
+            with run_path.open("ab") as fh:
+                fh.write(run_path.read_bytes()[:9])
+        data, sent = run_path.read_bytes(), server.requests_total
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert server.requests_total == sent
+        assert run_path.read_bytes() == data
+        err = capsys.readouterr().err.splitlines()
+        errors = [line for line in err if line.startswith("error: ")]
+        assert len(err) == 1 + torn and len(errors) == 1, err
+        assert errors[0].startswith(f"error: {run_path} line 1: {example_id!r} was asked in another run, "), err
+        assert errors[0].endswith("; write this run to another file"), err
+
+    @staticmethod
+    def _text_run(manifest, run_path, server):
+        return ["bench", "run", "--manifest", str(manifest), "--out", str(run_path),
+                "--endpoint", server.base_url, "--model", "m", "--modality", "text"]
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_other_sampling(self, dataset_dir, tmp_path, capsys, torn):
+        manifest, run_path = dataset_dir / "manifest.jsonl", tmp_path / "run.jsonl"
+        with MockEndpoint(manifest) as server:
+            def argv(temperature):
+                config = tmp_path / f"{temperature}.json"
+                config.write_text(json.dumps({"sampling": {"temperature": temperature}}), encoding="utf-8")
+                return [*self._text_run(manifest, run_path, server), "--config", str(config)]
+
+            assert main(argv(0.0)) == 0
+            first = json.loads(run_path.read_text(encoding="utf-8").splitlines()[0])["example_id"]
+            self._refused(capsys, server, argv(1.0), run_path, torn, first)
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_a_regenerated_manifest_with_the_same_ids(self, tmp_path, capsys, torn):
+        data, run_path = tmp_path / "data", tmp_path / "run.jsonl"
+        generate = ["generate", "--difficulty", "easy", "--count", "3", "--seed", "4", "--out", str(data), "--no-images"]
+        assert main(generate) == 0
+        manifest = data / "manifest.jsonl"
+        old = load_manifest(manifest)
+        with MockEndpoint(manifest) as server:
+            assert main(self._text_run(manifest, run_path, server)) == 0
+            assert main([*generate, "--ops", "+"]) == 0
+            new = load_manifest(manifest)
+            assert [e.id for e in new] == [e.id for e in old]
+            assert all(a.markdown != b.markdown for a, b in zip(old, new))
+            first = json.loads(run_path.read_text(encoding="utf-8").splitlines()[0])["example_id"]
+            self._refused(capsys, server, self._text_run(manifest, run_path, server), run_path, torn, first)
+
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_a_file_keyed_the_old_way_is_refused_and_still_scored(self, dataset_dir, tmp_path, capsys, torn):
+        manifest, run_path = dataset_dir / "manifest.jsonl", tmp_path / "run.jsonl"
+        examples = load_manifest(manifest)
+        records = [
+            {"example_id": e.id, "modality": "text", "style_id": None, "fingerprint": _old_key(e.id, "m"),
+             "response_text": "<answer>" + " ".join(map(str, e.gold_answers)) + "</answer>",
+             "latency_ms": 1, "status": "ok"}
+            for e in examples
+        ]
+        run_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        with MockEndpoint(manifest) as server:
+            self._refused(capsys, server, self._text_run(manifest, run_path, server), run_path, torn, examples[0].id)
+        assert main(["bench", "score", "--run", str(run_path), "--manifest", str(manifest)]) == 0
+        assert "100.00" in capsys.readouterr().out
 
 
 needs_sigint = pytest.mark.skipif(

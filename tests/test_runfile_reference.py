@@ -101,7 +101,11 @@ MODEL = "m"
 # the manifest's one example; its fingerprint comes up among the others, so
 # that some resumes have nothing to send
 KEYS = [
-    (request_fingerprint(EXAMPLE_ID, Modality.TEXT_ONLY, None, MODEL), EXAMPLE_ID),
+    (request_fingerprint(
+        [generate(GenParams(difficulty=Difficulty.EASY, seed=5), example_id=EXAMPLE_ID)],
+        EndpointConfig(base_url="http://127.0.0.1:9", model_name=MODEL, max_retries=0, backoff_s=0),
+        Modality.TEXT_ONLY, None,
+    )[EXAMPLE_ID], EXAMPLE_ID),
     ("fp-a", "other_a"),
     ("fp-b", "other_b"),
 ]
