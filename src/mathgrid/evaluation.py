@@ -104,26 +104,27 @@ def evaluate_prediction(pred: Prediction, gold: DatasetExample) -> ExampleResult
     """
     if pred.example_id != gold.id:
         raise UnknownExample(f"prediction for {pred.example_id!r}, gold is {gold.id!r}")
-    padded = pred.parsed + (None,) * len(gold.gold_answers)
-    scores = tuple(
-        CellScore(hop, value == answer)
-        for answer, hop, value in zip(gold.gold_answers, gold.hop_depths, padded)
-    )
-    all_correct = all(s.correct for s in scores) and len(pred.parsed) == len(
-        gold.gold_answers
-    )
-    return ExampleResult(gold.id, scores, all_correct)
+    answers, parsed = gold.gold_answers, pred.parsed
+    padded = parsed + (None,) * len(answers)
+    new = tuple.__new__  # what CellScore(...) calls, without its frame
+    cells = zip(answers, gold.hop_depths, padded)
+    scores = tuple([new(CellScore, (hop, value == answer)) for answer, hop, value in cells])
+    return ExampleResult(gold.id, scores, parsed == answers)  # every cell right and no surplus
 
 
 def weighted_reward(scores: Iterable[CellScore]) -> float:
     """Hop-weighted fraction of correct cells: each cell weighs its hop
     depth, so later-chain cells count more. Both sums are of ints, so exact."""
-    scores = list(scores)
-    if not scores:
+    right = total = 0
+    for hop, correct in scores:
+        if hop < 1:
+            raise ValueError("weights must be positive")
+        total += hop
+        if correct:
+            right += hop
+    if not total:  # every hop is at least 1, so only no cells sum to 0
         raise EmptyScores("reward needs at least one cell")
-    if min(hop for hop, _ in scores) < 1:
-        raise ValueError("weights must be positive")
-    return sum(hop for hop, correct in scores if correct) / sum(hop for hop, _ in scores)
+    return right / total
 
 
 @dataclass(frozen=True)
@@ -190,12 +191,14 @@ def build_report(results: Iterable[ExampleResult]) -> EvalReport:
     right = [0] * 5
     for res in results:
         rewards.append(weighted_reward(res.scores))  # EmptyScores for a result without cells
-        fractions.append(sum(s.correct for s in res.scores) / len(res.scores))
         perfect += res.all_correct
+        cells_right = 0
         for hop, correct in res.scores:
             bucket = hop if hop < 4 else 4
             seen[bucket] += 1
             right[bucket] += correct
+            cells_right += correct
+        fractions.append(cells_right / len(res.scores))
     if not fractions:
         raise EmptyReport("no examples to aggregate")
     return EvalReport(

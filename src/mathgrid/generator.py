@@ -123,8 +123,8 @@ class GenParams:
 
     def to_json(self) -> dict:
         return {
-            "difficulty": self.difficulty.value,
-            "operators": [op.value for op in self.operators],
+            "difficulty": self.difficulty._value_,  # each member's value, without the ``value`` property
+            "operators": [op._value_ for op in self.operators],
             "value_range": list(self.value_range),
             "equation_count": list(self.equation_count),
             "max_hop": self.max_hop,

@@ -17,6 +17,9 @@ from ..render.markdown import cell_text
 from ..solver import detect_equations
 from .prompts import TRAJECTORY_TEMPLATE, load_template, text_prompt
 
+# what json.dumps(record, ensure_ascii=False) calls, built once, not per record
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
 
 def format_solution_steps(example: DatasetExample) -> str:
     """Numbered textual steps mirroring the deduction trace.
@@ -29,21 +32,21 @@ def format_solution_steps(example: DatasetExample) -> str:
     lines = []
     for i, step in enumerate(example.trace.steps, start=1):
         lines.append(f"Step {i}:")
-        for res in step:
-            if not 0 <= res.eq_id < len(equations):
+        for eq_id, coord, value in step:
+            if not 0 <= eq_id < len(equations):
                 raise ValueError(
-                    f"example {example.id}: the trace names equation {res.eq_id}, "
+                    f"example {example.id}: the trace names equation {eq_id}, "
                     "which the grid lacks"
                 )
-            eq = equations[res.eq_id]
-            cells = example.answer_grid.cells
+            _, orientation, a, b, c, _, op_cell, eq_cell = equations[eq_id]
+            cells = example.answer_grid.cells  # read after the check: a bad id keeps its error
             symbols = [
-                "?" if coord == res.coord else cell_text(cells[coord.row * cols + coord.col])
-                for coord in (eq.a, eq.op_cell, eq.b, eq.eq_cell, eq.c)
+                "?" if at == coord else cell_text(cells[at.row * cols + at.col])
+                for at in (a, op_cell, b, eq_cell, c)
             ]
             lines.append(
-                f"- {eq.orientation.value} equation {' '.join(symbols)} gives "
-                f"cell ({res.coord.row}, {res.coord.col}) = {res.value}"
+                f"- {orientation._value_} equation {' '.join(symbols)} gives "  # no ``value`` property frame
+                f"cell ({coord.row}, {coord.col}) = {value}"
             )
     return "\n".join(lines)
 
@@ -69,7 +72,7 @@ def export_sft_trajectories(manifest_path: Path | str, out_path: Path | str) -> 
                         "symbolic_solution": format_solution_steps(example),
                         "answer": answer_line(example),
                     }
-                    yield (json.dumps(record, ensure_ascii=False) + "\n").encode()
+                    yield (_encode(record) + "\n").encode()
                 count += 1
 
     write_whole(out_path, records())

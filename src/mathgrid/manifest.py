@@ -29,7 +29,7 @@ def _derived_fields(example: DatasetExample) -> dict:
     """The stored fields that the trace and gen_params give; the loader
     checks a line's copy of each against them."""
     return {
-        "difficulty": example.difficulty.value,
+        "difficulty": example.difficulty._value_,  # without the ``value`` property, once per line
         "seed": example.seed,
         "gold_answers": list(example.gold_answers),
         "hop_depths": list(example.hop_depths),
