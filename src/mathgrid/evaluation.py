@@ -32,15 +32,21 @@ class EmptyScores(MathGridError):
 
 
 _ANSWER_BLOCK = re.compile(r"<answer>(.*?)</answer>", re.DOTALL | re.IGNORECASE)
+_OPENING_TAG = re.compile(r"<answer>", re.IGNORECASE)
 _WRAPPING = ".,;:!?()[]{}<>\"'`"
 
 
 def extract_answers(raw_text: str) -> list[str]:
-    """Tokens of the last well-formed answer block; [] when none exists."""
+    """Tokens of the last well-formed answer block; [] when none exists.
+
+    A block ends at the first ``</answer>`` after an ``<answer>`` and starts
+    at the last ``<answer>`` before that end, so a tag mentioned earlier in
+    the text ("I answer in <answer> tags") does not start the answer.
+    """
     blocks = _ANSWER_BLOCK.findall(raw_text or "")
     if not blocks:
         return []
-    return blocks[-1].split()
+    return _OPENING_TAG.split(blocks[-1])[-1].split()
 
 
 def parse_token(token: str) -> int | None:

@@ -42,6 +42,22 @@ class TestExtractAnswers:
     def test_unclosed_block_ignored(self):
         assert extract_answers("<answer>1 2 3") == []
 
+    def test_a_tag_mentioned_before_the_block_is_not_its_start(self):
+        text = "I will write the result in <answer> tags.\n<answer>5 7</answer>"
+        assert extract_answers(text) == ["5", "7"]
+        assert Prediction.from_text("x", text).parsed == (5, 7)
+
+    def test_the_block_opens_at_its_last_tag_in_any_case(self):
+        assert extract_answers("Use <ANSWER> tags.\n<Answer>5 7</ANSWER>") == ["5", "7"]
+        assert extract_answers("<answer><answer> 5 <AnSwEr>7 8</answer>") == ["7", "8"]
+
+    def test_a_tag_mentioned_between_blocks_is_not_read(self):
+        text = "<answer>1 2</answer> revising, in <answer> tags: <answer>3 4</answer>"
+        assert extract_answers(text) == ["3", "4"]
+
+    def test_a_tag_mentioned_after_the_block_is_not_read(self):
+        assert extract_answers("<answer>5 7</answer> as <answer> tags ask") == ["5", "7"]
+
     def test_whitespace_and_newlines(self):
         assert extract_answers("<answer>\n 6\t93\n45   8 \n</answer>") == [
             "6",
