@@ -217,8 +217,13 @@ def request_fingerprint(
     """Each example's resume key: a hash of what its request is built from, but for the image
     bytes (drawn from that grid), the endpoint's scheme, host and port, and the transport settings."""
     run = [modality.value, style_id, template_for(modality), config.model_field, config.model_name, config.sampling]
-    shared = json.dumps([*run, _request_path(config)]).encode()  # encoded once per run
-    return {e.id: hashlib.sha256(shared + json.dumps([e.id, e.markdown]).encode()).hexdigest()[:16] for e in examples}
+    shared = hashlib.sha256(json.dumps([*run, _request_path(config)]).encode())  # hashed once per run
+    keys = {}
+    for e in examples:
+        key = shared.copy()
+        key.update(json.dumps([e.id, e.markdown]).encode())
+        keys[e.id] = key.hexdigest()[:16]
+    return keys
 
 
 def build_chat_payload(parts: tuple[TextPart | ImagePart, ...], config: EndpointConfig) -> bytes:
